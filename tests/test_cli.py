@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from conftest import DATA, run_cli
 
 # ---------------------------------------------------------------------------
 # parse
@@ -236,6 +236,31 @@ class TestDiagnose:
         assert code == 3
         assert out == ""
         assert "requirement error" in err
+
+
+# Streams and exit codes of `oodn diagnose` on every fixture, recorded
+# before diagnosis was reworked for speed; the rework must not change a byte.
+GOLDEN = json.loads(
+    (DATA / "expected" / "diagnose.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_diagnose_output_matches_golden(case, capsys):
+    fixture, *flags = case.split()
+    code, out, err = run_cli(["diagnose", str(DATA / fixture), *flags], capsys)
+    expected = GOLDEN[case]
+    assert (code, out, err) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
+
+
+def test_golden_covers_every_fixture():
+    fixtures = {path.name for path in DATA.glob("*.oodn")}
+    assert {case.split()[0] for case in GOLDEN} == fixtures
+    assert len(GOLDEN) == 2 * len(fixtures)
 
 
 # ---------------------------------------------------------------------------
