@@ -24,7 +24,7 @@ Suggestions are full plans, directly executable in place of the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .inheritance import (
     InheritancePlan,
@@ -36,14 +36,9 @@ from .inheritance import (
     _exception_conflicts,
     _heir_entries,
     _restricted_selection,
+    _value_text,
 )
-from .model import (
-    DegreedMember,
-    MemberKind,
-    Network,
-    OodnError,
-    format_value,
-)
+from .model import Degree, DegreedMember, Network, OodnError
 
 
 class RequirementError(OodnError):
@@ -89,59 +84,57 @@ def render_report(diagnostics: Sequence[Diagnostic]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _fold_chain(plan: InheritancePlan, net: Network) -> list[tuple[str, str, View, View]]:
-    """Walk a chain, yielding (parent, child, parent_view, taken) per link.
+class _Link(NamedTuple):
+    parent: str
+    child: str
+    parent_view: View
+    own: list[DegreedMember]
+    taken: View
 
-    Unlike construction, the walk never aborts: a contradicted link still
-    passes its members upward so that every link gets inspected.
+
+class _Walk(NamedTuple):
+    links: list[_Link]
+    arrivals: list[DegreedMember]
+
+
+def _walk(plan: InheritancePlan, net: Network) -> _Walk:
+    """Walk a plan once: every link, and everything reaching the heir.
+
+    A chain has one link per level, a parallel plan one per source into
+    the heir.  Unlike construction, the walk never aborts: a contradicted
+    link still passes its members upward so that every link gets
+    inspected.  Arrivals come in arrival order; a member arriving from
+    several parallel sources keeps its lowest degree.
     """
-    order = plan.participants_root_first()
-    links: list[tuple[str, str, View, View]] = []
-    view: View = {e.identity: e for e in _declared_entries(net, order[0])}
-    for parent, child in zip(order, order[1:]):
-        taken = _apply_selection(view, plan.selection_for(parent), parent)
-        links.append((parent, child, view, taken))
-        own = (
-            _heir_entries(net, child)
-            if child == plan.heir
-            else _declared_entries(net, child)
-        )
-        view = dict(taken)
-        for entry in own:
-            view[entry.identity] = entry
-    return links
-
-
-def _parallel_takens(
-    plan: InheritancePlan, net: Network
-) -> list[tuple[str, View, View]]:
-    """(source, source_view, taken) per parallel source."""
-    result = []
-    for source, selection in plan.sources:
-        view: View = {e.identity: e for e in _declared_entries(net, source)}
-        result.append((source, view, _apply_selection(view, selection, source)))
-    return result
-
-
-def _arrivals(plan: InheritancePlan, net: Network) -> list[DegreedMember]:
-    """Everything reaching the heir from below, in arrival order."""
+    links: list[_Link] = []
     if plan.chain:
-        links = _fold_chain(plan, net)
-        return list(links[-1][3].values())
-    merged: dict[tuple[str, str], DegreedMember] = {}
-    for _, _, taken in _parallel_takens(plan, net):
+        order = plan.participants_root_first()
+        view: View = {e.identity: e for e in _declared_entries(net, order[0])}
+        for parent, child in zip(order, order[1:]):
+            taken = _apply_selection(view, plan.selection_for(parent), parent)
+            own = (
+                _heir_entries(net, child)
+                if child == plan.heir
+                else _declared_entries(net, child)
+            )
+            links.append(_Link(parent, child, view, own, taken))
+            view = dict(taken)
+            for entry in own:
+                view[entry.identity] = entry
+        return _Walk(links, list(links[-1].taken.values()))
+    takens = []
+    for source, selection in plan.sources:
+        view = {e.identity: e for e in _declared_entries(net, source)}
+        takens.append((source, view, _apply_selection(view, selection, source)))
+    own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
+    merged: View = {}
+    for source, view, taken in takens:
+        links.append(_Link(source, plan.heir, view, own, taken))
         for identity, entry in taken.items():
             existing = merged.get(identity)
             if existing is None or entry.degree < existing.degree:
                 merged[identity] = entry
-    return list(merged.values())
-
-
-def _value_text(entry: DegreedMember) -> str:
-    member = entry.member
-    if member.value_type is None:
-        return "<method>"
-    return format_value(member.value_type, member.value)
+    return _Walk(links, list(merged.values()))
 
 
 def _with_selection(
@@ -173,20 +166,12 @@ def _with_selection(
 
 def detect_exception(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     """Crisp arrivals that contradict an own property, link by link."""
+    return _exception_findings(plan, _walk(plan, net))
+
+
+def _exception_findings(plan: InheritancePlan, walk: _Walk) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    if plan.chain:
-        inspected = _fold_chain(plan, net)
-    else:
-        inspected = [
-            (source, plan.heir, view, taken)
-            for source, view, taken in _parallel_takens(plan, net)
-        ]
-    for parent, child, parent_view, taken in inspected:
-        own = (
-            _heir_entries(net, child)
-            if child == plan.heir
-            else _declared_entries(net, child)
-        )
+    for parent, child, parent_view, own, taken in walk.links:
         conflicts = _exception_conflicts(own, taken)
         if not conflicts:
             continue
@@ -217,46 +202,54 @@ def detect_exception(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
 
 
 def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
-    """Same-named, differently-valued members arriving from parallel sources."""
+    """Same-named, differently-valued members arriving from parallel sources.
+
+    Each involved source's selection is narrowed once per ambiguous name;
+    the suggestion and every alternative are then one plan each over the
+    plan's sources, sharing those narrowed selections.
+    """
     if plan.chain or len(plan.sources) < 2:
         return []
-    takens = _parallel_takens(plan, net)
+    return _ambiguity_findings(plan, _walk(plan, net))
+
+
+def _ambiguity_findings(plan: InheritancePlan, walk: _Walk) -> list[Diagnostic]:
+    if plan.chain or len(plan.sources) < 2:
+        return []
     by_name: dict[str, list[tuple[str, DegreedMember]]] = {}
-    for source, _, taken in takens:
-        for entry in taken.values():
-            by_name.setdefault(entry.member.name, []).append((source, entry))
+    for link in walk.links:
+        for entry in link.taken.values():
+            by_name.setdefault(entry.member.name, []).append((link.parent, entry))
+    views = {link.parent: link.parent_view for link in walk.links}
+    selections = dict(plan.sources)
     diagnostics = []
     for name in sorted(by_name):
         contributions = by_name[name]
-        sources_involved = []
-        for source, _ in contributions:
-            if source not in sources_involved:
-                sources_involved.append(source)
-        if len(sources_involved) < 2:
+        involved = dict.fromkeys(source for source, _ in contributions)
+        if len(involved) < 2:
             continue
         keys = {entry.member.similarity_key() for _, entry in contributions}
         if len(keys) < 2:
             continue
+        narrowed = [
+            (source, _restricted_selection(selection, views[source], {name}))
+            if source in involved
+            else (source, selection)
+            for source, selection in plan.sources
+        ]
 
-        def keep_copy_of(kept: str) -> InheritancePlan | None:
-            candidate: InheritancePlan | None = plan
-            for source, view, _ in takens:
-                if source == kept or source not in sources_involved:
-                    continue
-                if candidate is None:
-                    return None
-                narrowed = _restricted_selection(
-                    candidate.selection_for(source), view, {name}
-                )
-                candidate = _with_selection(candidate, source, narrowed)
-            return candidate
+        def keep_copy_of(kept: str) -> InheritancePlan:
+            # A source narrowed to nothing drops out; the kept one stays whole.
+            return replace(
+                plan,
+                sources=tuple(
+                    (source, selections[source] if source == kept else selection)
+                    for source, selection in narrowed
+                    if source == kept or selection is not None
+                ),
+            )
 
-        suggestion = keep_copy_of(sources_involved[0])
-        alternatives = tuple(
-            alt
-            for kept in sources_involved[1:]
-            if (alt := keep_copy_of(kept)) is not None
-        )
+        suggestion, *alternatives = (keep_copy_of(kept) for kept in involved)
         detail = "; ".join(
             f"{source} passes {entry.member.display()}={_value_text(entry)}"
             for source, entry in contributions
@@ -265,14 +258,14 @@ def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
             Diagnostic(
                 kind="ambiguity",
                 plan=plan.describe(),
-                subjects=tuple(sources_involved),
+                subjects=tuple(involved),
                 members=(name,),
                 message=(
-                    f"{name!r} arrives from {len(sources_involved)} sources with "
+                    f"{name!r} arrives from {len(involved)} sources with "
                     f"conflicting content: {detail}"
                 ),
                 suggestion=suggestion,
-                alternatives=alternatives,
+                alternatives=tuple(alternatives),
             )
         )
     return diagnostics
@@ -290,12 +283,20 @@ def detect_redundancy(
     single finding whose suggestion narrows the heir-facing selections to
     exactly what was asked for.
     """
-    arrivals = _arrivals(plan, net)
+    return _redundancy_findings(plan, net, _walk(plan, net), required)
+
+
+def _redundancy_findings(
+    plan: InheritancePlan,
+    net: Network,
+    walk: _Walk,
+    required: Sequence[str] | None,
+) -> list[Diagnostic]:
     if required is not None:
-        return _surplus_against_required(plan, net, arrivals, list(required))
+        return _surplus_against_required(plan, walk, list(required))
 
     groups: dict[tuple, list[DegreedMember]] = {}
-    for entry in arrivals:
+    for entry in walk.arrivals:
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
     source_order = [name for name, _ in plan.sources]
     diagnostics = []
@@ -341,14 +342,10 @@ def detect_redundancy(
 
 def _surplus_against_required(
     plan: InheritancePlan,
-    net: Network,
-    arrivals: list[DegreedMember],
+    walk: _Walk,
     required: list[str],
 ) -> list[Diagnostic]:
-    available: list[str] = []
-    for entry in arrivals:
-        if entry.member.name not in available:
-            available.append(entry.member.name)
+    available = dict.fromkeys(entry.member.name for entry in walk.arrivals)
     missing = [name for name in required if name not in available]
     if missing:
         raise RequirementError(
@@ -358,38 +355,26 @@ def _surplus_against_required(
     if not surplus:
         return []
 
+    def required_from(link: _Link) -> tuple[tuple[str, Degree], ...]:
+        selection = plan.selection_for(link.parent)
+        names = dict.fromkeys(e.member.name for e in link.parent_view.values())
+        return tuple((n, selection.degree_for(n)) for n in names if n in required)
+
     if plan.chain:
-        heir_source = plan.sources[0][0]
-        links = _fold_chain(plan, net)
-        heir_view = links[-1][2]
-        selection = plan.selection_for(heir_source)
-        kept = []
-        seen: set[str] = set()
-        for entry in heir_view.values():
-            name = entry.member.name
-            if name in required and name not in seen:
-                seen.add(name)
-                kept.append((name, selection.degree_for(name)))
+        heir_link = walk.links[-1]
         suggestion = _with_selection(
-            plan, heir_source, Selection(SelectionMode.LISTED, tuple(kept))
+            plan,
+            heir_link.parent,
+            Selection(SelectionMode.LISTED, required_from(heir_link)),
         )
     else:
         candidate: InheritancePlan | None = plan
-        for source, view, _ in _parallel_takens(plan, net):
+        for link in walk.links:
             if candidate is None:
                 break
-            selection = candidate.selection_for(source)
-            kept = []
-            seen = set()
-            for entry in view.values():
-                name = entry.member.name
-                if name in required and name not in seen:
-                    seen.add(name)
-                    kept.append((name, selection.degree_for(name)))
-            narrowed = (
-                Selection(SelectionMode.LISTED, tuple(kept)) if kept else None
-            )
-            candidate = _with_selection(candidate, source, narrowed)
+            kept = required_from(link)
+            narrowed = Selection(SelectionMode.LISTED, kept) if kept else None
+            candidate = _with_selection(candidate, link.parent, narrowed)
         suggestion = candidate
 
     return [
@@ -410,10 +395,14 @@ def _surplus_against_required(
 def diagnose_all(
     net: Network, required: Sequence[str] | None = None
 ) -> list[Diagnostic]:
-    """All findings over every declared plan, in declaration order."""
+    """All findings over every declared plan, in declaration order.
+
+    Each plan is walked once and the walk is shared by all three detectors.
+    """
     findings: list[Diagnostic] = []
     for plan in net.plans:
-        findings.extend(detect_exception(plan, net))
-        findings.extend(detect_redundancy(plan, net, required=required))
-        findings.extend(detect_ambiguity(plan, net))
+        walk = _walk(plan, net)
+        findings.extend(_exception_findings(plan, walk))
+        findings.extend(_redundancy_findings(plan, net, walk, required))
+        findings.extend(_ambiguity_findings(plan, walk))
     return findings

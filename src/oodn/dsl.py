@@ -197,6 +197,12 @@ class _Parser:
             return self.advance()
         return None
 
+    def number(self, token: Token) -> Fraction:
+        try:
+            return Fraction(token.text)
+        except ZeroDivisionError:
+            raise self.fail(f"zero denominator in {token.text!r}", token) from None
+
     # -- document ----------------------------------------------------------
 
     def parse_network(self) -> Network:
@@ -334,8 +340,9 @@ class _Parser:
         if token.type not in _NUMBER_TOKENS:
             raise self.fail(f"expected a degree, found {token.text!r}", token)
         self.advance()
+        value = self.number(token)
         try:
-            return as_degree(Fraction(token.text))
+            return as_degree(value)
         except OodnError as exc:
             raise self.fail(str(exc), token) from exc
 
@@ -354,7 +361,7 @@ class _Parser:
             if token.type not in _NUMBER_TOKENS:
                 raise self.fail(f"expected a number, found {token.text!r}", token)
             self.advance()
-            return Fraction(token.text)
+            return self.number(token)
         if value_type is ValueType.BOOL:
             if token.type == "IDENT" and token.text in ("true", "false"):
                 self.advance()
@@ -395,7 +402,7 @@ class _Parser:
         elif token.type == "INT":
             element = int(token.text)
         elif token.type in ("DECIMAL", "RATIO"):
-            element = Fraction(token.text)
+            element = self.number(token)
         else:
             raise self.fail(
                 f"expected a fuzzy element, found {token.text!r}", token
@@ -407,7 +414,7 @@ class _Parser:
                 f"expected a membership, found {number.text!r}", number
             )
         self.advance()
-        return element, Fraction(number.text)
+        return element, self.number(number)
 
     # -- objects -------------------------------------------------------------
 
@@ -441,7 +448,7 @@ class _Parser:
             return int(token.text)
         if token.type in ("DECIMAL", "RATIO"):
             self.advance()
-            return Fraction(token.text)
+            return self.number(token)
         if token.type == "STRING":
             self.advance()
             return _unescape(token.text)

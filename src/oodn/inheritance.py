@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .model import (
@@ -87,6 +88,17 @@ class Selection:
                 return degree
         return DEGREE_ONE
 
+    @cached_property
+    def items_text(self) -> str | None:
+        """The entries as ``InheritancePlan.describe`` shows them, or None
+        for a bare take-all; rendered once, however many plans share it."""
+        if self.mode is SelectionMode.ALL and not self.entries:
+            return None
+        return ", ".join(
+            name if not degree.is_weak else f"{name}/{degree}"
+            for name, degree in self.entries
+        )
+
 
 SELECT_ALL = Selection()
 
@@ -130,17 +142,11 @@ class InheritancePlan:
 
     def describe(self) -> str:
         joiner = " inherits " if self.chain else ", "
-        rendered = []
-        for name, selection in self.sources:
-            if selection.mode is SelectionMode.LISTED or selection.entries:
-                items = ", ".join(
-                    name_ if not degree.is_weak else f"{name_}/{degree}"
-                    for name_, degree in selection.entries
-                )
-                rendered.append(f"{name} ({items})")
-            else:
-                rendered.append(name)
-        return f"{self.heir} inherits {joiner.join(rendered)}"
+        rendered = joiner.join(
+            name if sel.items_text is None else f"{name} ({sel.items_text})"
+            for name, sel in self.sources
+        )
+        return f"{self.heir} inherits {rendered}"
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +390,16 @@ def _restricted_selection(
     selection: Selection, parent_view: View, excluded: set[str]
 ) -> Selection | None:
     """The selection narrowed to exclude the given bare names."""
-    kept: list[tuple[str, Degree]] = []
-    seen: set[str] = set()
-    if selection.mode is SelectionMode.LISTED:
-        candidates = [name for name, _ in selection.entries]
-    else:
-        candidates = []
-        for entry in parent_view.values():
-            if entry.member.name not in candidates:
-                candidates.append(entry.member.name)
-    for name in candidates:
-        if name in excluded or name in seen:
-            continue
-        seen.add(name)
-        kept.append((name, selection.degree_for(name)))
-    if not kept:
-        return None
-    return Selection(SelectionMode.LISTED, tuple(kept))
+    degrees = dict(selection.entries)
+    candidates: Iterable[str] = degrees
+    if selection.mode is SelectionMode.ALL:
+        candidates = dict.fromkeys(e.member.name for e in parent_view.values())
+    kept = tuple(
+        (name, degrees.get(name, DEGREE_ONE))
+        for name in candidates
+        if name not in excluded
+    )
+    return Selection(SelectionMode.LISTED, kept) if kept else None
 
 
 def _raise_exception_conflict(

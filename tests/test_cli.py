@@ -356,6 +356,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("parse error: line 1, column 11:")
 
+    def test_zero_denominator_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "zero.oodn"
+        bad.write_text("class A { prop p: int = 1 /1/0; }")
+        code, out, err = run_cli(["parse", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 1, column 28: zero denominator in '1/0'\n"
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         dangling = tmp_path / "dangling.oodn"
         dangling.write_text("object a : Ghost { }")

@@ -202,6 +202,36 @@ class TestAmbiguityDetection:
             view = decompose(het, "Nixon")
             assert len([e for e in view if e.member.name == "policy"]) == 1
 
+    def test_repairs_drop_a_source_narrowed_to_nothing(self):
+        # M offers only the clashing 'p', so every repair that does not keep
+        # M's copy drops M from the plan; the repair itself still stands.
+        net = net_of(
+            hom("L", prop("p", ValueType.INT, 1, "L"), prop("q", ValueType.INT, 5, "L")),
+            hom("M", prop("p", ValueType.INT, 2, "M")),
+            hom("R", prop("p", ValueType.INT, 3, "R"), prop("r", ValueType.INT, 6, "R")),
+            hom("H", prop("h", ValueType.BOOL, True, "H")),
+        )
+        plan = InheritancePlan(
+            heir="H",
+            sources=(
+                ("L", Selection()),
+                ("M", Selection()),
+                ("R", Selection(SelectionMode.ALL, (("r", as_degree("1/2")),))),
+            ),
+            chain=False,
+        )
+        [found] = detect_ambiguity(plan, net)
+        assert found.subjects == ("L", "M", "R")
+        assert found.suggestion.describe() == "H inherits L, R (r/0.5)"
+        assert [a.describe() for a in found.alternatives] == [
+            "H inherits L (q), M, R (r/0.5)",
+            "H inherits L (q), R (r/0.5)",
+        ]
+        for repaired in (found.suggestion, *found.alternatives):
+            assert detect_ambiguity(repaired, net) == []
+            view = decompose(inherit(repaired, net), "H")
+            assert len([e for e in view if e.member.name == "p"]) == 1
+
     def test_chains_cannot_be_ambiguous(self):
         net = duplicate_arrival_net()
         assert detect_ambiguity(net.plans[0], net) == []

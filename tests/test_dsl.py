@@ -295,6 +295,26 @@ class TestParseErrors:
         with pytest.raises((ParseError, Exception)):
             parse_network("class A { prop p: int = 1 /0; }")
 
+    @pytest.mark.parametrize(
+        "member_line, column",
+        [
+            ("prop p: real = 1/0;", 26),  # value
+            ("prop p: int = 1 /1/0;", 28),  # degree
+            ("prop p: fuzzy = {a: 1/0};", 31),  # fuzzy membership
+            ("prop p: fuzzy = {1/0: 1};", 28),  # fuzzy element
+        ],
+    )
+    def test_zero_denominator_is_a_parse_error(self, member_line, column):
+        with pytest.raises(ParseError) as info:
+            parse_one(member_line)
+        assert info.value.column == column
+        assert str(info.value).endswith("zero denominator in '1/0'")
+
+    def test_zero_denominator_in_object_override(self):
+        with pytest.raises(ParseError) as info:
+            parse_network("class A { prop p: real = 1; } object o : A { p = 3/0; }")
+        assert str(info.value).endswith("zero denominator in '3/0'")
+
 
 # ---------------------------------------------------------------------------
 # Serialization round-trips

@@ -157,6 +157,26 @@ class TestSelection:
         assert sel.degree_for("other") == DEGREE_ONE
         assert sel.is_weak
 
+    def test_rendered_items_leave_equality_and_hash_alone(self):
+        entries = (("p1", as_degree("1/2")), ("p2", DEGREE_ONE))
+        rendered = Selection(SelectionMode.LISTED, entries)
+        assert rendered.items_text == "p1/0.5, p2"
+        fresh = Selection(SelectionMode.LISTED, entries)
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert Selection().items_text is None
+
+    def test_describe_shows_selections(self):
+        plan = InheritancePlan(
+            heir="H",
+            sources=(
+                ("A", Selection()),
+                ("B", Selection(SelectionMode.ALL, (("p1", DEGREE_ONE),))),
+                ("C", Selection(SelectionMode.LISTED, (("p2", as_degree("1/3")),))),
+            ),
+            chain=False,
+        )
+        assert plan.describe() == "H inherits A, B (p1), C (p2/1/3)"
+
 
 class TestPlan:
     def test_needs_sources(self):
