@@ -30,7 +30,7 @@ from pathlib import Path
 from .diagnostics import RequirementError, diagnose_all, render_report
 from .dsl import (
     ParseError,
-    _encode_member,
+    encode_hetclass,
     export_graph,
     export_structured,
     parse_network,
@@ -148,24 +148,7 @@ def _cmd_inherit(args: argparse.Namespace) -> ExitStatus:
     net = _load(args.file)
     results = _run_plans(net, _policy(args.policy))
     if args.format == "json":
-        document = [
-            {
-                "name": het.name,
-                "core": [_encode_member(e) for e in het.core],
-                "projections": [
-                    {
-                        "label": p.label,
-                        "depends_on": list(p.depends_on),
-                        "members": [_encode_member(e) for e in p.members],
-                    }
-                    for p in het.projections
-                ],
-                "participants": {
-                    name: list(labels) for name, labels in het.participants.items()
-                },
-            }
-            for het in results
-        ]
+        document = [encode_hetclass(het) for het in results]
         print(json.dumps(document, indent=2))
         return ExitStatus.OK
     blocks = [serialize_hetclass(het) for het in results]

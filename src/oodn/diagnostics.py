@@ -24,21 +24,19 @@ Suggestions are full plans, directly executable in place of the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .inheritance import (
     InheritancePlan,
+    Link,
+    Policy,
     Selection,
     SelectionMode,
     View,
-    _apply_selection,
-    _declared_entries,
-    _exception_conflicts,
-    _heir_entries,
-    _restricted_selection,
-    _value_text,
+    merge,
+    walk,
 )
-from .model import Degree, DegreedMember, Network, OodnError
+from .model import DegreedMember, Network, OodnError, value_text
 
 
 class RequirementError(OodnError):
@@ -84,79 +82,22 @@ def render_report(diagnostics: Sequence[Diagnostic]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Link(NamedTuple):
-    parent: str
-    child: str
-    parent_view: View
-    own: list[DegreedMember]
-    taken: View
-
-
-class _Walk(NamedTuple):
-    links: list[_Link]
-    arrivals: list[DegreedMember]
-
-
-def _walk(plan: InheritancePlan, net: Network) -> _Walk:
-    """Walk a plan once: every link, and everything reaching the heir.
-
-    A chain has one link per level, a parallel plan one per source into
-    the heir.  Unlike construction, the walk never aborts: a contradicted
-    link still passes its members upward so that every link gets
-    inspected.  Arrivals come in arrival order; a member arriving from
-    several parallel sources keeps its lowest degree.
-    """
-    links: list[_Link] = []
-    if plan.chain:
-        order = plan.participants_root_first()
-        view: View = {e.identity: e for e in _declared_entries(net, order[0])}
-        for parent, child in zip(order, order[1:]):
-            taken = _apply_selection(view, plan.selection_for(parent), parent)
-            own = (
-                _heir_entries(net, child)
-                if child == plan.heir
-                else _declared_entries(net, child)
-            )
-            links.append(_Link(parent, child, view, own, taken))
-            view = dict(taken)
-            for entry in own:
-                view[entry.identity] = entry
-        return _Walk(links, list(links[-1].taken.values()))
-    takens = []
-    for source, selection in plan.sources:
-        view = {e.identity: e for e in _declared_entries(net, source)}
-        takens.append((source, view, _apply_selection(view, selection, source)))
-    own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
-    merged: View = {}
-    for source, view, taken in takens:
-        links.append(_Link(source, plan.heir, view, own, taken))
-        for identity, entry in taken.items():
-            existing = merged.get(identity)
-            if existing is None or entry.degree < existing.degree:
-                merged[identity] = entry
-    return _Walk(links, list(merged.values()))
-
-
-def _with_selection(
-    plan: InheritancePlan, source: str, selection: Selection | None
+def _replan(
+    plan: InheritancePlan, narrowed: dict[str, Selection | None]
 ) -> InheritancePlan | None:
-    """The plan with one source's selection replaced, or dropped when None."""
-    if selection is None:
-        remaining = tuple(
-            (name, sel) for name, sel in plan.sources if name != source
-        )
-        if not remaining:
-            return None
-        if plan.chain and len(remaining) != len(plan.sources):
-            return None
-        return replace(plan, sources=remaining)
-    return replace(
-        plan,
-        sources=tuple(
-            (name, selection if name == source else sel)
-            for name, sel in plan.sources
-        ),
-    )
+    """The plan with the given sources' selections replaced.
+
+    A source narrowed to nothing (None) drops out of a parallel plan.  A
+    chain cannot lose a level, so it then gets no repair; neither does a
+    plan left without sources.
+    """
+    replaced = [
+        (name, narrowed.get(name, selection)) for name, selection in plan.sources
+    ]
+    kept = tuple((name, sel) for name, sel in replaced if sel is not None)
+    if not kept or (plan.chain and len(kept) != len(replaced)):
+        return None
+    return replace(plan, sources=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -166,36 +107,38 @@ def _with_selection(
 
 def detect_exception(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     """Crisp arrivals that contradict an own property, link by link."""
-    return _exception_findings(plan, _walk(plan, net))
+    return _exception_findings(plan, walk(plan, net))
 
 
-def _exception_findings(plan: InheritancePlan, walk: _Walk) -> list[Diagnostic]:
+def _exception_findings(
+    plan: InheritancePlan, links: list[Link]
+) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    for parent, child, parent_view, own, taken in walk.links:
-        conflicts = _exception_conflicts(own, taken)
+    for link in links:
+        conflicts = link.conflicts()
         if not conflicts:
             continue
         names = tuple(sorted({name for name, _, _ in conflicts}))
-        narrowed = _restricted_selection(
-            plan.selection_for(parent), parent_view, set(names)
+        narrowed = plan.selection_for(link.parent).restricted(
+            link.parent_view, set(names)
         )
-        suggestion = _with_selection(plan, parent, narrowed)
         detail = "; ".join(
-            f"{name}: own {local.member.display()}={_value_text(local)} against "
-            f"arriving {arriving.member.display()}={_value_text(arriving)}"
+            f"{name}: own {local.member.display()}={value_text(local.member)} "
+            f"against arriving {arriving.member.display()}="
+            f"{value_text(arriving.member)}"
             for name, local, arriving in conflicts
         )
         diagnostics.append(
             Diagnostic(
                 kind="exception",
                 plan=plan.describe(),
-                subjects=(parent, child),
+                subjects=(link.parent, link.child),
                 members=names,
                 message=(
-                    f"{child!r} contradicts members inherited crisply from "
-                    f"{parent!r}: {detail}"
+                    f"{link.child!r} contradicts members inherited crisply from "
+                    f"{link.parent!r}: {detail}"
                 ),
-                suggestion=suggestion,
+                suggestion=_replan(plan, {link.parent: narrowed}),
             )
         )
     return diagnostics
@@ -210,17 +153,19 @@ def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     """
     if plan.chain or len(plan.sources) < 2:
         return []
-    return _ambiguity_findings(plan, _walk(plan, net))
+    return _ambiguity_findings(plan, walk(plan, net))
 
 
-def _ambiguity_findings(plan: InheritancePlan, walk: _Walk) -> list[Diagnostic]:
+def _ambiguity_findings(
+    plan: InheritancePlan, links: list[Link]
+) -> list[Diagnostic]:
     if plan.chain or len(plan.sources) < 2:
         return []
     by_name: dict[str, list[tuple[str, DegreedMember]]] = {}
-    for link in walk.links:
+    for link in links:
         for entry in link.taken.values():
             by_name.setdefault(entry.member.name, []).append((link.parent, entry))
-    views = {link.parent: link.parent_view for link in walk.links}
+    views = {link.parent: link.parent_view for link in links}
     selections = dict(plan.sources)
     diagnostics = []
     for name in sorted(by_name):
@@ -231,27 +176,16 @@ def _ambiguity_findings(plan: InheritancePlan, walk: _Walk) -> list[Diagnostic]:
         keys = {entry.member.similarity_key() for _, entry in contributions}
         if len(keys) < 2:
             continue
-        narrowed = [
-            (source, _restricted_selection(selection, views[source], {name}))
-            if source in involved
-            else (source, selection)
-            for source, selection in plan.sources
-        ]
-
-        def keep_copy_of(kept: str) -> InheritancePlan:
-            # A source narrowed to nothing drops out; the kept one stays whole.
-            return replace(
-                plan,
-                sources=tuple(
-                    (source, selections[source] if source == kept else selection)
-                    for source, selection in narrowed
-                    if source == kept or selection is not None
-                ),
-            )
-
-        suggestion, *alternatives = (keep_copy_of(kept) for kept in involved)
+        narrowed = {
+            source: selections[source].restricted(views[source], {name})
+            for source in involved
+        }
+        # Every other involved source is narrowed; the kept one stays whole.
+        suggestion, *alternatives = (
+            _replan(plan, narrowed | {kept: selections[kept]}) for kept in involved
+        )
         detail = "; ".join(
-            f"{source} passes {entry.member.display()}={_value_text(entry)}"
+            f"{source} passes {entry.member.display()}={value_text(entry.member)}"
             for source, entry in contributions
         )
         diagnostics.append(
@@ -283,46 +217,47 @@ def detect_redundancy(
     single finding whose suggestion narrows the heir-facing selections to
     exactly what was asked for.
     """
-    return _redundancy_findings(plan, net, _walk(plan, net), required)
+    return _redundancy_findings(plan, walk(plan, net), required)
 
 
 def _redundancy_findings(
     plan: InheritancePlan,
-    net: Network,
-    walk: _Walk,
+    links: list[Link],
     required: Sequence[str] | None,
 ) -> list[Diagnostic]:
+    # Everything reaching the heir; a member arriving from several parallel
+    # sources keeps its lowest degree.
+    arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
     if required is not None:
-        return _surplus_against_required(plan, walk, list(required))
+        return _surplus_against_required(plan, links, arrivals, list(required))
 
     groups: dict[tuple, list[DegreedMember]] = {}
-    for entry in walk.arrivals:
+    for entry in arrivals.values():
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
-    source_order = [name for name, _ in plan.sources]
+    position = {name: index for index, (name, _) in enumerate(plan.sources)}
+    views = {link.parent: link.parent_view for link in links}
+    selections = dict(plan.sources)
     diagnostics = []
     flagged = [key for key, entries in groups.items() if len(entries) > 1]
     for key in sorted(flagged, key=lambda k: (k[1], str(k))):
         entries = groups[key]
         name = entries[0].member.name
         owners = sorted(
-            {entry.member.owner for entry in entries},
-            key=lambda owner: (
-                source_order.index(owner) if owner in source_order else -1
-            ),
+            dict.fromkeys(entry.member.owner for entry in entries),
+            key=lambda owner: position.get(owner, -1),
         )
-        keep = owners[0]
-        candidate: InheritancePlan | None = plan
-        for owner in owners[1:]:
-            if owner not in source_order or candidate is None:
-                candidate = None
-                break
-            view: View = {
-                e.identity: e for e in _declared_entries(net, owner)
-            }
-            narrowed = _restricted_selection(
-                candidate.selection_for(owner), view, {name}
+        keep, *surplus = owners
+        # Each surplus owner's outgoing selection is narrowed over all it
+        # holds: on a chain that includes what its ancestors pass through.
+        suggestion = None
+        if all(owner in views for owner in surplus):
+            suggestion = _replan(
+                plan,
+                {
+                    owner: selections[owner].restricted(views[owner], {name})
+                    for owner in surplus
+                },
             )
-            candidate = _with_selection(candidate, owner, narrowed)
         diagnostics.append(
             Diagnostic(
                 kind="redundancy",
@@ -334,7 +269,7 @@ def _redundancy_findings(
                     f"(declared by {', '.join(owners)}); the copies beyond "
                     f"{keep!r}'s add nothing"
                 ),
-                suggestion=candidate,
+                suggestion=suggestion,
             )
         )
     return diagnostics
@@ -342,10 +277,11 @@ def _redundancy_findings(
 
 def _surplus_against_required(
     plan: InheritancePlan,
-    walk: _Walk,
+    links: list[Link],
+    arrivals: View,
     required: list[str],
 ) -> list[Diagnostic]:
-    available = dict.fromkeys(entry.member.name for entry in walk.arrivals)
+    available = dict.fromkeys(entry.member.name for entry in arrivals.values())
     missing = [name for name in required if name not in available]
     if missing:
         raise RequirementError(
@@ -355,28 +291,17 @@ def _surplus_against_required(
     if not surplus:
         return []
 
-    def required_from(link: _Link) -> tuple[tuple[str, Degree], ...]:
+    def required_from(link: Link) -> Selection | None:
         selection = plan.selection_for(link.parent)
         names = dict.fromkeys(e.member.name for e in link.parent_view.values())
-        return tuple((n, selection.degree_for(n)) for n in names if n in required)
+        kept = tuple((n, selection.degree_for(n)) for n in names if n in required)
+        return Selection(SelectionMode.LISTED, kept) if kept else None
 
-    if plan.chain:
-        heir_link = walk.links[-1]
-        suggestion = _with_selection(
-            plan,
-            heir_link.parent,
-            Selection(SelectionMode.LISTED, required_from(heir_link)),
-        )
-    else:
-        candidate: InheritancePlan | None = plan
-        for link in walk.links:
-            if candidate is None:
-                break
-            kept = required_from(link)
-            narrowed = Selection(SelectionMode.LISTED, kept) if kept else None
-            candidate = _with_selection(candidate, link.parent, narrowed)
-        suggestion = candidate
-
+    # Only the selections facing the heir decide what reaches it.
+    heir_facing = links[-1:] if plan.chain else links
+    suggestion = _replan(
+        plan, {link.parent: required_from(link) for link in heir_facing}
+    )
     return [
         Diagnostic(
             kind="redundancy",
@@ -401,8 +326,8 @@ def diagnose_all(
     """
     findings: list[Diagnostic] = []
     for plan in net.plans:
-        walk = _walk(plan, net)
-        findings.extend(_exception_findings(plan, walk))
-        findings.extend(_redundancy_findings(plan, net, walk, required))
-        findings.extend(_ambiguity_findings(plan, walk))
+        links = walk(plan, net)
+        findings.extend(_exception_findings(plan, links))
+        findings.extend(_redundancy_findings(plan, links, required))
+        findings.extend(_ambiguity_findings(plan, links))
     return findings

@@ -69,9 +69,14 @@ from .model import (
     as_degree,
     format_rational,
     format_value,
+    member_text,
     quote_text,
 )
 from .operations import make_network
+
+
+class StructuredImportError(OodnError):
+    """A structured (JSON) document that does not describe a network."""
 
 
 class ParseError(OodnError):
@@ -628,10 +633,6 @@ def parse_network(text: str) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _degree_suffix(degree: Degree) -> str:
-    return f" /{degree}" if degree.is_weak else ""
-
-
 def _member_line(entry: DegreedMember, context_owner: str) -> str:
     member = entry.member
     shown = (
@@ -639,18 +640,7 @@ def _member_line(entry: DegreedMember, context_owner: str) -> str:
         if member.owner == context_owner
         else f"{member.owner}.{member.name}"
     )
-    if member.kind is MemberKind.PROPERTY:
-        assert member.value_type is not None
-        body = (
-            f"prop {shown}: {member.value_type.value} = "
-            f"{format_value(member.value_type, member.value)}"
-        )
-    else:
-        params = ", ".join(f"{n}: {t.value}" for n, t in member.params)
-        body = f"method {shown}({params})"
-        if member.returns is not None:
-            body += f" -> {member.returns.value}"
-    return f"{body}{_degree_suffix(entry.degree)};"
+    return f"{member_text(entry, shown)};"
 
 
 def serialize_selection(selection: Selection) -> str:
@@ -788,20 +778,33 @@ def _encode_value(value_type: ValueType, value: Value) -> object:
     return encoded
 
 
+def _rational(raw: object) -> Fraction:
+    """A ratio string such as ``"1/2"`` or ``"0.75"``; nothing else."""
+    if isinstance(raw, str):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise StructuredImportError(f"{raw!r} is not a ratio")
+
+
+_JSON_TYPES = {
+    ValueType.INT: int,
+    ValueType.REAL: str,
+    ValueType.TEXT: str,
+    ValueType.BOOL: bool,
+    ValueType.FUZZY: list,
+}
+
+
 def _decode_value(value_type: ValueType, raw: object) -> Value:
-    if value_type is ValueType.INT:
-        assert isinstance(raw, int)
-        return raw
+    expected = _JSON_TYPES[value_type]
+    if not isinstance(raw, expected) or (expected is int and isinstance(raw, bool)):
+        raise StructuredImportError(f"{raw!r} is not a {value_type.value} value")
     if value_type is ValueType.REAL:
-        assert isinstance(raw, str)
-        return Fraction(raw)
-    if value_type is ValueType.TEXT:
-        assert isinstance(raw, str)
+        return _rational(raw)
+    if value_type is not ValueType.FUZZY:
         return raw
-    if value_type is ValueType.BOOL:
-        assert isinstance(raw, bool)
-        return raw
-    assert isinstance(raw, list)
     entries = []
     for item in raw:
         kind = item["element_kind"]
@@ -809,10 +812,10 @@ def _decode_value(value_type: ValueType, raw: object) -> Value:
         if kind == "text":
             element: str | int | Fraction = shown
         elif kind == "real":
-            element = Fraction(shown)
+            element = _rational(shown)
         else:
             element = int(shown)
-        entries.append((element, Fraction(item["membership"])))
+        entries.append((element, _rational(item["membership"])))
     return FuzzySet(tuple(entries))
 
 
@@ -839,7 +842,7 @@ def _encode_member(entry: DegreedMember) -> dict:
 
 
 def _decode_member(raw: dict) -> DegreedMember:
-    degree = as_degree(Fraction(raw["degree"]))
+    degree = as_degree(_rational(raw["degree"]))
     if raw["kind"] == "prop":
         value_type = _VALUE_TYPES[raw["type"]]
         member = Member(
@@ -876,10 +879,30 @@ def _decode_selection(raw: dict) -> Selection:
     return Selection(
         SelectionMode(raw["mode"]),
         tuple(
-            (item["name"], as_degree(Fraction(item["degree"])))
+            (item["name"], as_degree(_rational(item["degree"])))
             for item in raw["entries"]
         ),
     )
+
+
+def encode_hetclass(cls: HetClass) -> dict:
+    """A heterogeneous class as JSON data: name, core, projections and
+    participants."""
+    return {
+        "name": cls.name,
+        "core": [_encode_member(e) for e in cls.core],
+        "projections": [
+            {
+                "label": p.label,
+                "depends_on": list(p.depends_on),
+                "members": [_encode_member(e) for e in p.members],
+            }
+            for p in cls.projections
+        ],
+        "participants": {
+            name: list(labels) for name, labels in cls.participants.items()
+        },
+    }
 
 
 def export_structured(net: Network) -> str:
@@ -897,23 +920,7 @@ def export_structured(net: Network) -> str:
             )
         else:
             classes.append(
-                {
-                    "name": cls.name,
-                    "form": "heterogeneous",
-                    "core": [_encode_member(e) for e in cls.core],
-                    "projections": [
-                        {
-                            "label": p.label,
-                            "depends_on": list(p.depends_on),
-                            "members": [_encode_member(e) for e in p.members],
-                        }
-                        for p in cls.projections
-                    ],
-                    "participants": {
-                        name: list(labels)
-                        for name, labels in cls.participants.items()
-                    },
-                }
+                {"name": cls.name, "form": "heterogeneous"} | encode_hetclass(cls)
             )
     objects = []
     for obj in net.objects.values():
@@ -977,8 +984,19 @@ def _decode_raw(raw: dict) -> Value:
 
 
 def import_structured(text: str) -> Network:
-    """Rebuild a network from :func:`export_structured` output."""
-    document = json.loads(text)
+    """Rebuild a network from :func:`export_structured` output.
+
+    Raises :class:`StructuredImportError` for text that is not such output.
+    """
+    try:
+        return _decode_network(json.loads(text))
+    except KeyError as exc:
+        raise StructuredImportError(f"missing or unknown key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StructuredImportError(f"malformed document: {exc}") from exc
+
+
+def _decode_network(document: dict) -> Network:
     net = make_network()
     for entry in document["classes"]:
         if entry["form"] == "homogeneous":
@@ -1017,7 +1035,7 @@ def import_structured(text: str) -> Network:
                 entry["source"],
                 entry["target"],
                 entry["label"],
-                as_degree(Fraction(entry["degree"])) if entry["degree"] else None,
+                as_degree(_rational(entry["degree"])) if entry["degree"] else None,
             )
         )
     for entry in document["plans"]:

@@ -42,7 +42,7 @@ from .model import (
     OodnError,
     Projection,
     UnknownEntityError,
-    format_value,
+    value_text,
 )
 
 Identity = tuple[str, str]
@@ -98,6 +98,20 @@ class Selection:
             name if not degree.is_weak else f"{name}/{degree}"
             for name, degree in self.entries
         )
+
+    def restricted(self, view: View, excluded: set[str]) -> Selection | None:
+        """This selection narrowed to exclude the given bare names, over
+        the members ``view`` offers; None when nothing is left."""
+        degrees = dict(self.entries)
+        candidates: Iterable[str] = degrees
+        if self.mode is SelectionMode.ALL:
+            candidates = dict.fromkeys(e.member.name for e in view.values())
+        kept = tuple(
+            (name, degrees.get(name, DEGREE_ONE))
+            for name in candidates
+            if name not in excluded
+        )
+        return Selection(SelectionMode.LISTED, kept) if kept else None
 
 
 SELECT_ALL = Selection()
@@ -204,6 +218,8 @@ def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
     elif net is None:
         extent = Extent.PARTIAL
     else:
+        # Names only, not the walk: classification must answer for plans
+        # that do not execute.
         offered = _offered_names(plan, net)
         extent = Extent.FULL
         for name, selection in listed:
@@ -308,8 +324,31 @@ def compute_core(sets: Sequence[MemberSet]) -> tuple[MemberSet, list[MemberSet]]
 
 
 # ---------------------------------------------------------------------------
-# Views
+# The plan walk
 # ---------------------------------------------------------------------------
+
+
+Conflict = tuple[str, DegreedMember, DegreedMember]
+
+
+@dataclass
+class Link:
+    """One step of a plan: what ``parent`` passes on to ``child``.
+
+    ``taken`` is what flows through the parent's selection out of
+    ``parent_view``, degrees composed.
+    """
+
+    parent: str
+    child: str
+    parent_view: View
+    own: list[DegreedMember]
+    taken: View
+
+    def conflicts(self) -> list[Conflict]:
+        """Crisp arrivals contradicting one of the child's own properties,
+        as (name, own entry, arriving entry)."""
+        return _exception_conflicts(self.own, self.taken)
 
 
 def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
@@ -356,7 +395,7 @@ def _apply_selection(
 
 def _exception_conflicts(
     own: Iterable[DegreedMember], taken: View
-) -> list[tuple[str, DegreedMember, DegreedMember]]:
+) -> list[Conflict]:
     """Crisp arrivals contradicting an own property of the same name and type.
 
     Only a member arriving at degree 1 can contradict: a weak arrival and a
@@ -386,62 +425,111 @@ def _exception_conflicts(
     return conflicts
 
 
-def _restricted_selection(
-    selection: Selection, parent_view: View, excluded: set[str]
-) -> Selection | None:
-    """The selection narrowed to exclude the given bare names."""
-    degrees = dict(selection.entries)
-    candidates: Iterable[str] = degrees
-    if selection.mode is SelectionMode.ALL:
-        candidates = dict.fromkeys(e.member.name for e in parent_view.values())
-    kept = tuple(
-        (name, degrees.get(name, DEGREE_ONE))
-        for name in candidates
-        if name not in excluded
-    )
-    return Selection(SelectionMode.LISTED, kept) if kept else None
+def _layered(taken: View, own: Iterable[DegreedMember]) -> View:
+    """A participant's view: what it takes, its own members on top."""
+    view = dict(taken)
+    for entry in own:
+        view[entry.identity] = entry
+    return view
+
+
+def walk(plan: InheritancePlan, net: Network) -> list[Link]:
+    """Every link of a plan: one per chain level, root first, or one per
+    parallel source into the heir.
+
+    Lookup faults (an undeclared class, a heterogeneous participant, a
+    selection naming a member its source does not offer) raise here.
+    Conflicts do not stop the walk (see :meth:`Link.conflicts`): a
+    contradicted chain level still passes its members upward, so that
+    every link can be inspected.
+    """
+    if plan.chain:
+        order = plan.participants_root_first()
+        links: list[Link] = []
+        view: View = {e.identity: e for e in _declared_entries(net, order[0])}
+        for (parent, selection), child in zip(reversed(plan.sources), order[1:]):
+            taken = _apply_selection(view, selection, parent)
+            own = (
+                _heir_entries(net, child)
+                if child == plan.heir
+                else _declared_entries(net, child)
+            )
+            links.append(Link(parent, child, view, own, taken))
+            view = _layered(taken, own)
+        return links
+    takens = []
+    for source, selection in plan.sources:
+        view = {e.identity: e for e in _declared_entries(net, source)}
+        takens.append((source, view, _apply_selection(view, selection, source)))
+    own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
+    return [Link(source, plan.heir, view, own, taken) for source, view, taken in takens]
+
+
+def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
+    """What a parallel plan's links deliver to the heir, in arrival order.
+
+    A member arriving again at another degree keeps the lower degree under
+    ``Policy.MIN`` and the higher under ``Policy.MAX``, the first arrival
+    winning ties; under ``Policy.REJECT`` it is an ambiguity error.
+    """
+    merged: View = {}
+    for link in links:
+        for identity, entry in link.taken.items():
+            if identity not in merged:
+                merged[identity] = entry
+                continue
+            present = merged[identity]
+            if present.degree == entry.degree:
+                continue
+            if policy is Policy.REJECT:
+                first = next(other.parent for other in links if identity in other.taken)
+                raise InheritanceConflictError(
+                    "ambiguity",
+                    f"member {entry.member.display()} arrives from "
+                    f"{first!r} at degree {present.degree} and from "
+                    f"{link.parent!r} at degree {entry.degree}; pass a min or max "
+                    f"policy to resolve",
+                    subjects=(first, link.parent, plan.heir),
+                    members=(entry.member.name,),
+                )
+            if (
+                entry.degree < present.degree
+                if policy is Policy.MIN
+                else entry.degree > present.degree
+            ):
+                merged[identity] = entry
+    return merged
 
 
 def _raise_exception_conflict(
-    plan: InheritancePlan,
-    source: str,
-    child: str,
-    parent_view: View,
-    conflicts: list[tuple[str, DegreedMember, DegreedMember]],
+    plan: InheritancePlan, link: Link, conflicts: list[Conflict]
 ) -> None:
     names = tuple(sorted({name for name, _, _ in conflicts}))
-    narrowed = _restricted_selection(
-        plan.selection_for(source), parent_view, set(names)
+    narrowed = plan.selection_for(link.parent).restricted(
+        link.parent_view, set(names)
     )
     suggestion = None
     if narrowed is not None:
         suggestion = replace(
             plan,
             sources=tuple(
-                (name, narrowed if name == source else selection)
+                (name, narrowed if name == link.parent else selection)
                 for name, selection in plan.sources
             ),
         )
     detail = "; ".join(
-        f"{name}: {local.member.display()}={_value_text(local)} vs "
-        f"{arriving.member.display()}={_value_text(arriving)}"
+        f"{name}: {local.member.display()}={value_text(local.member)} vs "
+        f"{arriving.member.display()}={value_text(arriving.member)}"
         for name, local, arriving in conflicts
     )
     raise InheritanceConflictError(
         "exception",
-        f"{child!r} contradicts members inherited crisply from {source!r} ({detail}); "
-        f"exclude or weaken the inherited copy",
-        subjects=(source, child),
+        f"{link.child!r} contradicts members inherited crisply from "
+        f"{link.parent!r} ({detail}); exclude or weaken the inherited copy",
+        subjects=(link.parent, link.child),
         members=names,
         suggestion=suggestion,
     )
-
-
-def _value_text(entry: DegreedMember) -> str:
-    member = entry.member
-    if member.value_type is None:
-        return "<method>"
-    return format_value(member.value_type, member.value)
 
 
 def build_views(
@@ -449,82 +537,33 @@ def build_views(
 ) -> dict[str, View]:
     """Effective member set of every participant, conflicts checked.
 
-    Raises :class:`InheritanceConflictError` for crisp contradictions
-    (with a partial-plan repair attached) and for one member arriving
-    weakly from two sources at different degrees under ``Policy.REJECT``.
+    Walks the plan, then raises :class:`InheritanceConflictError` for the
+    first crisp contradiction (with a partial-plan repair attached) and,
+    on a parallel plan under ``Policy.REJECT``, for one member arriving
+    weakly from two sources at different degrees.
     """
-    views: dict[str, View] = {}
+    links = walk(plan, net)
+    views = {link.parent: link.parent_view for link in links}
+    own = links[-1].own
     if plan.chain:
-        order = plan.participants_root_first()
-        root = order[0]
-        views[root] = {e.identity: e for e in _declared_entries(net, root)}
-        for parent, child in zip(order, order[1:]):
-            selection = plan.selection_for(parent)
-            taken = _apply_selection(views[parent], selection, parent)
-            own = (
-                _heir_entries(net, child)
-                if child == plan.heir
-                else _declared_entries(net, child)
-            )
-            conflicts = _exception_conflicts(own, taken)
+        for link in links:
+            conflicts = link.conflicts()
             if conflicts:
-                _raise_exception_conflict(
-                    plan, parent, child, views[parent], conflicts
-                )
-            view: View = dict(taken)
-            for entry in own:
-                view[entry.identity] = entry
-            views[child] = view
-        return views
-
-    for source, _ in plan.sources:
-        views[source] = {e.identity: e for e in _declared_entries(net, source)}
-    merged: View = {}
-    arrival_source: dict[Identity, str] = {}
-    for source, selection in plan.sources:
-        taken = _apply_selection(views[source], selection, source)
-        for identity, entry in taken.items():
-            if identity not in merged:
-                merged[identity] = entry
-                arrival_source[identity] = source
-                continue
-            present = merged[identity]
-            if present.degree == entry.degree:
-                continue
-            if policy is Policy.REJECT:
-                raise InheritanceConflictError(
-                    "ambiguity",
-                    f"member {entry.member.display()} arrives from "
-                    f"{arrival_source[identity]!r} at degree {present.degree} and from "
-                    f"{source!r} at degree {entry.degree}; pass a min or max policy "
-                    f"to resolve",
-                    subjects=(arrival_source[identity], source, plan.heir),
-                    members=(entry.member.name,),
-                )
-            pick_new = (
-                entry.degree < present.degree
-                if policy is Policy.MIN
-                else entry.degree > present.degree
-            )
-            if pick_new:
-                merged[identity] = entry
-                arrival_source[identity] = source
-    own = _heir_entries(net, plan.heir)
-    conflicts = _exception_conflicts(own, merged)
-    if conflicts:
-        offenders = sorted(
-            {arrival_source[arriving.identity] for _, _, arriving in conflicts}
-        )
-        offender_conflicts = [
-            c for c in conflicts if arrival_source[c[2].identity] == offenders[0]
-        ]
-        _raise_exception_conflict(
-            plan, offenders[0], plan.heir, views[offenders[0]], offender_conflicts
-        )
-    heir_view: View = dict(merged)
-    for entry in own:
-        heir_view[entry.identity] = entry
-    views[plan.heir] = heir_view
+                _raise_exception_conflict(plan, link, conflicts)
+        arrived = links[-1].taken
+    else:
+        arrived = merge(plan, links, policy)
+        conflicts = _exception_conflicts(own, arrived)
+        if conflicts:
+            # Each surviving arrival is blamed on the source that delivered
+            # it; the first such source by name is reported.
+            blamed: dict[str, tuple[Link, list[Conflict]]] = {}
+            for link in links:
+                mine = [c for c in conflicts if link.taken.get(c[2].identity) is c[2]]
+                if mine:
+                    blamed[link.parent] = (link, mine)
+            _raise_exception_conflict(plan, *blamed[min(blamed)])
+    views[plan.heir] = _layered(arrived, own)
     return views
 
 

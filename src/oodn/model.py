@@ -276,6 +276,13 @@ class Member:
         return f"{self.name}({self.owner})"
 
 
+def value_text(member: Member) -> str:
+    """A member's value as reports show it; a method has none."""
+    if member.value_type is None:
+        return "<method>"
+    return format_value(member.value_type, member.value)
+
+
 def prop(name: str, value_type: ValueType, value: Value, owner: str) -> Member:
     """Build a property member."""
     return Member(MemberKind.PROPERTY, name, owner, value_type=value_type, value=value)
@@ -320,21 +327,24 @@ class DegreedMember:
         return base
 
 
-def member_line(entry: DegreedMember) -> str:
-    """Full one-line rendering of an entry: kind, owner, typing, value, degree."""
+def member_text(entry: DegreedMember, head: str) -> str:
+    """An entry's kind, typing, value and degree around ``head``, the
+    member's name as the caller shows it."""
     member = entry.member
-    suffix = f" /{entry.degree}" if entry.degree.is_weak else ""
     if member.kind is MemberKind.PROPERTY:
         assert member.value_type is not None
-        return (
-            f"prop {member.name}({member.owner}): {member.value_type.value} = "
-            f"{format_value(member.value_type, member.value)}{suffix}"
-        )
-    params = ", ".join(f"{n}: {t.value}" for n, t in member.params)
-    rendered = f"method {member.name}({member.owner})({params})"
-    if member.returns is not None:
-        rendered += f" -> {member.returns.value}"
-    return rendered + suffix
+        text = f"prop {head}: {member.value_type.value} = {value_text(member)}"
+    else:
+        params = ", ".join(f"{n}: {t.value}" for n, t in member.params)
+        text = f"method {head}({params})"
+        if member.returns is not None:
+            text += f" -> {member.returns.value}"
+    return f"{text} /{entry.degree}" if entry.degree.is_weak else text
+
+
+def member_line(entry: DegreedMember) -> str:
+    """Full one-line rendering of an entry: kind, owner, typing, value, degree."""
+    return member_text(entry, entry.member.display())
 
 
 # ---------------------------------------------------------------------------

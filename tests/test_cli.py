@@ -240,6 +240,8 @@ class TestDiagnose:
 
 # Streams and exit codes of `oodn diagnose` on every fixture, recorded
 # before diagnosis was reworked for speed; the rework must not change a byte.
+# redundancy_deep_chain.oodn was recorded later, once redundancy repairs on
+# chains narrowed each selection over everything its owner holds.
 GOLDEN = json.loads(
     (DATA / "expected" / "diagnose.json").read_text(encoding="utf-8")
 )
@@ -255,6 +257,37 @@ def test_diagnose_output_matches_golden(case, capsys):
         expected["stdout"],
         expected["stderr"],
     )
+
+
+# A file with both a conflict and a lookup fault: every command reports the
+# lookup fault, since the plan walk raises it before any conflict is judged.
+DOUBLE_FAULTS = {
+    "chain": (
+        "class A { prop p: int = 1; prop q: int = 2; }\n"
+        "class B { prop p: int = 5; }\n"
+        "class C { prop c: int = 3; }\n"
+        "C inherits B (nosuch) inherits A;\n",
+        "error: selection names 'nosuch', which 'B' does not offer",
+    ),
+    "parallel": (
+        "class A { prop p: int = 1; prop a: int = 2; }\n"
+        "class B { prop A.p: int = 1; prop b: int = 3; }\n"
+        "class C { prop c: int = 4; }\n"
+        "class H { prop h: int = 5; }\n"
+        "H inherits A (p/1/2, a), B, C (nosuch);\n",
+        "error: selection names 'nosuch', which 'C' does not offer",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DOUBLE_FAULTS))
+def test_lookup_fault_is_reported_before_a_conflict(shape, capsys, tmp_path):
+    text, expected = DOUBLE_FAULTS[shape]
+    path = tmp_path / f"{shape}.oodn"
+    path.write_text(text, encoding="utf-8")
+    inherited = run_cli(["inherit", str(path), "--policy", "reject"], capsys)
+    diagnosed = run_cli(["diagnose", str(path)], capsys)
+    assert inherited == diagnosed == (2, "", expected + "\n")
 
 
 def test_golden_covers_every_fixture():

@@ -11,6 +11,7 @@ from oodn.diagnostics import (
     diagnose_all,
     render_report,
 )
+from oodn.dsl import parse_network
 from oodn.inheritance import (
     InheritancePlan,
     Selection,
@@ -271,6 +272,23 @@ class TestRedundancyDetection:
         assert detect_redundancy(found.suggestion, net) == []
         het = inherit(found.suggestion, net)
         assert len(decompose(het, "A3")) == 7
+
+    def test_deep_chain_suggestion_keeps_every_member(self, fixture_path):
+        net = parse_network(
+            fixture_path("redundancy_deep_chain.oodn").read_text(encoding="utf-8")
+        )
+        plan = net.plans[0]
+        [found] = detect_redundancy(plan, net)
+        assert found.members == ("p",)
+        # B's selection also governs A's members: it must keep passing a on
+        assert (
+            found.suggestion.describe()
+            == "D inherits C inherits B (a, b) inherits A (a)"
+        )
+        before = decompose(inherit(plan, net), "D")
+        after = decompose(inherit(found.suggestion, net), "D")
+        assert after.similar_eq(before)
+        assert detect_redundancy(found.suggestion, net) == []
 
     def test_surplus_against_required(self):
         net = surplus_net()

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oodn.dsl import (
     ParseError,
+    StructuredImportError,
     export_graph,
     export_structured,
     import_structured,
@@ -331,6 +336,7 @@ FIXTURES = [
     "pathology_nixon.oodn",
     "pathology_both.oodn",
     "redundancy_chain.oodn",
+    "redundancy_deep_chain.oodn",
     "fuzzy_object.oodn",
     "fuzzy_weak_member.oodn",
     "fuzzy_relation.oodn",
@@ -427,6 +433,76 @@ class TestStructured:
         entry = rebuilt.classes["A"].members().get("A", "p")
         assert entry.member.value == Fraction(1, 3)
         assert entry.degree.value == Fraction(1, 7)
+
+
+
+class TestStructuredImportErrors:
+    """Malformed documents fail with a typed error, never a bare one."""
+
+    def document(self) -> dict:
+        net = parse_network(
+            "class A { prop r: real = 1/2 /0.5; prop s: fuzzy = {x: 0.5}; }"
+        )
+        return json.loads(export_structured(net))
+
+    def members(self, doc: dict) -> list[dict]:
+        return doc["classes"][0]["spec"]
+
+    def rejects(self, doc: dict) -> StructuredImportError:
+        with pytest.raises(StructuredImportError) as info:
+            import_structured(json.dumps(doc))
+        return info.value
+
+    def test_zero_denominator_value(self):
+        doc = self.document()
+        self.members(doc)[0]["value"] = "1/0"
+        assert "'1/0' is not a ratio" in str(self.rejects(doc))
+
+    def test_zero_denominator_degree(self):
+        doc = self.document()
+        self.members(doc)[0]["degree"] = "1/0"
+        self.rejects(doc)
+
+    def test_zero_denominator_fuzzy_membership(self):
+        doc = self.document()
+        self.members(doc)[1]["value"][0]["membership"] = "1/0"
+        self.rejects(doc)
+
+    def test_missing_spec(self):
+        doc = self.document()
+        del doc["classes"][0]["spec"]
+        assert "'spec'" in str(self.rejects(doc))
+
+    def test_int_given_for_a_real(self):
+        doc = self.document()
+        self.members(doc)[0]["value"] = 5
+        assert "not a real value" in str(self.rejects(doc))
+
+    def test_not_json(self):
+        with pytest.raises(StructuredImportError):
+            import_structured("{")
+
+    def test_type_checks_survive_optimized_mode(self):
+        doc = self.document()
+        self.members(doc)[0]["value"] = 5
+        script = (
+            "import sys\n"
+            "from oodn.dsl import StructuredImportError, import_structured\n"
+            "try:\n"
+            "    import_structured(sys.stdin.read())\n"
+            "except StructuredImportError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            input=json.dumps(doc),
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from oodn.inheritance import (
     inherit,
     inherit_multiple,
     inherit_single,
+    merge,
+    walk,
 )
 from oodn.model import (
     DEGREE_ONE,
@@ -630,6 +632,55 @@ class TestDegreePolicy:
         high = inherit(self.plan(), self.diamond_net(), Policy.MAX)
         assert self.degree_of_heir_copy(low) == Fraction(1, 4)
         assert self.degree_of_heir_copy(high) == Fraction(1, 2)
+
+
+class TestWalk:
+    def contradicted_chain(self) -> tuple[InheritancePlan, Network]:
+        net = net_of(
+            hom(
+                "A",
+                prop("p", ValueType.INT, 1, "A"),
+                prop("q", ValueType.INT, 2, "A"),
+            ),
+            hom("B", prop("p", ValueType.INT, 5, "B")),
+            hom("C", prop("c", ValueType.INT, 3, "C")),
+        )
+        return chain_plan("C", ("B", Selection()), ("A", Selection())), net
+
+    def test_chain_links_run_root_first_past_a_conflict(self):
+        plan, net = self.contradicted_chain()
+        links = walk(plan, net)
+        assert [(link.parent, link.child) for link in links] == [
+            ("A", "B"),
+            ("B", "C"),
+        ]
+        assert [name for name, _, _ in links[0].conflicts()] == ["p"]
+        assert links[1].conflicts() == []
+        # the contradicted level still passes everything on
+        assert ids(links[1].taken.values()) == [("A", "p"), ("A", "q"), ("B", "p")]
+
+    def test_lookup_fault_wins_over_a_conflict(self):
+        _, net = self.contradicted_chain()
+        nosuch = Selection(SelectionMode.LISTED, (("nosuch", DEGREE_ONE),))
+        plan = chain_plan("C", ("B", nosuch), ("A", Selection()))
+        for run in (walk, inherit):
+            with pytest.raises(UnknownEntityError, match="'nosuch'"):
+                run(plan, net)
+
+    def test_parallel_links_and_merge_policies(self):
+        net = TestDegreePolicy().diamond_net()
+        plan = TestDegreePolicy().plan()
+        links = walk(plan, net)
+        assert [(link.parent, link.child) for link in links] == [
+            ("B1", "D"),
+            ("B2", "D"),
+        ]
+        low = merge(plan, links, Policy.MIN)[("A", "p")]
+        high = merge(plan, links, Policy.MAX)[("A", "p")]
+        assert (low.degree.value, high.degree.value) == (Fraction(1, 4), Fraction(1, 2))
+        with pytest.raises(InheritanceConflictError) as info:
+            merge(plan, links, Policy.REJECT)
+        assert info.value.subjects == ("B1", "B2", "D")
 
 
 # ---------------------------------------------------------------------------
