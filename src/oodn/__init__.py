@@ -44,11 +44,8 @@ from .inheritance import (
     SelectionMode,
     Strength,
     classify_plan,
-    compute_core,
     decompose,
     inherit,
-    inherit_multiple,
-    inherit_single,
 )
 from .model import (
     DEGREE_ONE,
@@ -130,7 +127,6 @@ __all__ = [
     "as_degree",
     "class_is_fuzzy",
     "classify_plan",
-    "compute_core",
     "decompose",
     "dedupe_similar",
     "detect_ambiguity",
@@ -141,8 +137,6 @@ __all__ = [
     "exploit_intersection",
     "exploit_union",
     "inherit",
-    "inherit_multiple",
-    "inherit_single",
     "is_fuzzy",
     "make_network",
     "materialize",

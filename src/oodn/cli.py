@@ -98,19 +98,7 @@ def _load(path: str) -> Network:
 
 
 def _run_plans(net: Network, policy: Policy) -> list[HetClass]:
-    results = []
-    for plan in net.plans:
-        try:
-            results.append(inherit(plan, net, policy))
-        except InheritanceConflictError as exc:
-            print(f"conflict ({exc.kind}): {exc}", file=sys.stderr)
-            if exc.suggestion is not None:
-                print(
-                    f"suggestion: {serialize_plan(exc.suggestion)}",
-                    file=sys.stderr,
-                )
-            raise _CliFailure(ExitStatus.ERROR) from exc
-    return results
+    return [inherit(plan, net, policy) for plan in net.plans]
 
 
 def _policy(value: str) -> Policy:

@@ -23,7 +23,7 @@ Suggestions are full plans, directly executable in place of the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .inheritance import (
@@ -78,29 +78,6 @@ def render_report(diagnostics: Sequence[Diagnostic]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared plumbing
-# ---------------------------------------------------------------------------
-
-
-def _replan(
-    plan: InheritancePlan, narrowed: dict[str, Selection | None]
-) -> InheritancePlan | None:
-    """The plan with the given sources' selections replaced.
-
-    A source narrowed to nothing (None) drops out of a parallel plan.  A
-    chain cannot lose a level, so it then gets no repair; neither does a
-    plan left without sources.
-    """
-    replaced = [
-        (name, narrowed.get(name, selection)) for name, selection in plan.sources
-    ]
-    kept = tuple((name, sel) for name, sel in replaced if sel is not None)
-    if not kept or (plan.chain and len(kept) != len(replaced)):
-        return None
-    return replace(plan, sources=kept)
-
-
-# ---------------------------------------------------------------------------
 # Detectors
 # ---------------------------------------------------------------------------
 
@@ -138,7 +115,7 @@ def _exception_findings(
                     f"{link.child!r} contradicts members inherited crisply from "
                     f"{link.parent!r}: {detail}"
                 ),
-                suggestion=_replan(plan, {link.parent: narrowed}),
+                suggestion=plan.with_selections({link.parent: narrowed}),
             )
         )
     return diagnostics
@@ -151,7 +128,7 @@ def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     the suggestion and every alternative are then one plan each over the
     plan's sources, sharing those narrowed selections.
     """
-    if plan.chain or len(plan.sources) < 2:
+    if plan.chain:
         return []
     return _ambiguity_findings(plan, walk(plan, net))
 
@@ -159,7 +136,7 @@ def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
 def _ambiguity_findings(
     plan: InheritancePlan, links: list[Link]
 ) -> list[Diagnostic]:
-    if plan.chain or len(plan.sources) < 2:
+    if plan.chain:
         return []
     by_name: dict[str, list[tuple[str, DegreedMember]]] = {}
     for link in links:
@@ -182,7 +159,8 @@ def _ambiguity_findings(
         }
         # Every other involved source is narrowed; the kept one stays whole.
         suggestion, *alternatives = (
-            _replan(plan, narrowed | {kept: selections[kept]}) for kept in involved
+            plan.with_selections(narrowed | {kept: selections[kept]})
+            for kept in involved
         )
         detail = "; ".join(
             f"{source} passes {entry.member.display()}={value_text(entry.member)}"
@@ -251,12 +229,11 @@ def _redundancy_findings(
         # holds: on a chain that includes what its ancestors pass through.
         suggestion = None
         if all(owner in views for owner in surplus):
-            suggestion = _replan(
-                plan,
+            suggestion = plan.with_selections(
                 {
                     owner: selections[owner].restricted(views[owner], {name})
                     for owner in surplus
-                },
+                }
             )
         diagnostics.append(
             Diagnostic(
@@ -299,8 +276,8 @@ def _surplus_against_required(
 
     # Only the selections facing the heir decide what reaches it.
     heir_facing = links[-1:] if plan.chain else links
-    suggestion = _replan(
-        plan, {link.parent: required_from(link) for link in heir_facing}
+    suggestion = plan.with_selections(
+        {link.parent: required_from(link) for link in heir_facing}
     )
     return [
         Diagnostic(

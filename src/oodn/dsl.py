@@ -643,29 +643,8 @@ def _member_line(entry: DegreedMember, context_owner: str) -> str:
     return f"{member_text(entry, shown)};"
 
 
-def serialize_selection(selection: Selection) -> str:
-    """Parenthesized selection text, or empty for take-all."""
-    if selection.mode is SelectionMode.ALL and not selection.entries:
-        return ""
-    if selection.mode is SelectionMode.ALL:
-        items = ", ".join(f"{name}/{degree}" for name, degree in selection.entries)
-        return f" ({items})"
-    crisp_present = any(not degree.is_weak for _, degree in selection.entries)
-    items = ", ".join(
-        name if not degree.is_weak else f"{name}/{degree}"
-        for name, degree in selection.entries
-    )
-    marker = "" if crisp_present else "only "
-    return f" ({marker}{items})"
-
-
 def serialize_plan(plan: InheritancePlan) -> str:
-    joiner = " inherits " if plan.chain else ", "
-    sources = joiner.join(
-        f"{name}{serialize_selection(selection)}"
-        for name, selection in plan.sources
-    )
-    return f"{plan.heir} inherits {sources};"
+    return f"{plan.describe()};"
 
 
 def serialize_homclass(cls: HomClass) -> str:
@@ -1089,9 +1068,8 @@ def export_graph(net: Network) -> str:
         octant = classify_plan(plan).render()
         for name, selection in plan.sources:
             label = octant
-            text = serialize_selection(selection).strip()
-            if text:
-                label += f" {text}"
+            if selection.text:
+                label += f" {selection.text}"
             label = label.replace('"', '\\"')
             lines.append(
                 f"  {_dot_name(plan.heir)} -> {_dot_name(name)} "

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     DEGREE_ONE,
@@ -89,15 +89,20 @@ class Selection:
         return DEGREE_ONE
 
     @cached_property
-    def items_text(self) -> str | None:
-        """The entries as ``InheritancePlan.describe`` shows them, or None
-        for a bare take-all; rendered once, however many plans share it."""
-        if self.mode is SelectionMode.ALL and not self.entries:
-            return None
-        return ", ".join(
-            name if not degree.is_weak else f"{name}/{degree}"
+    def text(self) -> str:
+        """The selection as written after its source in a file, such as
+        ``(only p/0.5)``, or "" for a bare take-all; rendered once, however
+        many plans share it."""
+        listed = self.mode is SelectionMode.LISTED
+        if not listed and not self.entries:
+            return ""
+        items = ", ".join(
+            name if listed and not degree.is_weak else f"{name}/{degree}"
             for name, degree in self.entries
         )
+        if listed and all(degree.is_weak for _, degree in self.entries):
+            return f"(only {items})"
+        return f"({items})"
 
     def restricted(self, view: View, excluded: set[str]) -> Selection | None:
         """This selection narrowed to exclude the given bare names, over
@@ -114,9 +119,6 @@ class Selection:
         return Selection(SelectionMode.LISTED, kept) if kept else None
 
 
-SELECT_ALL = Selection()
-
-
 @dataclass(frozen=True)
 class InheritancePlan:
     """One heir, its sources, and how much of each source it takes.
@@ -124,7 +126,8 @@ class InheritancePlan:
     For a chain plan the sources are ordered nearest ancestor first (the
     written order of ``C inherits B inherits A``), and each selection
     governs what flows out of the source it is attached to.  For a
-    parallel plan the sources are siblings in declaration order.
+    parallel plan the sources are siblings in declaration order; a plan
+    with one source is a chain.
     """
 
     heir: str
@@ -139,6 +142,10 @@ class InheritancePlan:
             raise OodnError("an inheritance plan names a source twice")
         if self.heir in names:
             raise OodnError(f"heir {self.heir!r} cannot be its own source")
+        if len(names) == 1 and not self.chain:
+            # A lone source is inherited the same either way, and plan text
+            # cannot tell the two apart.
+            object.__setattr__(self, "chain", True)
 
     def class_names(self) -> list[str]:
         return [name for name, _ in self.sources] + [self.heir]
@@ -155,12 +162,29 @@ class InheritancePlan:
         raise UnknownEntityError(f"plan has no source {source!r}")
 
     def describe(self) -> str:
+        """The plan as written in a file, without the closing ``;``."""
         joiner = " inherits " if self.chain else ", "
         rendered = joiner.join(
-            name if sel.items_text is None else f"{name} ({sel.items_text})"
-            for name, sel in self.sources
+            f"{name} {sel.text}" if sel.text else name for name, sel in self.sources
         )
         return f"{self.heir} inherits {rendered}"
+
+    def with_selections(
+        self, narrowed: Mapping[str, Selection | None]
+    ) -> InheritancePlan | None:
+        """The plan with the given sources' selections replaced.
+
+        A source narrowed to nothing (None) drops out of a parallel plan.  A
+        chain cannot lose a level, so it then gets no repair; neither does a
+        plan left without sources.
+        """
+        replaced = [
+            (name, narrowed.get(name, selection)) for name, selection in self.sources
+        ]
+        kept = tuple((name, sel) for name, sel in replaced if sel is not None)
+        if not kept or (self.chain and len(kept) != len(replaced)):
+            return None
+        return replace(self, sources=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +226,7 @@ def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
     a listed selection that happens to name everything its source offers
     is recognized as full coverage.
     """
-    arity = Arity.MULTIPLE if (not plan.chain and len(plan.sources) >= 2) else Arity.SINGLE
+    arity = Arity.SINGLE if plan.chain else Arity.MULTIPLE
     strength = (
         Strength.WEAK
         if any(selection.is_weak for _, selection in plan.sources)
@@ -282,45 +306,6 @@ class InheritanceConflictError(OodnError):
         self.subjects = subjects
         self.members = members
         self.suggestion = suggestion
-
-
-# ---------------------------------------------------------------------------
-# Core extraction over explicit member sets
-# ---------------------------------------------------------------------------
-
-
-def compute_core(sets: Sequence[MemberSet]) -> tuple[MemberSet, list[MemberSet]]:
-    """Split member sets into shared core and per-set remainders.
-
-    A member lands in the core when every input set holds a similar member
-    at the same degree; the first set's copy represents the whole
-    similarity class.  Each remainder is its input minus the core, so
-    core + remainder rebuilds each input exactly (up to which similar copy
-    stands for the shared knowledge).
-    """
-    if len(sets) < 2:
-        raise OodnError("core extraction needs at least two member sets")
-    keysets = [
-        {(entry.member.similarity_key(), entry.degree) for entry in member_set}
-        for member_set in sets
-    ]
-    shared = set.intersection(*keysets)
-    core_entries: list[DegreedMember] = []
-    seen: set[tuple] = set()
-    for entry in sets[0]:
-        key = (entry.member.similarity_key(), entry.degree)
-        if key in shared and key not in seen:
-            core_entries.append(entry)
-            seen.add(key)
-    remainders = [
-        MemberSet(
-            entry
-            for entry in member_set
-            if (entry.member.similarity_key(), entry.degree) not in shared
-        )
-        for member_set in sets
-    ]
-    return MemberSet(core_entries), remainders
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +493,6 @@ def _raise_exception_conflict(
     narrowed = plan.selection_for(link.parent).restricted(
         link.parent_view, set(names)
     )
-    suggestion = None
-    if narrowed is not None:
-        suggestion = replace(
-            plan,
-            sources=tuple(
-                (name, narrowed if name == link.parent else selection)
-                for name, selection in plan.sources
-            ),
-        )
     detail = "; ".join(
         f"{name}: {local.member.display()}={value_text(local.member)} vs "
         f"{arriving.member.display()}={value_text(arriving.member)}"
@@ -528,7 +504,7 @@ def _raise_exception_conflict(
         f"{link.parent!r} ({detail}); exclude or weaken the inherited copy",
         subjects=(link.parent, link.child),
         members=names,
-        suggestion=suggestion,
+        suggestion=plan.with_selections({link.parent: narrowed}),
     )
 
 
@@ -597,34 +573,25 @@ def inherit(
     ]
     core_ids = {entry.identity for entry in core_entries}
 
-    residuals: dict[str, list[DegreedMember]] = {
-        name: [e for e in views[name].values() if e.identity not in core_ids]
-        for name in order
-    }
-
     audience: dict[DegreedMember, list[int]] = {}
-    for name in order:
-        for entry in residuals[name]:
-            audience.setdefault(entry, []).append(index_of[name])
+    for index, name in enumerate(order):
+        for entry in views[name].values():
+            if entry.identity not in core_ids:
+                audience.setdefault(entry, []).append(index)
     groups: dict[tuple[int, ...], list[DegreedMember]] = {}
-    for name in order:
-        for entry in residuals[name]:
-            key = tuple(audience[entry])
-            bucket = groups.setdefault(key, [])
-            if entry not in bucket:
-                bucket.append(entry)
+    for entry, holders in audience.items():
+        groups.setdefault(tuple(holders), []).append(entry)
 
     heir_index = index_of[plan.heir]
     groups.setdefault((heir_index,), [])
 
-    parallel = not plan.chain and len(plan.sources) >= 2
     emission = list(groups.keys())
     labels: dict[tuple[int, ...], str] = {}
     used: set[str] = set()
     for key in emission:
         if len(key) == 1:
             name = order[key[0]]
-            label = f"heir({name})" if (parallel and key[0] == heir_index) else name
+            label = f"heir({name})" if not plan.chain and key[0] == heir_index else name
             labels[key] = label
             used.add(label)
     for key in emission:
@@ -669,78 +636,6 @@ def inherit(
     return HetClass(
         name=plan.heir,
         core=MemberSet(core_entries),
-        projections=tuple(projections),
-        participants=participants,
-    )
-
-
-def inherit_single(chain: Sequence[str], net: Network) -> HetClass:
-    """Full, crisp inheritance along a chain given root first.
-
-    The root's whole member set becomes the core; every later level
-    contributes its own members as a projection nested on the previous
-    level's.
-    """
-    if len(chain) < 2:
-        raise OodnError("a chain needs at least two classes")
-    sources = tuple((name, SELECT_ALL) for name in reversed(list(chain[:-1])))
-    plan = InheritancePlan(heir=chain[-1], sources=sources, chain=True)
-    return inherit(plan, net)
-
-
-def inherit_multiple(
-    sources: Sequence[str], heir: str, net: Network, policy: Policy = Policy.REJECT
-) -> HetClass:
-    """Full, crisp inheritance from parallel sources.
-
-    Normally each source keeps its whole member set as a base projection
-    and there is no core; when the sources turn out to hold mutually
-    similar knowledge, the shared part is hoisted into a core and only the
-    differences remain in the base projections.
-    """
-    if len(sources) < 2:
-        raise OodnError("multiple inheritance needs at least two sources")
-    plan = InheritancePlan(
-        heir=heir,
-        sources=tuple((name, SELECT_ALL) for name in sources),
-        chain=False,
-    )
-    result = inherit(plan, net, policy)
-    base_sets = []
-    for name in sources:
-        found = [p for p in result.projections if p.label == name]
-        base_sets.append(found[0].members if found else MemberSet())
-    core, remainders = compute_core(base_sets)
-    if not core:
-        return result
-    kept: dict[str, MemberSet] = {
-        name: remainder for name, remainder in zip(sources, remainders)
-    }
-    projections: list[Projection] = []
-    surviving_base: list[str] = []
-    for projection in result.projections:
-        if projection.label in kept:
-            if kept[projection.label]:
-                projections.append(
-                    Projection(projection.label, kept[projection.label])
-                )
-                surviving_base.append(projection.label)
-        else:
-            projections.append(
-                Projection(
-                    projection.label,
-                    projection.members,
-                    depends_on=tuple(surviving_base),
-                )
-            )
-    surviving_labels = {p.label for p in projections}
-    participants = {
-        name: tuple(label for label in labels if label in surviving_labels)
-        for name, labels in result.participants.items()
-    }
-    return HetClass(
-        name=result.name,
-        core=MemberSet(list(core)),
         projections=tuple(projections),
         participants=participants,
     )

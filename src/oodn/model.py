@@ -749,7 +749,7 @@ def validate_network(net: Network) -> list[Violation]:
         if cls is None:
             error(name, "dangling-class", f"object class {obj.class_ref!r} is not declared")
             continue
-        declared = _declared_properties(cls)
+        declared = declared_properties(cls)
         for value_name, value in obj.member_values:
             if value_name not in declared:
                 error(
@@ -806,7 +806,8 @@ def validate_network(net: Network) -> list[Violation]:
     return findings
 
 
-def _declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
+def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
+    """Value type of every property an object of ``cls`` may set."""
     mapping: dict[str, ValueType] = {}
     if isinstance(cls, HomClass):
         entries = list(cls.spec)

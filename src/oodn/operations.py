@@ -27,7 +27,7 @@ from .model import (
     OodnError,
     UnknownEntityError,
     Value,
-    _declared_properties,
+    declared_properties,
     dedupe_similar,
     materialize,
     validate_network,
@@ -293,7 +293,7 @@ def _set_object_value(
 ) -> None:
     obj = net.objects[object_name]
     cls = net.classes.get(obj.class_ref)
-    if cls is not None and member_name not in _declared_properties(cls):
+    if cls is not None and member_name not in declared_properties(cls):
         raise UnknownEntityError(
             f"class {obj.class_ref!r} has no property {member_name!r}"
         )

@@ -290,6 +290,24 @@ def test_lookup_fault_is_reported_before_a_conflict(shape, capsys, tmp_path):
     assert inherited == diagnosed == (2, "", expected + "\n")
 
 
+def test_inherit_and_diagnose_suggest_the_same_repair(capsys, tmp_path):
+    # Excluding 'p' leaves nothing of A, so both repairs drop A.
+    path = tmp_path / "drop.oodn"
+    path.write_text(
+        "class A { prop p: int = 1; }\n"
+        "class B { prop q: int = 2; }\n"
+        "class H { prop p: int = 5; }\n"
+        "H inherits A, B;\n",
+        encoding="utf-8",
+    )
+    code, _, inherited = run_cli(["inherit", str(path)], capsys)
+    assert code == 2
+    assert inherited.splitlines()[-1] == "suggestion: H inherits B;"
+    code, _, diagnosed = run_cli(["diagnose", str(path)], capsys)
+    assert code == 1
+    assert "  suggestion: H inherits B\n" in diagnosed
+
+
 def test_golden_covers_every_fixture():
     fixtures = {path.name for path in DATA.glob("*.oodn")}
     assert {case.split()[0] for case in GOLDEN} == fixtures

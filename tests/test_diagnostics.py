@@ -223,9 +223,9 @@ class TestAmbiguityDetection:
         )
         [found] = detect_ambiguity(plan, net)
         assert found.subjects == ("L", "M", "R")
-        assert found.suggestion.describe() == "H inherits L, R (r/0.5)"
+        assert found.suggestion.describe() == "H inherits L, R (only r/0.5)"
         assert [a.describe() for a in found.alternatives] == [
-            "H inherits L (q), M, R (r/0.5)",
+            "H inherits L (q), M, R (only r/0.5)",
             "H inherits L (q), R (r/0.5)",
         ]
         for repaired in (found.suggestion, *found.alternatives):

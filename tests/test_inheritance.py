@@ -15,11 +15,8 @@ from oodn.inheritance import (
     SelectionMode,
     Strength,
     classify_plan,
-    compute_core,
     decompose,
     inherit,
-    inherit_multiple,
-    inherit_single,
     merge,
     walk,
 )
@@ -162,10 +159,10 @@ class TestSelection:
     def test_rendered_items_leave_equality_and_hash_alone(self):
         entries = (("p1", as_degree("1/2")), ("p2", DEGREE_ONE))
         rendered = Selection(SelectionMode.LISTED, entries)
-        assert rendered.items_text == "p1/0.5, p2"
+        assert rendered.text == "(p1/0.5, p2)"
         fresh = Selection(SelectionMode.LISTED, entries)
         assert rendered == fresh and hash(rendered) == hash(fresh)
-        assert Selection().items_text is None
+        assert Selection().text == ""
 
     def test_describe_shows_selections(self):
         plan = InheritancePlan(
@@ -177,7 +174,7 @@ class TestSelection:
             ),
             chain=False,
         )
-        assert plan.describe() == "H inherits A, B (p1), C (p2/1/3)"
+        assert plan.describe() == "H inherits A, B (p1/1), C (only p2/1/3)"
 
 
 class TestPlan:
@@ -209,6 +206,11 @@ class TestPlan:
             chain=False,
         )
         assert parallel.participants_root_first() == ["A1", "A2", "A3"]
+
+    def test_one_source_plan_is_a_chain(self):
+        lone = InheritancePlan(heir="H", sources=(("A", Selection()),), chain=False)
+        assert lone.chain
+        assert lone == InheritancePlan(heir="H", sources=(("A", Selection()),))
 
 
 # ---------------------------------------------------------------------------
@@ -266,49 +268,6 @@ class TestClassification:
 
 
 # ---------------------------------------------------------------------------
-# Core extraction over explicit sets
-# ---------------------------------------------------------------------------
-
-
-class TestComputeCore:
-    def test_needs_two_sets(self):
-        with pytest.raises(OodnError):
-            compute_core([MemberSet()])
-
-    def test_shared_members_hoisted(self):
-        shared1 = prop("s", ValueType.INT, 7, "B1")
-        shared2 = prop("s", ValueType.INT, 7, "B2")
-        own1 = prop("o1", ValueType.INT, 1, "B1")
-        own2 = prop("o2", ValueType.INT, 2, "B2")
-        core, remainders = compute_core(
-            [MemberSet([shared1, own1]), MemberSet([shared2, own2])]
-        )
-        assert ids(core) == [("B1", "s")]  # first set's copy represents
-        assert ids(remainders[0]) == [("B1", "o1")]
-        assert ids(remainders[1]) == [("B2", "o2")]
-
-    def test_reconstruction_up_to_similarity(self):
-        sets = [
-            MemberSet(
-                [prop("s", ValueType.INT, 7, "B1"), prop("o1", ValueType.INT, 1, "B1")]
-            ),
-            MemberSet(
-                [prop("s", ValueType.INT, 7, "B2"), prop("o2", ValueType.INT, 2, "B2")]
-            ),
-        ]
-        core, remainders = compute_core(sets)
-        for original, remainder in zip(sets, remainders):
-            rebuilt = MemberSet([*core, *remainder])
-            assert rebuilt.similar_eq(original)
-
-    def test_degree_participates_in_matching(self):
-        crisp = DegreedMember(prop("s", ValueType.INT, 7, "B1"))
-        weak = DegreedMember(prop("s", ValueType.INT, 7, "B2"), as_degree("1/2"))
-        core, _ = compute_core([MemberSet([crisp]), MemberSet([weak])])
-        assert len(core) == 0
-
-
-# ---------------------------------------------------------------------------
 # Chain construction (golden shapes)
 # ---------------------------------------------------------------------------
 
@@ -360,14 +319,6 @@ class TestChainConstruction:
         net = chain_net()
         het = self.build()
         assert decompose(het, "A1") == net.classes["A1"].members()
-
-    def test_inherit_single_matches_plan_execution(self):
-        net = chain_net()
-        assert inherit_single(["A1", "A2", "A3"], net) == self.build()
-
-    def test_chain_needs_two_classes(self):
-        with pytest.raises(OodnError):
-            inherit_single(["A1"], chain_net())
 
     def test_empty_heir_still_gets_projection(self):
         net = net_of(
@@ -425,10 +376,6 @@ class TestParallelConstruction:
     def test_flattening_counts_nine(self):
         het = self.build()
         assert len(decompose(het, "A3")) == 9
-
-    def test_inherit_multiple_without_overlap_matches_inherit(self):
-        net = parallel_net()
-        assert inherit_multiple(["A1", "A2"], "A3", net) == self.build()
 
 
 # ---------------------------------------------------------------------------
@@ -681,57 +628,6 @@ class TestWalk:
         with pytest.raises(InheritanceConflictError) as info:
             merge(plan, links, Policy.REJECT)
         assert info.value.subjects == ("B1", "B2", "D")
-
-
-# ---------------------------------------------------------------------------
-# Multiple inheritance with shared knowledge
-# ---------------------------------------------------------------------------
-
-
-class TestSimilarityCollapse:
-    def overlapping_net(self) -> Network:
-        return net_of(
-            hom(
-                "B1",
-                prop("shared", ValueType.INT, 7, "B1"),
-                prop("own1", ValueType.INT, 1, "B1"),
-            ),
-            hom(
-                "B2",
-                prop("shared", ValueType.INT, 7, "B2"),
-                prop("own2", ValueType.INT, 2, "B2"),
-            ),
-            hom("H", prop("hown", ValueType.BOOL, True, "H")),
-        )
-
-    def test_shared_knowledge_hoists_into_core(self):
-        het = inherit_multiple(["B1", "B2"], "H", self.overlapping_net())
-        assert ids(het.core) == [("B1", "shared")]
-        by_label = {p.label: p for p in het.projections}
-        assert ids(by_label["B1"].members) == [("B1", "own1")]
-        assert ids(by_label["B2"].members) == [("B2", "own2")]
-        assert by_label["heir(H)"].depends_on == ("B1", "B2")
-
-    def test_sources_still_reconstruct(self):
-        net = self.overlapping_net()
-        het = inherit_multiple(["B1", "B2"], "H", net)
-        for name in ("B1", "B2"):
-            assert decompose(het, name).similar_eq(net.classes[name].members())
-
-    def test_fully_similar_sources_collapse_entirely(self):
-        net = net_of(
-            hom("B1", prop("s", ValueType.INT, 7, "B1")),
-            hom("B2", prop("s", ValueType.INT, 7, "B2")),
-            hom("H", prop("h", ValueType.BOOL, True, "H")),
-        )
-        het = inherit_multiple(["B1", "B2"], "H", net)
-        assert ids(het.core) == [("B1", "s")]
-        assert [p.label for p in het.projections] == ["heir(H)"]
-        assert het.projection_by_label("heir(H)").depends_on == ()
-
-    def test_needs_two_sources(self):
-        with pytest.raises(OodnError):
-            inherit_multiple(["B1"], "H", self.overlapping_net())
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from oodn.inheritance import (
     InheritancePlan,
     Selection,
     SelectionMode,
-    compute_core,
     decompose,
-    inherit_single,
+    inherit,
 )
 from oodn.model import (
     DEGREE_ONE,
@@ -122,13 +121,10 @@ def selections(draw) -> Selection:
     names = draw(
         st.lists(st.sampled_from(MEMBER_NAMES), unique=True, min_size=1, max_size=3)
     )
-    if shape == 1:
-        entries = tuple((n, draw(weak_degrees)) for n in names)
-        return Selection(SelectionMode.ALL, entries)
     entries = tuple(
         (n, draw(st.one_of(st.just(DEGREE_ONE), weak_degrees))) for n in names
     )
-    return Selection(SelectionMode.LISTED, entries)
+    return Selection(SelectionMode.ALL if shape == 1 else SelectionMode.LISTED, entries)
 
 
 @st.composite
@@ -231,25 +227,19 @@ def crisp_chains(draw):
 
 
 @st.composite
-def member_set_families(draw):
-    """2-3 member sets drawing from one small pool so overlap is common."""
-    pool_values = {name: draw(st.integers(0, 2)) for name in PROP_NAMES[:5]}
-    sets = []
-    for owner in ("S1", "S2", "S3")[: draw(st.integers(2, 3))]:
-        chosen = draw(
-            st.lists(
-                st.sampled_from(sorted(pool_values)), unique=True, max_size=4
-            )
-        )
-        entries = [
-            DegreedMember(
-                prop(name, ValueType.INT, pool_values[name], owner),
-                draw(st.sampled_from((DEGREE_ONE, Degree(Fraction(1, 2))))),
-            )
-            for name in chosen
-        ]
-        sets.append(MemberSet(entries))
-    return sets
+def plans(draw) -> InheritancePlan:
+    """1-4 sources, either chain flag (a lone source makes it a chain)."""
+    names = draw(
+        st.lists(st.sampled_from(CLASS_NAMES), unique=True, min_size=1, max_size=4)
+    )
+    sources = tuple((name, draw(selections())) for name in names)
+    return InheritancePlan(heir="H9", sources=sources, chain=draw(st.booleans()))
+
+
+def full_chain_plan(chain: list[str]) -> InheritancePlan:
+    """Take-all chain plan over classes given root first."""
+    sources = tuple((name, Selection()) for name in reversed(chain[:-1]))
+    return InheritancePlan(heir=chain[-1], sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +331,6 @@ class TestDedupeSimilar:
 
 
 # ---------------------------------------------------------------------------
-# Shared-core extraction
-# ---------------------------------------------------------------------------
-
-
-class TestCoreExtraction:
-    @COMMON
-    @given(sets=member_set_families())
-    def test_core_plus_remainder_reconstructs_each_input(self, sets):
-        core, remainders = compute_core(sets)
-        for original, remainder in zip(sets, remainders):
-            assert MemberSet([*core, *remainder]).similar_eq(original)
-
-    @COMMON
-    @given(sets=member_set_families())
-    def test_core_is_the_exact_shared_part(self, sets):
-        core, _ = compute_core(sets)
-        shared = set.intersection(
-            *[
-                {(e.member.similarity_key(), e.degree) for e in ms}
-                for ms in sets
-            ]
-        )
-        assert {(e.member.similarity_key(), e.degree) for e in core} == shared
-
-
-# ---------------------------------------------------------------------------
 # Chains with globally unique members
 # ---------------------------------------------------------------------------
 
@@ -376,7 +340,7 @@ class TestChainFlattening:
     @given(data=crisp_chains())
     def test_each_view_is_the_union_of_levels_so_far(self, data):
         net, chain = data
-        het = inherit_single(chain, net)
+        het = inherit(full_chain_plan(chain), net)
         gathered: list[DegreedMember] = []
         for cname in chain:
             gathered.extend(net.classes[cname].members())
@@ -386,7 +350,7 @@ class TestChainFlattening:
     @given(data=crisp_chains())
     def test_total_content_counts_every_declaration(self, data):
         net, chain = data
-        het = inherit_single(chain, net)
+        het = inherit(full_chain_plan(chain), net)
         total = sum(len(net.classes[c].members()) for c in chain)
         assert len(het.full_content()) == total
 
@@ -397,6 +361,11 @@ class TestChainFlattening:
 
 
 class TestRoundTrips:
+    @COMMON
+    @given(plan=plans())
+    def test_plan_text_parses_back_to_the_plan(self, plan):
+        assert parse_network(plan.describe() + ";").plans[0] == plan
+
     @WHOLE_NETWORK
     @given(net=networks())
     def test_parse_inverts_serialize(self, net):
