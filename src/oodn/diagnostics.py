@@ -220,11 +220,12 @@ def _redundancy_findings(
     for key in sorted(flagged, key=lambda k: (k[1], str(k))):
         entries = groups[key]
         name = entries[0].member.name
-        owners = sorted(
-            dict.fromkeys(entry.member.owner for entry in entries),
-            key=lambda owner: position.get(owner, -1),
-        )
-        keep, *surplus = owners
+        degrees = {entry.member.owner: entry.degree for entry in entries}
+        owners = sorted(degrees, key=lambda owner: position.get(owner, -1))
+        # The copy arriving at the highest degree stays, the earliest on a
+        # tie, so the repair never weakens what the heir holds.
+        keep = max(owners, key=degrees.__getitem__)
+        surplus = [owner for owner in owners if owner != keep]
         # Each surplus owner's outgoing selection is narrowed over all it
         # holds: on a chain that includes what its ancestors pass through.
         suggestion = None

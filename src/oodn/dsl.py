@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .inheritance import (
     InheritancePlan,
@@ -50,6 +48,7 @@ from .inheritance import (
     classify_plan,
 )
 from .model import (
+    DEGREE_ONE,
     Degree,
     DegreedMember,
     FuzzySet,
@@ -93,13 +92,9 @@ class ParseError(OodnError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str
-    text: str
-    line: int
-    column: int
-
+# (kind, text, start offset); the line and column of an offset are worked
+# out only when an error is reported there.
+Token = tuple[str, str, int]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -112,48 +107,36 @@ _TOKEN_RE = re.compile(
   | (?P<STRING>"(?:[^"\\\n]|\\.)*")
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<PUNCT>[{}():;,=./])
+  | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _tokenize(text: str) -> Iterator[Token]:
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup
-        assert kind is not None
-        value = match.group()
-        if kind not in ("WS", "COMMENT"):
-            yield Token(kind, value, line, pos - line_start + 1)
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = match.end()
-    yield Token("EOF", "", line, pos - line_start + 1)
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _tokenize(text: str) -> list[Token]:
+    """Every token of ``text``, ending in an end-of-input token."""
+    tokens = [
+        (kind, match.group(), match.start())
+        for match in _TOKEN_RE.finditer(text)
+        if (kind := match.lastgroup) != "WS" and kind != "COMMENT"
+    ]
+    bad = next((token for token in tokens if token[0] == "BAD"), None)
+    if bad is not None:
+        _, char, start = bad
+        raise ParseError(f"unexpected character {char!r}", *_position(text, start))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 def _unescape(raw: str) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: "\n" if m[1] == "n" else m[1], raw[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -168,66 +151,83 @@ _NUMBER_TOKENS = ("INT", "DECIMAL", "RATIO")
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    A punctuation mark, an arrow or a keyword is told apart by its text
+    alone, since no other kind of token can have that text.  Nothing reads
+    past the end-of-input token: only a token already checked is consumed.
+    """
+
     def __init__(self, text: str) -> None:
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def fail(self, message: str, token: Token | None = None) -> ParseError:
+        start = (token or self.tokens[self.pos])[2]
+        return ParseError(message, *_position(self.text, start))
 
-    def advance(self) -> Token:
+    def _expected(self, wanted: str, token: Token) -> ParseError:
+        shown = token[1] or "end of input"
+        return self.fail(f"expected {wanted!r}, found {shown!r}", token)
+
+    def expect(self, text: str) -> Token:
+        """Consume the punctuation mark or keyword ``text``."""
         token = self.tokens[self.pos]
-        if token.type != "EOF":
-            self.pos += 1
+        if token[1] != text:
+            raise self._expected(text, token)
+        self.pos += 1
         return token
 
-    def fail(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self.peek()
-        return ParseError(message, token.line, token.column)
+    def expect_kind(self, kind: str) -> Token:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise self._expected(kind.lower(), token)
+        self.pos += 1
+        return token
 
-    def expect(self, type_: str, text: str | None = None) -> Token:
-        token = self.peek()
-        if token.type != type_ or (text is not None and token.text != text):
-            wanted = text if text is not None else type_.lower()
-            shown = token.text if token.text else "end of input"
-            raise self.fail(f"expected {wanted!r}, found {shown!r}", token)
-        return self.advance()
-
-    def accept(self, type_: str, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.type == type_ and (text is None or token.text == text):
-            return self.advance()
-        return None
+    def accept(self, text: str) -> bool:
+        """Consume the punctuation mark or keyword ``text`` if it is next."""
+        if self.tokens[self.pos][1] == text:
+            self.pos += 1
+            return True
+        return False
 
     def number(self, token: Token) -> Fraction:
-        try:
-            return Fraction(token.text)
-        except ZeroDivisionError:
-            raise self.fail(f"zero denominator in {token.text!r}", token) from None
+        kind, text, _ = token
+        if kind == "INT":
+            return Fraction(int(text))
+        if kind == "RATIO":
+            numerator, denominator = text.split("/")
+            if int(denominator):
+                return Fraction(int(numerator), int(denominator))
+            raise self.fail(f"zero denominator in {text!r}", token)
+        return Fraction(text)
+
+    def numeral(self, what: str) -> tuple[Token, Fraction]:
+        """Consume a number token, or fail saying ``what`` was expected."""
+        token = self.tokens[self.pos]
+        if token[0] not in _NUMBER_TOKENS:
+            raise self.fail(f"expected {what}, found {token[1]!r}", token)
+        self.pos += 1
+        return token, self.number(token)
 
     # -- document ----------------------------------------------------------
 
     def parse_network(self) -> Network:
         net = make_network()
-        while self.peek().type != "EOF":
-            token = self.peek()
-            if token.type == "IDENT" and token.text == "class":
-                self._parse_class(net)
-            elif token.type == "IDENT" and token.text == "hetclass":
-                self._parse_hetclass(net)
-            elif token.type == "IDENT" and token.text == "object":
-                self._parse_object(net)
-            elif token.type == "IDENT" and token.text == "relation":
-                self._parse_relation(net)
-            elif token.type == "IDENT":
-                self._parse_plan(net)
-            else:
-                raise self.fail(
-                    f"expected a declaration, found {token.text!r}", token
-                )
+        declarations = {
+            "class": self._parse_class,
+            "hetclass": self._parse_hetclass,
+            "object": self._parse_object,
+            "relation": self._parse_relation,
+        }
+        while (token := self.tokens[self.pos])[0] != "EOF":
+            if token[0] != "IDENT":
+                raise self.fail(f"expected a declaration, found {token[1]!r}", token)
+            declarations.get(token[1], self._parse_plan)(net)
         return net
 
     def _declare_class(self, net: Network, name: str, token: Token) -> None:
@@ -241,52 +241,45 @@ class _Parser:
     # -- homogeneous classes -----------------------------------------------
 
     def _parse_class(self, net: Network) -> None:
-        self.expect("IDENT", "class")
-        name_token = self.expect("IDENT")
-        name = name_token.text
+        self.expect("class")
+        name_token = self.expect_kind("IDENT")
+        name = name_token[1]
         if name in _KEYWORDS:
             raise self.fail(f"{name!r} cannot name a class", name_token)
         self._declare_class(net, name, name_token)
-        self.expect("PUNCT", "{")
+        self.expect("{")
         entries: list[DegreedMember] = []
-        while not self.accept("PUNCT", "}"):
+        while not self.accept("}"):
             entries.append(self._parse_member(default_owner=name))
         try:
-            members = MemberSet(entries)
-            net.classes[name] = HomClass(
-                name,
-                spec=members.properties(),
-                sig=members.methods(),
-            )
+            spec, sig = MemberSet(entries).by_kind()
+            net.classes[name] = HomClass(name, spec=spec, sig=sig)
         except OodnError as exc:
             raise self.fail(str(exc), name_token) from exc
 
     def _parse_member(self, default_owner: str) -> DegreedMember:
-        token = self.peek()
-        if token.type == "IDENT" and token.text == "prop":
+        text = self.tokens[self.pos][1]
+        if text == "prop":
             return self._parse_prop(default_owner)
-        if token.type == "IDENT" and token.text == "method":
+        if text == "method":
             return self._parse_method(default_owner)
-        raise self.fail(
-            f"expected 'prop' or 'method', found {token.text!r}", token
-        )
+        raise self.fail(f"expected 'prop' or 'method', found {text!r}")
 
     def _parse_member_name(self, default_owner: str) -> tuple[str, str, Token]:
-        first = self.expect("IDENT")
-        if self.accept("PUNCT", "."):
-            second = self.expect("IDENT")
-            return first.text, second.text, first
-        return default_owner, first.text, first
+        first = self.expect_kind("IDENT")
+        if self.accept("."):
+            return first[1], self.expect_kind("IDENT")[1], first
+        return default_owner, first[1], first
 
     def _parse_prop(self, default_owner: str) -> DegreedMember:
-        self.expect("IDENT", "prop")
+        self.expect("prop")
         owner, name, name_token = self._parse_member_name(default_owner)
-        self.expect("PUNCT", ":")
+        self.expect(":")
         value_type = self._parse_type()
-        self.expect("PUNCT", "=")
+        self.expect("=")
         value = self._parse_value(value_type)
         degree = self._parse_degree_suffix()
-        self.expect("PUNCT", ";")
+        self.expect(";")
         try:
             member = Member(
                 MemberKind.PROPERTY,
@@ -300,23 +293,23 @@ class _Parser:
             raise self.fail(str(exc), name_token) from exc
 
     def _parse_method(self, default_owner: str) -> DegreedMember:
-        self.expect("IDENT", "method")
+        self.expect("method")
         owner, name, name_token = self._parse_member_name(default_owner)
-        self.expect("PUNCT", "(")
+        self.expect("(")
         params: list[tuple[str, ValueType]] = []
-        if not self.accept("PUNCT", ")"):
+        if not self.accept(")"):
             while True:
-                pname = self.expect("IDENT").text
-                self.expect("PUNCT", ":")
+                pname = self.expect_kind("IDENT")[1]
+                self.expect(":")
                 params.append((pname, self._parse_type()))
-                if not self.accept("PUNCT", ","):
+                if not self.accept(","):
                     break
-            self.expect("PUNCT", ")")
+            self.expect(")")
         returns = None
-        if self.accept("ARROW"):
+        if self.accept("->"):
             returns = self._parse_type()
         degree = self._parse_degree_suffix()
-        self.expect("PUNCT", ";")
+        self.expect(";")
         try:
             member = Member(
                 MemberKind.METHOD,
@@ -330,22 +323,19 @@ class _Parser:
             raise self.fail(str(exc), name_token) from exc
 
     def _parse_type(self) -> ValueType:
-        token = self.expect("IDENT")
-        if token.text not in _VALUE_TYPES:
-            raise self.fail(f"unknown type {token.text!r}", token)
-        return _VALUE_TYPES[token.text]
+        token = self.expect_kind("IDENT")
+        value_type = _VALUE_TYPES.get(token[1])
+        if value_type is None:
+            raise self.fail(f"unknown type {token[1]!r}", token)
+        return value_type
 
     def _parse_degree_suffix(self) -> Degree:
-        if not self.accept("PUNCT", "/"):
-            return as_degree(1)
+        if not self.accept("/"):
+            return DEGREE_ONE
         return self._parse_degree_number()
 
     def _parse_degree_number(self) -> Degree:
-        token = self.peek()
-        if token.type not in _NUMBER_TOKENS:
-            raise self.fail(f"expected a degree, found {token.text!r}", token)
-        self.advance()
-        value = self.number(token)
+        token, value = self.numeral("a degree")
         try:
             return as_degree(value)
         except OodnError as exc:
@@ -354,92 +344,80 @@ class _Parser:
     # -- values --------------------------------------------------------------
 
     def _parse_value(self, value_type: ValueType) -> Value:
-        token = self.peek()
+        token = self.tokens[self.pos]
+        kind, text, _ = token
         if value_type is ValueType.INT:
-            if token.type != "INT":
-                raise self.fail(
-                    f"expected an integer, found {token.text!r}", token
-                )
-            self.advance()
-            return int(token.text)
+            if kind != "INT":
+                raise self.fail(f"expected an integer, found {text!r}", token)
+            self.pos += 1
+            return int(text)
         if value_type is ValueType.REAL:
-            if token.type not in _NUMBER_TOKENS:
-                raise self.fail(f"expected a number, found {token.text!r}", token)
-            self.advance()
-            return self.number(token)
+            return self.numeral("a number")[1]
         if value_type is ValueType.BOOL:
-            if token.type == "IDENT" and token.text in ("true", "false"):
-                self.advance()
-                return token.text == "true"
+            if text in ("true", "false"):
+                self.pos += 1
+                return text == "true"
             raise self.fail(
-                f"expected 'true' or 'false', found {token.text!r}", token
+                f"expected 'true' or 'false', found {text!r}", token
             )
         if value_type is ValueType.TEXT:
-            if token.type != "STRING":
+            if kind != "STRING":
                 raise self.fail(
-                    f"expected a quoted string, found {token.text!r}", token
+                    f"expected a quoted string, found {text!r}", token
                 )
-            self.advance()
-            return _unescape(token.text)
+            self.pos += 1
+            return _unescape(text)
         return self._parse_fuzzy_set()
 
     def _parse_fuzzy_set(self) -> FuzzySet:
-        open_token = self.expect("PUNCT", "{")
+        open_token = self.expect("{")
         entries: list[tuple[str | int | Fraction, Fraction]] = []
-        if not self.accept("PUNCT", "}"):
+        if not self.accept("}"):
             while True:
                 entries.append(self._parse_fuzzy_entry())
-                if not self.accept("PUNCT", ","):
+                if not self.accept(","):
                     break
-            self.expect("PUNCT", "}")
+            self.expect("}")
         try:
             return FuzzySet(tuple(entries))
         except OodnError as exc:
             raise self.fail(str(exc), open_token) from exc
 
     def _parse_fuzzy_entry(self) -> tuple[str | int | Fraction, Fraction]:
-        token = self.advance()
+        token = self.tokens[self.pos]
+        kind, text, _ = token
         element: str | int | Fraction
-        if token.type == "IDENT":
-            element = token.text
-        elif token.type == "STRING":
-            element = _unescape(token.text)
-        elif token.type == "INT":
-            element = int(token.text)
-        elif token.type in ("DECIMAL", "RATIO"):
-            element = self.number(token)
+        if kind == "IDENT":
+            element = text
+        elif kind == "STRING":
+            element = _unescape(text)
+        elif kind in _NUMBER_TOKENS:
+            element = int(text) if kind == "INT" else self.number(token)
         else:
-            raise self.fail(
-                f"expected a fuzzy element, found {token.text!r}", token
-            )
-        self.expect("PUNCT", ":")
-        number = self.peek()
-        if number.type not in _NUMBER_TOKENS:
-            raise self.fail(
-                f"expected a membership, found {number.text!r}", number
-            )
-        self.advance()
-        return element, self.number(number)
+            raise self.fail(f"expected a fuzzy element, found {text!r}", token)
+        self.pos += 1
+        self.expect(":")
+        return element, self.numeral("a membership")[1]
 
     # -- objects -------------------------------------------------------------
 
     def _parse_object(self, net: Network) -> None:
-        self.expect("IDENT", "object")
-        name_token = self.expect("IDENT")
-        name = name_token.text
+        self.expect("object")
+        name_token = self.expect_kind("IDENT")
+        name = name_token[1]
         if name in net.objects:
             raise self.fail(f"object {name!r} declared twice", name_token)
         if name in net.classes:
             raise self.fail(f"{name!r} already names a class", name_token)
-        self.expect("PUNCT", ":")
-        class_ref = self.expect("IDENT").text
+        self.expect(":")
+        class_ref = self.expect_kind("IDENT")[1]
         overrides: list[tuple[str, Value]] = []
-        self.expect("PUNCT", "{")
-        while not self.accept("PUNCT", "}"):
-            member_name = self.expect("IDENT").text
-            self.expect("PUNCT", "=")
+        self.expect("{")
+        while not self.accept("}"):
+            member_name = self.expect_kind("IDENT")[1]
+            self.expect("=")
             overrides.append((member_name, self._parse_raw_value()))
-            self.expect("PUNCT", ";")
+            self.expect(";")
         try:
             net.objects[name] = ObjectInstance(name, class_ref, tuple(overrides))
         except OodnError as exc:
@@ -447,43 +425,44 @@ class _Parser:
 
     def _parse_raw_value(self) -> Value:
         """Object override value, typed by its literal form alone."""
-        token = self.peek()
-        if token.type == "INT":
-            self.advance()
-            return int(token.text)
-        if token.type in ("DECIMAL", "RATIO"):
-            self.advance()
+        token = self.tokens[self.pos]
+        kind, text, _ = token
+        if kind == "INT":
+            self.pos += 1
+            return int(text)
+        if kind in ("DECIMAL", "RATIO"):
+            self.pos += 1
             return self.number(token)
-        if token.type == "STRING":
-            self.advance()
-            return _unescape(token.text)
-        if token.type == "IDENT" and token.text in ("true", "false"):
-            self.advance()
-            return token.text == "true"
-        if token.type == "PUNCT" and token.text == "{":
+        if kind == "STRING":
+            self.pos += 1
+            return _unescape(text)
+        if text in ("true", "false"):
+            self.pos += 1
+            return text == "true"
+        if text == "{":
             return self._parse_fuzzy_set()
-        raise self.fail(f"expected a value, found {token.text!r}", token)
+        raise self.fail(f"expected a value, found {text!r}", token)
 
     # -- relations -----------------------------------------------------------
 
     def _parse_relation(self, net: Network) -> None:
-        self.expect("IDENT", "relation")
-        kind_token = self.expect("IDENT")
-        if kind_token.text not in _RELATION_KINDS:
+        self.expect("relation")
+        kind_token = self.expect_kind("IDENT")
+        kind = _RELATION_KINDS.get(kind_token[1])
+        if kind is None:
             raise self.fail(
-                f"unknown relation kind {kind_token.text!r}", kind_token
+                f"unknown relation kind {kind_token[1]!r}", kind_token
             )
-        kind = _RELATION_KINDS[kind_token.text]
         label = None
         if kind is RelationKind.ASSOCIATION:
-            label = self.expect("IDENT").text
-        source = self.expect("IDENT").text
-        self.expect("ARROW")
-        target = self.expect("IDENT").text
+            label = self.expect_kind("IDENT")[1]
+        source = self.expect_kind("IDENT")[1]
+        self.expect_kind("ARROW")
+        target = self.expect_kind("IDENT")[1]
         degree = None
-        if self.accept("PUNCT", "/"):
+        if self.accept("/"):
             degree = self._parse_degree_number()
-        self.expect("PUNCT", ";")
+        self.expect(";")
         try:
             net.relations.append(Relation(kind, source, target, label, degree))
         except OodnError as exc:
@@ -492,22 +471,18 @@ class _Parser:
     # -- plans -----------------------------------------------------------------
 
     def _parse_plan(self, net: Network) -> None:
-        heir_token = self.expect("IDENT")
-        self.expect("IDENT", "inherits")
+        heir_token = self.expect_kind("IDENT")
+        self.expect("inherits")
         sources = [self._parse_source()]
-        chain = True
-        if self.peek().type == "PUNCT" and self.peek().text == ",":
-            chain = False
-            while self.accept("PUNCT", ","):
-                sources.append(self._parse_source())
-        else:
-            while self.accept("IDENT", "inherits"):
-                sources.append(self._parse_source())
-        self.expect("PUNCT", ";")
+        chain = self.tokens[self.pos][1] != ","
+        link = "inherits" if chain else ","
+        while self.accept(link):
+            sources.append(self._parse_source())
+        self.expect(";")
         try:
             net.plans.append(
                 InheritancePlan(
-                    heir=heir_token.text,
+                    heir=heir_token[1],
                     sources=tuple(sources),
                     chain=chain,
                 )
@@ -516,70 +491,68 @@ class _Parser:
             raise self.fail(str(exc), heir_token) from exc
 
     def _parse_source(self) -> tuple[str, Selection]:
-        name = self.expect("IDENT").text
-        if not (self.peek().type == "PUNCT" and self.peek().text == "("):
+        name = self.expect_kind("IDENT")[1]
+        if not self.accept("("):
             return name, Selection()
-        self.expect("PUNCT", "(")
-        forced_listed = False
-        if (
-            self.peek().type == "IDENT"
-            and self.peek().text == "only"
-            and self.peek(1).type == "IDENT"
-        ):
-            self.advance()
-            forced_listed = True
-        items: list[tuple[str, Degree, bool]] = []
+        forced_listed = (
+            self.tokens[self.pos][1] == "only"
+            and self.tokens[self.pos + 1][0] == "IDENT"
+        )
+        if forced_listed:
+            self.pos += 1
+        entries: list[tuple[str, Degree]] = []
+        all_degreed = True
         while True:
-            item = self.expect("IDENT").text
-            if self.accept("PUNCT", "/"):
-                items.append((item, self._parse_degree_number(), True))
+            item = self.expect_kind("IDENT")[1]
+            if self.accept("/"):
+                entries.append((item, self._parse_degree_number()))
             else:
-                items.append((item, as_degree(1), False))
-            if not self.accept("PUNCT", ","):
+                entries.append((item, DEGREE_ONE))
+                all_degreed = False
+            if not self.accept(","):
                 break
-        close = self.expect("PUNCT", ")")
-        all_degreed = all(explicit for _, _, explicit in items)
-        entries = tuple((name_, degree) for name_, degree, _ in items)
+        close = self.expect(")")
+        mode = (
+            SelectionMode.ALL
+            if all_degreed and not forced_listed
+            else SelectionMode.LISTED
+        )
         try:
-            if all_degreed and not forced_listed:
-                return name, Selection(SelectionMode.ALL, entries)
-            return name, Selection(SelectionMode.LISTED, entries)
+            return name, Selection(mode, tuple(entries))
         except OodnError as exc:
             raise self.fail(str(exc), close) from exc
 
     # -- heterogeneous classes --------------------------------------------------
 
     def _parse_hetclass(self, net: Network) -> None:
-        self.expect("IDENT", "hetclass")
-        name_token = self.expect("IDENT")
-        name = name_token.text
+        self.expect("hetclass")
+        name_token = self.expect_kind("IDENT")
+        name = name_token[1]
         self._declare_class(net, name, name_token)
-        self.expect("PUNCT", "{")
+        self.expect("{")
         core: list[DegreedMember] = []
         projections: list[Projection] = []
         participants: dict[str, tuple[str, ...]] = {}
-        while not self.accept("PUNCT", "}"):
-            token = self.peek()
-            if token.type == "IDENT" and token.text == "core":
-                self.advance()
-                self.expect("PUNCT", "{")
-                while not self.accept("PUNCT", "}"):
+        while not self.accept("}"):
+            token = self.tokens[self.pos]
+            if token[1] == "core":
+                self.pos += 1
+                self.expect("{")
+                while not self.accept("}"):
                     core.append(self._parse_member(default_owner=name))
-            elif token.type == "IDENT" and token.text == "projection":
+            elif token[1] == "projection":
                 projections.append(self._parse_projection(name))
-            elif token.type == "IDENT" and token.text == "participant":
-                self.advance()
-                participant = self.expect("IDENT").text
-                self.expect("ARROW")
+            elif token[1] == "participant":
+                self.pos += 1
+                participant = self.expect_kind("IDENT")[1]
+                self.expect_kind("ARROW")
                 labels: list[str] = []
-                if self.accept("IDENT", "core"):
-                    pass
-                else:
+                if not self.accept("core"):
                     while True:
-                        labels.append(_unescape(self.expect("STRING").text))
-                        if not self.accept("PUNCT", ","):
+                        labels.append(_unescape(self.expect_kind("STRING")[1]))
+                        if not self.accept(","):
                             break
-                self.expect("PUNCT", ";")
+                self.expect(";")
                 if participant in participants:
                     raise self.fail(
                         f"participant {participant!r} declared twice", token
@@ -588,7 +561,7 @@ class _Parser:
             else:
                 raise self.fail(
                     "expected 'core', 'projection', or 'participant', "
-                    f"found {token.text!r}",
+                    f"found {token[1]!r}",
                     token,
                 )
         try:
@@ -602,20 +575,20 @@ class _Parser:
             raise self.fail(str(exc), name_token) from exc
 
     def _parse_projection(self, owner: str) -> Projection:
-        self.expect("IDENT", "projection")
-        label_token = self.expect("STRING")
-        label = _unescape(label_token.text)
+        self.expect("projection")
+        label_token = self.expect_kind("STRING")
+        label = _unescape(label_token[1])
         depends: list[str] = []
-        if self.accept("IDENT", "depends"):
-            self.expect("PUNCT", "(")
+        if self.accept("depends"):
+            self.expect("(")
             while True:
-                depends.append(_unescape(self.expect("STRING").text))
-                if not self.accept("PUNCT", ","):
+                depends.append(_unescape(self.expect_kind("STRING")[1]))
+                if not self.accept(","):
                     break
-            self.expect("PUNCT", ")")
-        self.expect("PUNCT", "{")
+            self.expect(")")
+        self.expect("{")
         members: list[DegreedMember] = []
-        while not self.accept("PUNCT", "}"):
+        while not self.accept("}"):
             members.append(self._parse_member(default_owner=owner))
         try:
             return Projection(label, MemberSet(members), tuple(depends))

@@ -59,12 +59,14 @@ class Degree:
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 < self.value <= 1:
+        # A Fraction's denominator is positive, so integer comparisons of its
+        # two parts decide the bounds without Fraction arithmetic.
+        if not 0 < self.value.numerator <= self.value.denominator:
             raise ModelInvariantError(f"degree must lie in (0, 1], got {self.value}")
 
     @property
     def is_weak(self) -> bool:
-        return self.value < 1
+        return self.value.numerator < self.value.denominator
 
     def __mul__(self, other: "Degree") -> "Degree":
         return Degree(self.value * other.value)
@@ -78,11 +80,7 @@ DEGREE_ONE = Degree(Fraction(1))
 
 def as_degree(value: "Degree | Fraction | int | str") -> Degree:
     """Coerce a raw number (or numeral text) into a Degree."""
-    if isinstance(value, Degree):
-        return value
-    if isinstance(value, str):
-        return Degree(Fraction(value))
-    return Degree(Fraction(value))
+    return value if isinstance(value, Degree) else Degree(value)
 
 
 def format_rational(value: Fraction) -> str:
@@ -125,11 +123,24 @@ class ValueType(Enum):
 FuzzyElement = Union[str, int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzySet:
-    """Finite fuzzy set: (element, membership) pairs with memberships in [0, 1]."""
+    """Finite fuzzy set: (element, membership) pairs with memberships in [0, 1].
+
+    Two sets are equal when they map the same elements to the same
+    memberships, whatever order the entries were written in; ``entries``
+    keeps the written order for serialization.
+    """
 
     entries: tuple[tuple[FuzzyElement, Fraction], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FuzzySet):
+            return NotImplemented
+        return dict(self.entries) == dict(other.entries)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries))
 
     def __post_init__(self) -> None:
         seen: list[FuzzyElement] = []
@@ -418,17 +429,35 @@ class MemberSet:
         """Member names in declaration order, duplicates preserved."""
         return [entry.member.name for entry in self._items]
 
+    @classmethod
+    def _subset(cls, entries: Iterable[DegreedMember]) -> "MemberSet":
+        """Entries of a member set, whose identities are already distinct."""
+        subset = cls.__new__(cls)
+        subset._items = tuple(entries)
+        return subset
+
     def properties(self) -> "MemberSet":
-        return MemberSet(e for e in self._items if e.member.kind is MemberKind.PROPERTY)
+        return self._subset(e for e in self._items if e.member.kind is MemberKind.PROPERTY)
 
     def methods(self) -> "MemberSet":
-        return MemberSet(e for e in self._items if e.member.kind is MemberKind.METHOD)
+        return self._subset(e for e in self._items if e.member.kind is MemberKind.METHOD)
+
+    def by_kind(self) -> tuple["MemberSet", "MemberSet"]:
+        """Properties and methods, split in one pass."""
+        properties: list[DegreedMember] = []
+        methods: list[DegreedMember] = []
+        for entry in self._items:
+            if entry.member.kind is MemberKind.PROPERTY:
+                properties.append(entry)
+            else:
+                methods.append(entry)
+        return self._subset(properties), self._subset(methods)
 
     def extended(self, item: Member | DegreedMember) -> "MemberSet":
         return MemberSet([*self._items, item])
 
     def without(self, owner: str, name: str) -> "MemberSet":
-        return MemberSet(e for e in self._items if e.identity != (owner, name))
+        return self._subset(e for e in self._items if e.identity != (owner, name))
 
 
 def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
@@ -463,23 +492,23 @@ class HomClass:
     sig: MemberSet = field(default_factory=MemberSet)
 
     def __post_init__(self) -> None:
-        for entry in self.spec:
-            if entry.member.kind is not MemberKind.PROPERTY:
-                raise ModelInvariantError(
-                    f"class {self.name!r}: specification holds properties only"
-                )
-        for entry in self.sig:
-            if entry.member.kind is not MemberKind.METHOD:
-                raise ModelInvariantError(
-                    f"class {self.name!r}: signature holds methods only"
-                )
-        names = set()
-        for entry in list(self.spec) + list(self.sig):
-            if entry.identity in names:
-                raise ModelInvariantError(
-                    f"class {self.name!r}: duplicate member {entry.member.name!r}"
-                )
-            names.add(entry.identity)
+        if any(e.member.kind is not MemberKind.PROPERTY for e in self.spec):
+            raise ModelInvariantError(
+                f"class {self.name!r}: specification holds properties only"
+            )
+        if any(e.member.kind is not MemberKind.METHOD for e in self.sig):
+            raise ModelInvariantError(
+                f"class {self.name!r}: signature holds methods only"
+            )
+        # Each member set keeps its identities distinct; only a property and
+        # a method can still share one.
+        if self.spec and self.sig:
+            spec_ids = {entry.identity for entry in self.spec}
+            for entry in self.sig:
+                if entry.identity in spec_ids:
+                    raise ModelInvariantError(
+                        f"class {self.name!r}: duplicate member {entry.member.name!r}"
+                    )
 
     def members(self) -> MemberSet:
         """Specification and signature in declaration order."""

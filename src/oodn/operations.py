@@ -66,11 +66,8 @@ def exploit_union(
     for name in names:
         entries.extend(materialize(net, name))
     merged = dedupe_similar(entries)
-    return HomClass(
-        name=result_name,
-        spec=merged.properties(),
-        sig=merged.methods(),
-    )
+    spec, sig = merged.by_kind()
+    return HomClass(result_name, spec=spec, sig=sig)
 
 
 def exploit_intersection(
@@ -85,11 +82,8 @@ def exploit_intersection(
     kept = dedupe_similar(
         entry for entry in sets[0] if _entry_key(entry) in shared
     )
-    return HomClass(
-        name=result_name,
-        spec=kept.properties(),
-        sig=kept.methods(),
-    )
+    spec, sig = kept.by_kind()
+    return HomClass(result_name, spec=spec, sig=sig)
 
 
 def exploit_instance_check(

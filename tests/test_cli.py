@@ -308,10 +308,61 @@ def test_inherit_and_diagnose_suggest_the_same_repair(capsys, tmp_path):
     assert "  suggestion: H inherits B\n" in diagnosed
 
 
+def test_redundancy_repair_keeps_the_strongest_copy(capsys, tmp_path):
+    # A passes 'u' only at 0.5 while B passes it crisply: the repair narrows
+    # A, so the heir still holds 'u' crisply.
+    path = tmp_path / "weak_copy.oodn"
+    path.write_text(
+        'class A { prop u: text = "x"; prop a: int = 1; }\n'
+        'class B { prop u: text = "x"; prop b: int = 2; }\n'
+        "class H { }\n"
+        "H inherits A (u/0.5), B;\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["diagnose", str(path)], capsys)
+    assert code == 1
+    assert "the copies beyond 'B''s add nothing" in err
+    assert "  suggestion: H inherits A (a), B\n" in err
+
+
+def test_fuzzy_values_written_in_another_order_do_not_conflict(capsys, tmp_path):
+    path = tmp_path / "reordered.oodn"
+    path.write_text(
+        "class A { prop f: fuzzy = {a: 1, b: 0.5}; }\n"
+        "class B { prop f: fuzzy = {b: 0.5, a: 1}; }\n"
+        "B inherits A;\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["inherit", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "prop f: fuzzy = {b: 0.5, a: 1};" in out
+    assert run_cli(["diagnose", str(path)], capsys) == (0, "no findings\n", "")
+
+
 def test_golden_covers_every_fixture():
     fixtures = {path.name for path in DATA.glob("*.oodn")}
     assert {case.split()[0] for case in GOLDEN} == fixtures
     assert len(GOLDEN) == 2 * len(fixtures)
+
+
+# Streams and exit codes of `oodn parse` on malformed sources, recorded before
+# the tokenizer and parser were reworked for speed; every message, line and
+# column must survive the rework unchanged.
+PARSE_ERRORS = json.loads(
+    (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_match_golden(case, capsys, tmp_path):
+    expected = PARSE_ERRORS[case]
+    path = tmp_path / "case.oodn"
+    path.write_bytes(expected["source"].encode("utf-8"))
+    assert run_cli(["parse", str(path)], capsys) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ class TestValues:
         with pytest.raises(ModelInvariantError):
             FuzzySet((("tall", Fraction(1, 2)), ("tall", Fraction(1, 4))))
 
+    def test_fuzzy_set_equality_ignores_order(self):
+        forward = FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 2))))
+        backward = FuzzySet((("b", Fraction(1, 2)), ("a", Fraction(1))))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert len({forward, backward}) == 1
+        assert format_value(ValueType.FUZZY, backward) == "{b: 0.5, a: 1}"
+        assert forward != FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 4))))
+        assert forward != FuzzySet((("a", Fraction(1)),))
+
     def test_genuinely_fuzzy(self):
         crisp = FuzzySet((("tall", Fraction(1)), ("short", Fraction(0))))
         assert not crisp.genuinely_fuzzy
