@@ -142,7 +142,7 @@ def _ambiguity_findings(
     for link in links:
         for entry in link.taken.values():
             by_name.setdefault(entry.member.name, []).append((link.parent, entry))
-    views = {link.parent: link.parent_view for link in links}
+    link_of = {link.parent: link for link in links}
     selections = dict(plan.sources)
     diagnostics = []
     for name in sorted(by_name):
@@ -154,7 +154,7 @@ def _ambiguity_findings(
         if len(keys) < 2:
             continue
         narrowed = {
-            source: selections[source].restricted(views[source], {name})
+            source: selections[source].restricted(link_of[source].parent_view, {name})
             for source in involved
         }
         # Every other involved source is narrowed; the kept one stays whole.
@@ -213,7 +213,7 @@ def _redundancy_findings(
     for entry in arrivals.values():
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
     position = {name: index for index, (name, _) in enumerate(plan.sources)}
-    views = {link.parent: link.parent_view for link in links}
+    link_of = {link.parent: link for link in links}
     selections = dict(plan.sources)
     diagnostics = []
     flagged = [key for key, entries in groups.items() if len(entries) > 1]
@@ -229,10 +229,12 @@ def _redundancy_findings(
         # Each surplus owner's outgoing selection is narrowed over all it
         # holds: on a chain that includes what its ancestors pass through.
         suggestion = None
-        if all(owner in views for owner in surplus):
+        if all(owner in link_of for owner in surplus):
             suggestion = plan.with_selections(
                 {
-                    owner: selections[owner].restricted(views[owner], {name})
+                    owner: selections[owner].restricted(
+                        link_of[owner].parent_view, {name}
+                    )
                     for owner in surplus
                 }
             )

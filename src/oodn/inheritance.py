@@ -16,7 +16,15 @@ source) into a heterogeneous class.  The construction works in four steps:
    different projections;
 4. a projection whose audience is strictly contained in another's depends
    on it, which is how a chain's nesting (each level building on the one
-   below) is recorded.
+   below) is recorded; only the smallest such audiences are named, so the
+   edges are the transitive reduction of the subset order.
+
+A chain is walked member by member rather than view by view: a member's
+degree changes only where a selection or a re-declaration names it, so it
+is held over a run of consecutive levels, and that run is its audience.
+Audiences are bitmasks of participant indices, so grouping and the subset
+tests cost a few integer operations each, and layering grows about
+linearly with the number of declared members.
 
 Plans come in eight kinds along three axes: single vs multiple sources,
 full vs partial selections, strong vs weak degrees.  ``classify_plan``
@@ -27,8 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, partial
+from itertools import count
+from operator import itemgetter
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DEGREE_ONE,
@@ -320,20 +330,33 @@ Conflict = tuple[str, DegreedMember, DegreedMember]
 class Link:
     """One step of a plan: what ``parent`` passes on to ``child``.
 
-    ``taken`` is what flows through the parent's selection out of
-    ``parent_view``, degrees composed.
+    ``parent_view`` is everything the parent holds, and ``taken`` what
+    flows out of it through its selection, degrees composed.  Both are
+    built on first use: layering a chain reads neither, and diagnosis
+    reads them only for the links it reports.
     """
 
     parent: str
     child: str
-    parent_view: View
+    selection: Selection
     own: list[DegreedMember]
-    taken: View
+    _parent_view: Callable[[], View]
+    _conflicts: list[Conflict] | None = None
+
+    @cached_property
+    def parent_view(self) -> View:
+        return self._parent_view()
+
+    @cached_property
+    def taken(self) -> View:
+        return _apply_selection(self.parent_view, self.selection)
 
     def conflicts(self) -> list[Conflict]:
         """Crisp arrivals contradicting one of the child's own properties,
         as (name, own entry, arriving entry)."""
-        return _exception_conflicts(self.own, self.taken)
+        if self._conflicts is None:
+            self._conflicts = _exception_conflicts(self.own, self.taken.values())
+        return self._conflicts
 
 
 def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
@@ -355,31 +378,34 @@ def _heir_entries(net: Network, name: str) -> list[DegreedMember]:
     return []
 
 
-def _apply_selection(
-    parent_view: View, selection: Selection, source: str
-) -> View:
-    """Members flowing through a selection, degrees composed by product."""
-    by_name: dict[str, list[DegreedMember]] = {}
-    for entry in parent_view.values():
-        by_name.setdefault(entry.member.name, []).append(entry)
+def _check_offered(offered: Container[str], selection: Selection, source: str) -> None:
     for name, _ in selection.entries:
-        if name not in by_name:
+        if name not in offered:
             raise UnknownEntityError(
                 f"selection names {name!r}, which {source!r} does not offer"
             )
+
+
+def _apply_selection(parent_view: View, selection: Selection) -> View:
+    """Members flowing through a selection, degrees composed by product; a
+    member passed at a crisp factor arrives as the very entry it left as."""
+    factors = dict(selection.entries)
+    listed = selection.mode is SelectionMode.LISTED
     taken: View = {}
-    chosen = {name for name, _ in selection.entries}
-    for entry in parent_view.values():
-        name = entry.member.name
-        if selection.mode is SelectionMode.LISTED and name not in chosen:
-            continue
-        degree = entry.degree * selection.degree_for(name)
-        taken[entry.identity] = DegreedMember(entry.member, degree)
+    for identity, entry in parent_view.items():
+        factor = factors.get(entry.member.name)
+        if factor is None:
+            if not listed:
+                taken[identity] = entry
+        elif factor.is_weak:
+            taken[identity] = DegreedMember(entry.member, entry.degree * factor)
+        else:
+            taken[identity] = entry
     return taken
 
 
 def _exception_conflicts(
-    own: Iterable[DegreedMember], taken: View
+    own: Iterable[DegreedMember], arrivals: Iterable[DegreedMember]
 ) -> list[Conflict]:
     """Crisp arrivals contradicting an own property of the same name and type.
 
@@ -394,7 +420,7 @@ def _exception_conflicts(
         for entry in own
         if entry.member.kind is MemberKind.PROPERTY
     }
-    for arriving in taken.values():
+    for arriving in arrivals:
         if arriving.member.kind is not MemberKind.PROPERTY:
             continue
         if arriving.degree.is_weak:
@@ -418,6 +444,122 @@ def _layered(taken: View, own: Iterable[DegreedMember]) -> View:
     return view
 
 
+class _Runs:
+    """A chain's members as runs.
+
+    A run is a stretch of levels (participants, root first) holding one
+    entry at one degree: ``[entry, first level, last level, slot]``.  It
+    starts where the member is declared, where a level re-declares it, or
+    where a weak selection factor changes its degree; it ends at a
+    re-declaration, at a weakening, or at the first listed selection that
+    leaves the member out.  The slot orders the members of any one level
+    as that level's view lists them.
+    """
+
+    def __init__(self, root: list[DegreedMember]) -> None:
+        self.root = root
+        self.runs: list[list] = []
+        # Identities held crisply at every level so far: the core candidates.
+        self.crisp = {e.identity for e in root if not e.degree.is_weak}
+
+    def open(self, entry: DegreedMember, level: int, slot: int) -> list:
+        run = [entry, level, None, slot]
+        self.runs.append(run)
+        return run
+
+    def view(self, level: int) -> View:
+        """What the participant at ``level`` holds, in view order."""
+        held = [run for run in self.runs if run[1] <= level <= run[2]]
+        held.sort(key=itemgetter(3))
+        return {run[0].identity: run[0] for run in held}
+
+    def holdings(self) -> Iterator[tuple[DegreedMember, int]]:
+        """Every run as (entry, audience bitmask), in order of first
+        appearance: by first level, then view order.  Runs over the same
+        levels share one mask, so masks take space per range, not per run."""
+        masks: dict[tuple[int, int], int] = {}
+        for entry, first, last, _ in sorted(self.runs, key=itemgetter(1, 3)):
+            if first <= last:
+                mask = masks.get((first, last))
+                if mask is None:
+                    mask = masks[first, last] = (1 << (last + 1)) - (1 << first)
+                yield entry, mask
+
+
+def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]:
+    """A chain's runs and links.  A link touches only the members its
+    selection or its child's declarations name, or, for a listed
+    selection, the members it drops, so the walk is linear in members plus
+    selection entries."""
+    order = plan.participants_root_first()
+    runs = _Runs(_declared_entries(net, order[0]))
+    # identity -> open run, in view order; name -> those identities
+    current: dict[Identity, list] = {}
+    named: dict[str, list[Identity]] = {}
+    slots = count()
+    for entry in runs.root:
+        current[entry.identity] = runs.open(entry, 0, next(slots))
+        named.setdefault(entry.member.name, []).append(entry.identity)
+    links: list[Link] = []
+    for level, ((parent, selection), child) in enumerate(
+        zip(reversed(plan.sources), order[1:])
+    ):
+        _check_offered(named, selection, parent)
+        changed: list[Identity] = []  # dropped or weakened on the way up
+        if selection.mode is SelectionMode.LISTED:
+            chosen = dict(selection.entries)
+            kept = {}
+            for identity, run in current.items():
+                if run[0].member.name in chosen:
+                    kept[identity] = run
+                else:
+                    run[2] = level
+                    changed.append(identity)
+            current = kept
+            named = {name: named[name] for name in chosen}
+        for name, factor in selection.entries:
+            if factor.is_weak:
+                for identity in named[name]:
+                    run = current[identity]
+                    run[2] = level
+                    changed.append(identity)
+                    weakened = DegreedMember(run[0].member, run[0].degree * factor)
+                    current[identity] = runs.open(weakened, level + 1, run[3])
+        own = (
+            _heir_entries(net, child)
+            if child == plan.heir
+            else _declared_entries(net, child)
+        )
+        own_props = {e.member.name for e in own if e.member.kind is MemberKind.PROPERTY}
+        arriving = sorted(
+            (current[i] for name in own_props for i in named.get(name, ())),
+            key=itemgetter(3),
+        )
+        conflicts = _exception_conflicts(own, (run[0] for run in arriving))
+        for entry in own:
+            identity = entry.identity
+            run = current.get(identity)
+            if run is None:
+                slot = next(slots)
+                named.setdefault(entry.member.name, []).append(identity)
+            else:
+                run[2] = level  # empty when the run began at this link
+                slot = run[3]
+            changed.append(identity)
+            current[identity] = runs.open(entry, level + 1, slot)
+        # A core member is held crisply at every level, however it got there.
+        for identity in changed:
+            run = current.get(identity)
+            if run is None or run[0].degree.is_weak:
+                runs.crisp.discard(identity)
+        links.append(
+            Link(parent, child, selection, own, partial(runs.view, level), conflicts)
+        )
+    for run in current.values():
+        run[2] = len(order) - 1
+    return runs, links
+
+
 def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     """Every link of a plan: one per chain level, root first, or one per
     parallel source into the heir.
@@ -429,25 +571,17 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     every link can be inspected.
     """
     if plan.chain:
-        order = plan.participants_root_first()
-        links: list[Link] = []
-        view: View = {e.identity: e for e in _declared_entries(net, order[0])}
-        for (parent, selection), child in zip(reversed(plan.sources), order[1:]):
-            taken = _apply_selection(view, selection, parent)
-            own = (
-                _heir_entries(net, child)
-                if child == plan.heir
-                else _declared_entries(net, child)
-            )
-            links.append(Link(parent, child, view, own, taken))
-            view = _layered(taken, own)
-        return links
-    takens = []
+        return _walk_chain(plan, net)[1]
+    views = []
     for source, selection in plan.sources:
         view = {e.identity: e for e in _declared_entries(net, source)}
-        takens.append((source, view, _apply_selection(view, selection, source)))
+        _check_offered({e.member.name for e in view.values()}, selection, source)
+        views.append(view)
     own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
-    return [Link(source, plan.heir, view, own, taken) for source, view, taken in takens]
+    return [
+        Link(source, plan.heir, selection, own, view.copy)
+        for (source, selection), view in zip(plan.sources, views)
+    ]
 
 
 def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
@@ -508,6 +642,39 @@ def _raise_exception_conflict(
     )
 
 
+def _checked_chain(plan: InheritancePlan, net: Network) -> _Runs:
+    """A chain's runs, once its first crisp contradiction, if any, is raised."""
+    runs, links = _walk_chain(plan, net)
+    for link in links:
+        conflicts = link.conflicts()
+        if conflicts:
+            _raise_exception_conflict(plan, link, conflicts)
+    return runs
+
+
+def _checked_parallel(
+    plan: InheritancePlan, net: Network, policy: Policy
+) -> tuple[list[Link], View]:
+    """A parallel plan's links and the heir's view, conflicts raised."""
+    links = walk(plan, net)
+    own = links[-1].own
+    arrived = merge(plan, links, policy)
+    conflicts = _exception_conflicts(own, arrived.values())
+    if conflicts:
+        # Each surviving arrival is blamed on the first source delivering
+        # it as it survived; the first such source by name is reported.
+        blamed: dict[str, tuple[Link, list[Conflict]]] = {}
+        for conflict in conflicts:
+            arriving = conflict[2]
+            link = next(
+                link for link in links
+                if link.taken.get(arriving.identity) == arriving
+            )
+            blamed.setdefault(link.parent, (link, []))[1].append(conflict)
+        _raise_exception_conflict(plan, *blamed[min(blamed)])
+    return links, _layered(arrived, own)
+
+
 def build_views(
     plan: InheritancePlan, net: Network, policy: Policy = Policy.REJECT
 ) -> dict[str, View]:
@@ -518,34 +685,29 @@ def build_views(
     on a parallel plan under ``Policy.REJECT``, for one member arriving
     weakly from two sources at different degrees.
     """
-    links = walk(plan, net)
-    views = {link.parent: link.parent_view for link in links}
-    own = links[-1].own
     if plan.chain:
-        for link in links:
-            conflicts = link.conflicts()
-            if conflicts:
-                _raise_exception_conflict(plan, link, conflicts)
-        arrived = links[-1].taken
-    else:
-        arrived = merge(plan, links, policy)
-        conflicts = _exception_conflicts(own, arrived)
-        if conflicts:
-            # Each surviving arrival is blamed on the source that delivered
-            # it; the first such source by name is reported.
-            blamed: dict[str, tuple[Link, list[Conflict]]] = {}
-            for link in links:
-                mine = [c for c in conflicts if link.taken.get(c[2].identity) is c[2]]
-                if mine:
-                    blamed[link.parent] = (link, mine)
-            _raise_exception_conflict(plan, *blamed[min(blamed)])
-    views[plan.heir] = _layered(arrived, own)
+        runs = _checked_chain(plan, net)
+        return {
+            name: runs.view(level)
+            for level, name in enumerate(plan.participants_root_first())
+        }
+    links, heir_view = _checked_parallel(plan, net, policy)
+    views = {link.parent: link.parent_view for link in links}
+    views[plan.heir] = heir_view
     return views
 
 
 # ---------------------------------------------------------------------------
 # Structure building
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of a bitmask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def inherit(
@@ -556,83 +718,83 @@ def inherit(
     The result is named after the heir.  No degree below 1 ever appears
     unless the plan asked for it, and no member lands in both the core and
     a projection.
-    """
-    views = build_views(plan, net, policy)
-    order = plan.participants_root_first()
-    index_of = {name: i for i, name in enumerate(order)}
 
-    first_view = views[order[0]]
-    core_entries = [
-        entry
-        for identity, entry in first_view.items()
-        if all(
-            identity in views[p] and not views[p][identity].degree.is_weak
-            for p in order
+    Each audience (the participants holding one member at one degree) is
+    a bitmask of participant indices, root first; on a chain it is a run's
+    range of levels.  A projection depends on the smallest audiences
+    strictly containing its own, the transitive reduction of the subset
+    order over the non-empty groups.
+    """
+    order = plan.participants_root_first()
+    holdings: Iterable[tuple[DegreedMember, int]]
+    if plan.chain:
+        runs = _checked_chain(plan, net)
+        core_entries = [e for e in runs.root if e.identity in runs.crisp]
+        holdings = runs.holdings()
+    else:
+        links, heir_view = _checked_parallel(plan, net, policy)
+        views = [link.parent_view for link in links] + [heir_view]
+        core_entries = [
+            entry
+            for identity, entry in views[0].items()
+            if all(
+                identity in view and not view[identity].degree.is_weak
+                for view in views
+            )
+        ]
+        holdings = (
+            (entry, 1 << index)
+            for index, view in enumerate(views)
+            for entry in view.values()
         )
-        and not entry.degree.is_weak
-    ]
     core_ids = {entry.identity for entry in core_entries}
 
-    audience: dict[DegreedMember, list[int]] = {}
-    for index, name in enumerate(order):
-        for entry in views[name].values():
-            if entry.identity not in core_ids:
-                audience.setdefault(entry, []).append(index)
-    groups: dict[tuple[int, ...], list[DegreedMember]] = {}
-    for entry, holders in audience.items():
-        groups.setdefault(tuple(holders), []).append(entry)
+    audience: dict[DegreedMember, int] = {}
+    for entry, mask in holdings:
+        if entry.identity not in core_ids:
+            held = audience.get(entry)
+            audience[entry] = mask if held is None else held | mask
+    groups: dict[int, list[DegreedMember]] = {}
+    for entry, mask in audience.items():
+        groups.setdefault(mask, []).append(entry)
+    heir_mask = 1 << (len(order) - 1)
+    groups.setdefault(heir_mask, [])
 
-    heir_index = index_of[plan.heir]
-    groups.setdefault((heir_index,), [])
-
-    emission = list(groups.keys())
-    labels: dict[tuple[int, ...], str] = {}
-    used: set[str] = set()
-    for key in emission:
-        if len(key) == 1:
-            name = order[key[0]]
-            label = f"heir({name})" if not plan.chain and key[0] == heir_index else name
-            labels[key] = label
+    labels: dict[int, str] = {}
+    for mask in groups:
+        if mask & (mask - 1) == 0:
+            name = order[mask.bit_length() - 1]
+            labels[mask] = (
+                f"heir({name})" if not plan.chain and mask == heir_mask else name
+            )
+    used = set(labels.values())
+    for mask in groups:
+        if mask & (mask - 1):
+            first = order[(mask & -mask).bit_length() - 1]
+            label = (
+                first if first not in used else "&".join(order[i] for i in _bits(mask))
+            )
+            labels[mask] = label
             used.add(label)
-    for key in emission:
-        if len(key) > 1:
-            names = [order[i] for i in key]
-            label = names[0] if names[0] not in used else "&".join(names)
-            labels[key] = label
-            used.add(label)
 
-    def minimal_supersets(key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        mine = set(key)
-        supers = [
-            other
-            for other in emission
-            if mine < set(other) and groups[other]
-        ]
-        return [
-            s
-            for s in supers
-            if not any(mine < set(t) < set(s) for t in supers)
-        ]
-
+    filled = [mask for mask, members in groups.items() if members]
     projections = []
-    for key in emission:
-        members = groups[key]
-        if not members and key != (heir_index,):
-            continue
-        deps = tuple(labels[s] for s in minimal_supersets(key))
+    for mask, members in groups.items():
+        supersets = [o for o in filled if o != mask and o & mask == mask]
+        # By size, so a superset is minimal unless a smaller minimal one
+        # lies inside it.
+        minimal: list[int] = []
+        for other in sorted(supersets, key=int.bit_count):
+            if not any(inner & other == inner for inner in minimal):
+                minimal.append(other)
+        deps = tuple(labels[other] for other in supersets if other in minimal)
         projections.append(
-            Projection(labels[key], MemberSet(members), depends_on=deps)
+            Projection(labels[mask], MemberSet(members), depends_on=deps)
         )
-    emitted_keys = [
-        key for key in emission if groups[key] or key == (heir_index,)
-    ]
     participants = {
-        name: tuple(
-            labels[key] for key in emitted_keys if index_of[name] in key
-        )
-        for name in order
+        name: tuple(labels[mask] for mask in groups if mask >> index & 1)
+        for index, name in enumerate(order)
     }
-
     return HetClass(
         name=plan.heir,
         core=MemberSet(core_entries),

@@ -55,6 +55,7 @@ class Degree:
     """Exact rational membership degree in the half-open interval (0, 1]."""
 
     value: Fraction
+    _hash = None  # not a field: cached by __hash__ on first use
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
@@ -67,6 +68,13 @@ class Degree:
     @property
     def is_weak(self) -> bool:
         return self.value.numerator < self.value.denominator
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(self.value)
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __mul__(self, other: "Degree") -> "Degree":
         return Degree(self.value * other.value)
@@ -245,6 +253,7 @@ class Member:
     value: Value | None = None
     params: tuple[tuple[str, ValueType], ...] = ()
     returns: ValueType | None = None
+    _hash = None  # not a field: cached by __hash__ on first use
 
     def __post_init__(self) -> None:
         if self.kind is MemberKind.PROPERTY:
@@ -271,6 +280,16 @@ class Member:
                         f"method {self.name!r} has duplicate parameter {pname!r}"
                     )
                 seen.add(pname)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(
+                (self.kind, self.name, self.owner, self.value_type, self.value,
+                 self.params, self.returns)
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @property
     def identity(self) -> tuple[str, str]:
@@ -326,6 +345,14 @@ class DegreedMember:
 
     member: Member
     degree: Degree = DEGREE_ONE
+    _hash = None  # not a field: cached by __hash__ on first use
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.member, self.degree))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @property
     def identity(self) -> tuple[str, str]:
@@ -425,10 +452,6 @@ class MemberSet:
                 return entry
         return None
 
-    def bare_names(self) -> list[str]:
-        """Member names in declaration order, duplicates preserved."""
-        return [entry.member.name for entry in self._items]
-
     @classmethod
     def _subset(cls, entries: Iterable[DegreedMember]) -> "MemberSet":
         """Entries of a member set, whose identities are already distinct."""
@@ -461,20 +484,23 @@ class MemberSet:
 
 
 def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
-    """Collapse similar members, first occurrence wins.
+    """Collapse similar members, keeping the copy held at the highest degree.
 
     Used when flattening a heterogeneous structure back into one member
-    set: a later copy of knowledge that is similar to an earlier one adds
-    nothing and is dropped, regardless of owner.
+    set: similar copies assert the same knowledge, regardless of owner, so
+    one is kept -- the strongest, the first on a tie (fuzzy union as a
+    maximum) -- at the place where the knowledge first occurs.
     """
     kept: list[DegreedMember] = []
-    seen_keys: set[tuple] = set()
+    slot_of: dict[tuple, int] = {}
     for entry in entries:
         key = entry.member.similarity_key()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        kept.append(entry)
+        slot = slot_of.get(key)
+        if slot is None:
+            slot_of[key] = len(kept)
+            kept.append(entry)
+        elif entry.degree > kept[slot].degree:
+            kept[slot] = entry
     return MemberSet(kept)
 
 
@@ -511,8 +537,9 @@ class HomClass:
                     )
 
     def members(self) -> MemberSet:
-        """Specification and signature in declaration order."""
-        return MemberSet([*self.spec, *self.sig])
+        """Specification and signature in declaration order (their
+        identities are distinct, as construction checked)."""
+        return MemberSet._subset([*self.spec, *self.sig])
 
 
 @dataclass(frozen=True)
@@ -556,7 +583,9 @@ class HetClass:
                     )
         self._check_dependency_acyclicity()
         core_ids = {entry.identity for entry in self.core}
-        placements: dict[tuple[str, str], list[tuple[str, Degree]]] = {}
+        # Each identity's first degree, and every degree of one placed again.
+        first: dict[tuple[str, str], Degree] = {}
+        again: dict[tuple[str, str], list[Degree]] = {}
         for projection in self.projections:
             for entry in projection.members:
                 if entry.identity in core_ids:
@@ -564,11 +593,14 @@ class HetClass:
                         f"class {self.name!r}: member {entry.member.display()} "
                         f"appears in both the core and projection {projection.label!r}"
                     )
-                placements.setdefault(entry.identity, []).append(
-                    (projection.label, entry.degree)
-                )
-        for identity, spots in placements.items():
-            degrees = [degree for _, degree in spots]
+                identity = entry.identity
+                placed = first.get(identity)
+                if placed is None:
+                    first[identity] = entry.degree
+                else:
+                    again.setdefault(identity, [placed]).append(entry.degree)
+        for identity in first:
+            degrees = again.get(identity, ())
             if len(degrees) != len(set(degrees)):
                 owner, name = identity
                 raise ModelInvariantError(
@@ -602,18 +634,12 @@ class HetClass:
         for label in graph:
             visit(label)
 
-    def projection_by_label(self, label: str) -> Projection:
-        for projection in self.projections:
-            if projection.label == label:
-                return projection
-        raise UnknownEntityError(f"class {self.name!r} has no projection {label!r}")
-
     def member_view(self, participant: str) -> MemberSet:
         """Effective member set of one participant: core plus its projections.
 
-        Similar members are collapsed, first occurrence (core first, then
-        projection order) winning, so one piece of knowledge declared at
-        several levels is reported once.
+        Similar members are collapsed (see :func:`dedupe_similar`; core
+        first, then projection order), so one piece of knowledge declared
+        at several levels is reported once, at the highest degree held.
         """
         if participant not in self.participants:
             raise UnknownEntityError(

@@ -345,6 +345,52 @@ def test_golden_covers_every_fixture():
     assert len(GOLDEN) == 2 * len(fixtures)
 
 
+# Streams and exit codes of `oodn inherit` under every policy and format on
+# every fixture, recorded before layering was reworked for speed; the rework
+# must not change a byte.
+INHERIT_GOLDEN = json.loads(
+    (DATA / "expected" / "inherit.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(INHERIT_GOLDEN))
+def test_inherit_output_matches_golden(case, capsys):
+    fixture, *flags = case.split()
+    code, out, err = run_cli(["inherit", str(DATA / fixture), *flags], capsys)
+    expected = INHERIT_GOLDEN[case]
+    assert (code, out, err) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
+
+
+def test_inherit_golden_covers_every_fixture():
+    fixtures = {path.name for path in DATA.glob("*.oodn")}
+    assert {case.split()[0] for case in INHERIT_GOLDEN} == fixtures
+    assert len(INHERIT_GOLDEN) == 6 * len(fixtures)
+
+
+def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
+    # B re-declares A's weak 'p' crisply: B holds the knowledge crisply.
+    path = tmp_path / "weak_first.oodn"
+    path.write_text(
+        "class A { prop p: int = 1 /0.5; } class B { prop p: int = 1; } "
+        "B inherits A;\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["materialize", str(path), "B"], capsys) == (
+        0,
+        "prop p(B): int = 1\n",
+        "",
+    )
+    assert run_cli(["materialize", str(path), "A"], capsys) == (
+        0,
+        "prop p(A): int = 1 /0.5\n",
+        "",
+    )
+
+
 # Streams and exit codes of `oodn parse` on malformed sources, recorded before
 # the tokenizer and parser were reworked for speed; every message, line and
 # column must survive the rework unchanged.

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from oodn.dsl import parse_network, serialize_hetclass
 from oodn.inheritance import (
     Arity,
     Extent,
@@ -18,6 +21,7 @@ from oodn.inheritance import (
     decompose,
     inherit,
     merge,
+    build_views,
     walk,
 )
 from oodn.model import (
@@ -122,6 +126,12 @@ def two_level_net() -> Network:
 
 def ids(entries) -> list[tuple[str, str]]:
     return [e.identity for e in entries]
+
+
+def projection(het, label: str):
+    """The projection of ``het`` carrying ``label``."""
+    (found,) = [p for p in het.projections if p.label == label]
+    return found
 
 
 def chain_plan(*names_with_selections) -> InheritancePlan:
@@ -370,7 +380,7 @@ class TestParallelConstruction:
 
     def test_heir_projection_depends_on_both_bases(self):
         het = self.build()
-        heir_projection = het.projection_by_label("heir(A3)")
+        heir_projection = projection(het, "heir(A3)")
         assert heir_projection.depends_on == ("A1", "A2")
 
     def test_flattening_counts_nine(self):
@@ -411,7 +421,7 @@ class TestPartialTake:
         het = self.build()
         assert decompose(het, "A1") == net.classes["A1"].members()
         expected_heir = MemberSet(
-            [*het.core, *het.projection_by_label("A2").members]
+            [*het.core, *projection(het, "A2").members]
         )
         assert decompose(het, "A2") == expected_heir
 
@@ -444,7 +454,7 @@ class TestWeakTake:
 
     def test_heir_projection_contents(self):
         het = self.build()
-        heir = het.projection_by_label("A2")
+        heir = projection(het, "A2")
         assert ids(heir.members) == [
             ("A1", "p1"),
             ("A2", "p1"),
@@ -467,7 +477,7 @@ class TestWeakTake:
             chain=True,
         )
         het = inherit(plan, net)
-        heir_copy = het.projection_by_label("C").members.get("A", "p")
+        heir_copy = projection(het, "C").members.get("A", "p")
         assert heir_copy is not None
         assert heir_copy.degree.value == Fraction(1, 4)
 
@@ -564,7 +574,7 @@ class TestDegreePolicy:
 
     def degree_of_heir_copy(self, het: HetClass) -> Fraction:
         for label in het.participants["D"]:
-            found = het.projection_by_label(label).members.get("A", "p")
+            found = projection(het, label).members.get("A", "p")
             if found is not None:
                 return found.degree.value
         raise AssertionError("heir copy not found")
@@ -628,6 +638,95 @@ class TestWalk:
         with pytest.raises(InheritanceConflictError) as info:
             merge(plan, links, Policy.REJECT)
         assert info.value.subjects == ("B1", "B2", "D")
+
+
+class TestRuns:
+    """A chain is walked member by member; a member's audience is the run
+    of levels holding it at one degree.  These shapes break a run in the
+    middle and pin what the layered class makes of it."""
+
+    def layered(self, text: str) -> str:
+        net = parse_network(text)
+        return serialize_hetclass(inherit(net.plans[0], net, Policy.MIN))
+
+    def test_dropped_member_declared_again_stays_in_the_core(self):
+        # C1 drops s(C0) but re-declares it: every level holds it crisply.
+        text = self.layered(
+            "class C0 { method s(); }\n"
+            "class C1 { prop q: int = 2; }\n"
+            "class C2 { method C0.s(); }\n"
+            "C2 inherits C1 (only q/0.5) inherits C0;\n"
+        )
+        assert text.splitlines()[1:4] == ["  core {", "    method C0.s();", "  }"]
+        assert '  participant C1 -> "C1";' in text
+
+    def test_weakened_member_declared_again_crisply_stays_in_the_core(self):
+        text = self.layered(
+            "class C0 { prop r: int = 1; prop p: int = 0; }\n"
+            "class C1 { prop C0.r: int = 1; }\n"
+            "class C2 { prop q: int = 2; }\n"
+            "C2 inherits C1 (r) inherits C0 (r/0.5);\n"
+        )
+        assert text.splitlines()[1:4] == ["  core {", "    prop C0.r: int = 1;", "  }"]
+
+    def test_runs_of_one_entry_share_an_audience(self):
+        # p(C0) leaves the chain at C1 and comes back, same content, at C2:
+        # one projection, held by C0 and C2 but not by C1.
+        text = self.layered(
+            "class C0 { prop p: int = 1; prop x: int = 0; }\n"
+            "class C1 { prop y: int = 0; }\n"
+            "class C2 { prop C0.p: int = 1; }\n"
+            "C2 inherits C1 inherits C0 (x);\n"
+        )
+        assert '  projection "C0" {\n    prop C0.p: int = 1;\n  }\n' in text
+        assert text.endswith(
+            '  participant C0 -> "C0";\n'
+            '  participant C1 -> "C1";\n'
+            '  participant C2 -> "C0", "C1", "C2";\n}'
+        )
+
+    def test_views_follow_the_runs(self):
+        net = parse_network(
+            "class C0 { prop p: int = 1; prop x: int = 0; }\n"
+            "class C1 { prop y: int = 0; }\n"
+            "class C2 { prop C0.p: int = 1; prop z: int = 2 /0.5; }\n"
+            "C2 inherits C1 (x/0.5, y) inherits C0 (x);\n"
+        )
+        views = build_views(net.plans[0], net)
+        assert {name: ids(view.values()) for name, view in views.items()} == {
+            "C0": [("C0", "p"), ("C0", "x")],
+            "C1": [("C0", "x"), ("C1", "y")],
+            "C2": [("C0", "x"), ("C1", "y"), ("C0", "p"), ("C2", "z")],
+        }
+        assert views["C2"][("C0", "x")].degree.value == Fraction(1, 2)
+
+
+def chain_text(depth: int, width: int = 20) -> str:
+    """A take-all chain of ``depth`` classes, each declaring ``width``
+    properties of its own and three methods whose names every level reuses."""
+    classes = []
+    for level in range(depth):
+        props = " ".join(f"prop c{level}_{j}: int = {j};" for j in range(width))
+        classes.append(f"class C{level} {{ {props} method start(); method stop(); }}")
+    sources = " inherits ".join(f"C{level}" for level in reversed(range(depth - 1)))
+    return "\n".join(classes) + f"\nC{depth - 1} inherits {sources};\n"
+
+
+class TestScaling:
+    @staticmethod
+    def inherit_peak(depth: int) -> int:
+        net = parse_network(chain_text(depth))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            inherit(net.plans[0], net, Policy.MIN)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_chain_memory_grows_about_linearly_with_depth(self):
+        # Copying every ancestor's view at every level made this 4.0.
+        assert self.inherit_peak(100) <= 2.5 * self.inherit_peak(50)
 
 
 # ---------------------------------------------------------------------------

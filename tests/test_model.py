@@ -37,6 +37,12 @@ from oodn.model import (
     violations_are_fatal,
 )
 
+
+def names(entries) -> list[str]:
+    """Member names in order, duplicates preserved."""
+    return [entry.member.name for entry in entries]
+
+
 # ---------------------------------------------------------------------------
 # Degrees
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ class TestMemberSet:
         ms = MemberSet([p, f])
         assert ms.get("A1", "p1").member is p
         assert ms.get("A1", "zz") is None
-        assert ms.bare_names() == ["p1", "f1"]
+        assert names(ms) == ["p1", "f1"]
         assert list(ms.properties())[0].member is p
         assert list(ms.methods())[0].member is f
         assert len(ms.extended(prop("p2", ValueType.INT, 2, "A1"))) == 3
@@ -220,6 +226,13 @@ class TestMemberSet:
         )
         assert [e.member.owner for e in merged] == ["A1", "A2"]
         assert len(merged) == 2
+
+    def test_dedupe_similar_keeps_the_strongest_copy_in_place(self):
+        weak = DegreedMember(prop("p1", ValueType.INT, 1, "A1"), Degree(Fraction(1, 2)))
+        other = DegreedMember(prop("p2", ValueType.INT, 2, "A1"))
+        crisp = DegreedMember(prop("p1", ValueType.INT, 1, "A2"))
+        merged = list(dedupe_similar([weak, other, crisp]))
+        assert merged == [crisp, other]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,7 @@ class TestHomClass:
             method("f1", "A"),
             prop("p2", ValueType.INT, 2, "A"),
         )
-        assert cls.members().bare_names() == ["p1", "p2", "f1"]
+        assert names(cls.members()) == ["p1", "p2", "f1"]
 
 
 class TestHetClass:
@@ -303,6 +316,19 @@ class TestHetClass:
             participants={"A": ("x",), "B": ("y",)},
         )
 
+    def test_a_repeated_degree_is_found_past_a_second_placement(self):
+        entry = prop("p1", ValueType.INT, 1, "A")
+        half = as_degree("1/2")
+        with pytest.raises(ModelInvariantError, match="'p1' of 'A' repeats"):
+            HetClass(
+                "H",
+                projections=(
+                    self._projection("x", DegreedMember(entry, half)),
+                    self._projection("y", DegreedMember(entry)),
+                    self._projection("z", DegreedMember(entry, as_degree("0.5"))),
+                ),
+            )
+
     def test_participant_label_checked(self):
         with pytest.raises(ModelInvariantError):
             HetClass("H", participants={"A": ("nope",)})
@@ -320,9 +346,9 @@ class TestHetClass:
             ),
             participants={"A": ("A",), "B": ("B",), "C": ()},
         )
-        assert het.member_view("A").bare_names() == ["shared", "pa"]
-        assert het.member_view("C").bare_names() == ["shared"]
-        assert het.full_content().bare_names() == ["shared", "pa", "pb"]
+        assert names(het.member_view("A")) == ["shared", "pa"]
+        assert names(het.member_view("C")) == ["shared"]
+        assert names(het.full_content()) == ["shared", "pa", "pb"]
         with pytest.raises(UnknownEntityError):
             het.member_view("zz")
 
@@ -481,7 +507,7 @@ class TestMaterialize:
     def test_homogeneous_class(self):
         net = Network()
         net.classes["A"] = _hom("A", prop("p", ValueType.INT, 1, "A"))
-        assert materialize(net, "A").bare_names() == ["p"]
+        assert names(materialize(net, "A")) == ["p"]
 
     def test_object_overrides_rebind_owner(self):
         net = Network()
@@ -509,7 +535,7 @@ class TestMaterialize:
             core=MemberSet([prop("p", ValueType.INT, 1, "A")]),
             participants={"A": ()},
         )
-        assert materialize(net, "A", extra=[het]).bare_names() == ["p"]
+        assert names(materialize(net, "A", extra=[het])) == ["p"]
 
     def test_two_hosts_is_ambiguous(self):
         net = Network()

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oodn.dsl import export_structured, import_structured, parse_network, serialize
 from oodn.inheritance import (
     InheritancePlan,
+    Policy,
     Selection,
     SelectionMode,
+    build_views,
     decompose,
     inherit,
 )
@@ -19,8 +22,10 @@ from oodn.model import (
     DegreedMember,
     FuzzySet,
     HomClass,
+    Member,
     MemberSet,
     ObjectInstance,
+    OodnError,
     Relation,
     RelationKind,
     ValueType,
@@ -312,15 +317,17 @@ class TestDedupeSimilar:
 
     @COMMON
     @given(entries=entry_lists())
-    def test_first_occurrence_wins_and_nothing_is_invented(self, entries):
+    def test_strongest_copy_wins_in_place_and_nothing_is_invented(self, entries):
+        # Each piece of knowledge sits where it first occurs, held by its
+        # highest-degree copy, the first such copy on a tie.
         kept = list(dedupe_similar(entries))
         expected = []
-        seen = set()
         for entry in entries:
             key = entry.member.similarity_key()
-            if key not in seen:
-                seen.add(key)
-                expected.append(entry)
+            if key not in [e.member.similarity_key() for e in expected]:
+                copies = [e for e in entries if e.member.similarity_key() == key]
+                top = max(e.degree for e in copies)
+                expected.append(next(e for e in copies if e.degree == top))
         assert kept == expected
 
     @COMMON
@@ -353,6 +360,129 @@ class TestChainFlattening:
         het = inherit(full_chain_plan(chain), net)
         total = sum(len(net.classes[c].members()) for c in chain)
         assert len(het.full_content()) == total
+
+
+# ---------------------------------------------------------------------------
+# Layering: what each participant holds comes back out of the structure
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def similar_classes(draw, name: str) -> HomClass:
+    """A class drawing from few names and values, so that classes often
+    declare similar copies of one another's members."""
+    entries = [
+        DegreedMember(
+            prop(p, ValueType.INT, draw(st.integers(0, 1)), name),
+            draw(st.sampled_from((DEGREE_ONE, Degree(Fraction(1, 2))))),
+        )
+        for p in draw(st.lists(st.sampled_from(PROP_NAMES[:3]), unique=True))
+    ]
+    entries += [
+        DegreedMember(
+            method(m, name),
+            draw(st.sampled_from((DEGREE_ONE, Degree(Fraction(1, 3))))),
+        )
+        for m in draw(st.lists(st.sampled_from(METHOD_NAMES[:2]), unique=True))
+    ]
+    members = MemberSet(entries)
+    return HomClass(name, members.properties(), members.methods())
+
+
+@st.composite
+def layered_plans(draw):
+    """Two to five classes and one plan over them, every selection naming
+    only members its source declares, so most plans execute."""
+    names = list(CLASS_NAMES[: draw(st.integers(2, 5))])
+    net = make_network()
+    for cname in names:
+        net.classes[cname] = draw(st.one_of(hom_classes(cname), similar_classes(cname)))
+    heir = draw(st.sampled_from([names[-1], "H9"]))
+    source_names = names[:-1] if heir == names[-1] else names
+    sources = []
+    for cname in source_names:
+        declared = [e.member.name for e in net.classes[cname].members()]
+        mode = draw(st.sampled_from(list(SelectionMode)))
+        picked = []
+        if declared:
+            picked = draw(st.lists(st.sampled_from(declared), unique=True))
+        if mode is SelectionMode.LISTED and not picked:
+            mode = SelectionMode.ALL
+        entries = tuple(
+            (n, draw(st.one_of(st.just(DEGREE_ONE), weak_degrees))) for n in picked
+        )
+        sources.append((cname, Selection(mode, entries)))
+    chain = draw(st.booleans())
+    if chain:
+        sources.reverse()  # nearest ancestor first
+    plan = InheritancePlan(heir=heir, sources=tuple(sources), chain=chain)
+    return net, plan
+
+
+class TestLayering:
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_core_and_projections_rebuild_each_view(self, data):
+        net, plan = data
+        try:
+            views = build_views(plan, net, Policy.MIN)
+        except OodnError:
+            assume(False)
+        het = inherit(plan, net, Policy.MIN)
+        projections = {p.label: p.members for p in het.projections}
+        for name, view in views.items():
+            rebuilt = [*het.core]
+            for label in het.participants[name]:
+                rebuilt.extend(projections[label])
+            assert MemberSet(rebuilt) == MemberSet(view.values())
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_flattening_keeps_each_contents_strongest_degree(self, data):
+        net, plan = data
+        try:
+            views = build_views(plan, net, Policy.MIN)
+        except OodnError:
+            assume(False)
+        het = inherit(plan, net, Policy.MIN)
+        for name, view in views.items():
+            assert decompose(het, name).similar_eq(dedupe_similar(view.values()))
+
+
+class TestHashing:
+    """Hashes are cached on first use; equal values must still hash alike
+    whichever of them was hashed first, and caching must leave the
+    dataclass surface alone."""
+
+    @COMMON
+    @given(entry=st.one_of(degreed_props("p0", "C0"), degreed_methods("m0", "C0")))
+    def test_equal_values_built_apart_hash_alike(self, entry):
+        member = entry.member
+        value = entry.degree.value
+        values = [
+            (entry.degree, Degree(Fraction(3 * value.numerator, 3 * value.denominator))),
+            (member, replace(member)),
+            (entry, DegreedMember(replace(member), replace(entry.degree))),
+        ]
+        for first, second in values:
+            assert first is not second and first == second
+            before = hash(second)  # second's hash computed before first's
+            assert hash(first) == before == hash(second)
+            assert {first: 1}[second] == 1
+            copied = replace(first)
+            assert hash(copied) == hash(first)
+            assert [f.name for f in fields(first)] == [f.name for f in fields(copied)]
+            assert "_hash" not in repr(first)
+
+    def test_the_cached_hash_is_no_field(self):
+        entry = DegreedMember(prop("p", ValueType.INT, 1, "A"), Degree(Fraction(1, 2)))
+        hash(entry)
+        assert [f.name for f in fields(Member)] == [
+            "kind", "name", "owner", "value_type", "value", "params", "returns",
+        ]
+        assert [f.name for f in fields(DegreedMember)] == ["member", "degree"]
+        assert [f.name for f in fields(Degree)] == ["value"]
+        assert replace(entry, degree=DEGREE_ONE) == DegreedMember(entry.member)
 
 
 # ---------------------------------------------------------------------------
