@@ -76,6 +76,7 @@ from .model import (
     method,
     prop,
     similar,
+    validate_edit,
     validate_network,
     violations_are_fatal,
 )
@@ -148,6 +149,7 @@ __all__ = [
     "prop",
     "render_report",
     "similar",
+    "validate_edit",
     "validate_network",
     "violations_are_fatal",
 ]

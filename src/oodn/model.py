@@ -616,23 +616,28 @@ class HetClass:
                     )
 
     def _check_dependency_acyclicity(self) -> None:
+        # Depth-first, on an explicit stack of (label, unvisited dependencies)
+        # so that a long dependency chain cannot exhaust the interpreter's.
         graph = {p.label: p.depends_on for p in self.projections}
         state: dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            if state.get(node) == 1:
-                raise ModelInvariantError(
-                    f"class {self.name!r}: projection dependencies form a cycle at {node!r}"
-                )
-            if state.get(node) == 2:
-                return
-            state[node] = 1
-            for nxt in graph.get(node, ()):
-                visit(nxt)
-            state[node] = 2
-
         for label in graph:
-            visit(label)
+            if label in state:
+                continue
+            state[label] = 1
+            pending = [(label, iter(graph[label]))]
+            while pending:
+                node, deps = pending[-1]
+                nxt = next(deps, None)
+                if nxt is None:
+                    state[node] = 2
+                    pending.pop()
+                elif state.get(nxt) == 1:
+                    raise ModelInvariantError(
+                        f"class {self.name!r}: projection dependencies form a cycle at {nxt!r}"
+                    )
+                elif nxt not in state:
+                    state[nxt] = 1
+                    pending.append((nxt, iter(graph[nxt])))
 
     def member_view(self, participant: str) -> MemberSet:
         """Effective member set of one participant: core plus its projections.
@@ -788,37 +793,9 @@ def validate_network(net: Network) -> list[Violation]:
         findings.append(Violation("warning", entity, rule, message))
 
     for name, cls in net.classes.items():
-        if cls.name != name:
-            error(name, "registry-name", f"registered as {name!r} but named {cls.name!r}")
-        if isinstance(cls, HomClass) and not cls.spec and not cls.sig:
-            warning(name, "empty-class", "class declares no properties and no methods")
-        if isinstance(cls, HetClass) and not cls.core and not any(
-            p.members for p in cls.projections
-        ):
-            warning(name, "empty-class", "class declares no members in core or projections")
-
+        findings.extend(_class_findings(name, cls))
     for name, obj in net.objects.items():
-        if obj.name != name:
-            error(name, "registry-name", f"registered as {name!r} but named {obj.name!r}")
-        cls = net.classes.get(obj.class_ref)
-        if cls is None:
-            error(name, "dangling-class", f"object class {obj.class_ref!r} is not declared")
-            continue
-        declared = declared_properties(cls)
-        for value_name, value in obj.member_values:
-            if value_name not in declared:
-                error(
-                    name,
-                    "unknown-override",
-                    f"object sets {value_name!r} which class {obj.class_ref!r} lacks",
-                )
-            elif not value_matches_type(declared[value_name], value):
-                error(
-                    name,
-                    "override-type",
-                    f"value for {value_name!r} does not match declared type "
-                    f"{declared[value_name].value}",
-                )
+        findings.extend(_object_findings(net, name, obj))
 
     known = set(net.classes) | set(net.objects)
     for relation in net.relations:
@@ -861,6 +838,71 @@ def validate_network(net: Network) -> list[Violation]:
     return findings
 
 
+def validate_edit(net: Network, name: str) -> list[Violation]:
+    """The findings an edit to the named class or object can change.
+
+    Relations, generalization cycles and plans name entities only, so a
+    member edit cannot change them.  An edit to a class can change its own
+    findings and those of the objects whose class it is; an edit to an
+    object, only the object's.  The rules are :func:`validate_network`'s,
+    applied in its order, so after a member edit to a network that
+    validated clean, the errors here are the whole network's errors.
+    """
+    cls = net.classes.get(name)
+    findings = [] if cls is None else list(_class_findings(name, cls))
+    for object_name, obj in net.objects.items():
+        if object_name == name or (cls is not None and obj.class_ref == name):
+            findings.extend(_object_findings(net, object_name, obj))
+    return findings
+
+
+def _class_findings(name: str, cls: KnowledgeClass) -> Iterator[Violation]:
+    if cls.name != name:
+        yield Violation(
+            "error", name, "registry-name", f"registered as {name!r} but named {cls.name!r}"
+        )
+    if isinstance(cls, HomClass) and not cls.spec and not cls.sig:
+        yield Violation(
+            "warning", name, "empty-class", "class declares no properties and no methods"
+        )
+    if isinstance(cls, HetClass) and not cls.core and not any(
+        p.members for p in cls.projections
+    ):
+        yield Violation(
+            "warning", name, "empty-class", "class declares no members in core or projections"
+        )
+
+
+def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[Violation]:
+    if obj.name != name:
+        yield Violation(
+            "error", name, "registry-name", f"registered as {name!r} but named {obj.name!r}"
+        )
+    cls = net.classes.get(obj.class_ref)
+    if cls is None:
+        yield Violation(
+            "error", name, "dangling-class", f"object class {obj.class_ref!r} is not declared"
+        )
+        return
+    declared = declared_properties(cls)
+    for value_name, value in obj.member_values:
+        if value_name not in declared:
+            yield Violation(
+                "error",
+                name,
+                "unknown-override",
+                f"object sets {value_name!r} which class {obj.class_ref!r} lacks",
+            )
+        elif not value_matches_type(declared[value_name], value):
+            yield Violation(
+                "error",
+                name,
+                "override-type",
+                f"value for {value_name!r} does not match declared type "
+                f"{declared[value_name].value}",
+            )
+
+
 def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
     """Value type of every property an object of ``cls`` may set."""
     mapping: dict[str, ValueType] = {}
@@ -875,30 +917,32 @@ def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
 
 
 def _generalization_cycles(net: Network) -> list[list[str]]:
-    """Depth-first cycle search over the generalization edges."""
+    """Depth-first cycle search over the generalization edges, on an
+    explicit stack so that a deep hierarchy cannot exhaust the interpreter's."""
     graph: dict[str, list[str]] = {}
     for relation in net.relations:
         if relation.kind is RelationKind.GENERALIZATION:
             graph.setdefault(relation.source, []).append(relation.target)
     cycles: list[list[str]] = []
     state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in graph.get(node, ()):
-            if state.get(nxt, 0) == 0:
-                visit(nxt)
-            elif state.get(nxt) == 1:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                cycles.append(cycle)
-        stack.pop()
-        state[node] = 2
-
-    for node in sorted(graph):
-        if state.get(node, 0) == 0:
-            visit(node)
+    path: list[str] = []  # the nodes being visited, root first
+    for root in sorted(graph):
+        if root in state:
+            continue
+        state[root] = 1
+        path.append(root)
+        pending = [iter(graph[root])]  # each path node's unvisited targets
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                pending.pop()
+                state[path.pop()] = 2
+            elif nxt not in state:
+                state[nxt] = 1
+                path.append(nxt)
+                pending.append(iter(graph.get(nxt, ())))
+            elif state[nxt] == 1:
+                cycles.append(path[path.index(nxt):] + [nxt])
     return cycles
 
 

@@ -4,9 +4,13 @@ Exploiters derive new knowledge without touching the network: set union
 and intersection over class member sets, instance checking, and
 materialization/decomposition re-exported from the model and inheritance
 modules.  Modifiers change the network in place; every modifier is atomic
-(the change is validated and rolled back entirely if it would leave the
-network in an error state) and marks heterogeneous classes built from the
-modified entity as stale rather than silently rebuilding them.
+(the change is checked against the rules it can break, and rolled back
+entirely if one of them reports an error) and marks heterogeneous classes
+built from the modified entity as stale rather than silently rebuilding
+them.  The check is :func:`oodn.model.validate_edit` on the edited class
+or object, so an error elsewhere in the network does not block an edit,
+and :attr:`ModificationRejected.findings` holds the findings in the edit's
+scope, warnings included.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from .model import (
     declared_properties,
     dedupe_similar,
     materialize,
-    validate_network,
+    validate_edit,
     violations_are_fatal,
 )
 
 
 class ModificationRejected(OodnError):
-    """A modifier was rolled back; carries the validation findings."""
+    """A modifier was rolled back; carries the findings in the edit's scope
+    (empty when the edited class or member could not even be built)."""
 
     def __init__(self, message: str, findings: list) -> None:
         super().__init__(message)
@@ -143,8 +148,8 @@ def _restore(net: Network, snap: tuple) -> None:
     )
 
 
-def _commit_or_rollback(net: Network, snap: tuple, action: str) -> None:
-    findings = validate_network(net)
+def _commit_or_rollback(net: Network, snap: tuple, edited: str, action: str) -> None:
+    findings = validate_edit(net, edited)
     if violations_are_fatal(findings):
         _restore(net, snap)
         rendered = "; ".join(
@@ -161,8 +166,8 @@ def _mark_stale(net: Network, changed: str) -> None:
         if isinstance(cls, HetClass) and changed in cls.participants:
             net.stale.add(cls.name)
     for plan in net.plans:
-        if changed in plan.class_names() and isinstance(
-            net.classes.get(plan.heir), HetClass
+        if isinstance(net.classes.get(plan.heir), HetClass) and (
+            changed in plan.class_names()
         ):
             net.stale.add(plan.heir)
 
@@ -199,7 +204,9 @@ def modify_add_member(
             [],
         ) from exc
     net.classes[class_name] = replacement
-    _commit_or_rollback(net, snap, f"adding {entry.member.display()} to {class_name!r}")
+    _commit_or_rollback(
+        net, snap, class_name, f"adding {entry.member.display()} to {class_name!r}"
+    )
     _mark_stale(net, class_name)
 
 
@@ -228,7 +235,7 @@ def modify_remove_member(
     )
     net.classes[class_name] = replacement
     _commit_or_rollback(
-        net, snap, f"removing {member_name!r} from {class_name!r}"
+        net, snap, class_name, f"removing {member_name!r} from {class_name!r}"
     )
     _mark_stale(net, class_name)
 
@@ -278,7 +285,7 @@ def modify_set_value(
         for e in cls.spec
     )
     net.classes[target] = HomClass(cls.name, new_spec, cls.sig)
-    _commit_or_rollback(net, snap, f"setting {member_name!r} on {target!r}")
+    _commit_or_rollback(net, snap, target, f"setting {member_name!r} on {target!r}")
     _mark_stale(net, target)
 
 
@@ -302,7 +309,7 @@ def _set_object_value(
         obj.name, obj.class_ref, tuple(overrides)
     )
     _commit_or_rollback(
-        net, snap, f"setting {member_name!r} on object {object_name!r}"
+        net, snap, object_name, f"setting {member_name!r} on object {object_name!r}"
     )
     _mark_stale(net, object_name)
 

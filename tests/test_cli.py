@@ -518,6 +518,36 @@ class TestExitCodes:
         assert code == 2
         assert "dangling-class" in err
 
+    def test_a_deep_hierarchy_parses_cleanly(self, tmp_path, capsys):
+        # deeper than the interpreter's recursion limit
+        depth = 5000
+        deep = tmp_path / "deep.oodn"
+        deep.write_text(
+            "".join(f"class C{i} {{ prop p: int = {i}; }}\n" for i in range(depth))
+            + "".join(
+                f"relation generalization C{i} -> C{i + 1};\n" for i in range(depth - 1)
+            )
+        )
+        code, out, err = run_cli(["parse", str(deep)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            f"classes: {depth}\nobjects: 0\nrelations: {depth - 1}\nplans: 0\nfuzzy: no\n"
+        )
+
+    def test_a_long_generalization_cycle_is_one_error(self, tmp_path, capsys):
+        depth = 5000
+        cyclic = tmp_path / "cyclic.oodn"
+        cyclic.write_text(
+            "".join(f"class C{i} {{ prop p: int = {i}; }}\n" for i in range(depth))
+            + "".join(
+                f"relation generalization C{i} -> C{(i + 1) % depth};\n"
+                for i in range(depth)
+            )
+        )
+        code, out, err = run_cli(["parse", str(cyclic)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("generalization-cycle") == 1
+
     def test_repeated_runs_are_byte_identical(self, fixture_path, capsys):
         argv = ["export", str(fixture_path("octants.oodn")), "--format", "json"]
         first = run_cli(argv, capsys)

@@ -32,6 +32,7 @@ from oodn.model import (
     method,
     prop,
     similar,
+    validate_edit,
     validate_network,
     value_matches_type,
     violations_are_fatal,
@@ -287,6 +288,38 @@ class TestHetClass:
                 ),
             )
 
+    def test_dependency_cycle_message_names_where_it_closes(self):
+        with pytest.raises(ModelInvariantError) as info:
+            HetClass(
+                "H",
+                projections=(
+                    self._projection("x", deps=["y"]),
+                    self._projection("y", deps=["z"]),
+                    self._projection("z", deps=["y"]),
+                ),
+            )
+        assert str(info.value) == (
+            "class 'H': projection dependencies form a cycle at 'y'"
+        )
+
+    def test_a_long_dependency_chain_is_accepted(self):
+        # deeper than the interpreter's recursion limit
+        depth = 3000
+        projections = tuple(
+            self._projection(f"P{i}", deps=[f"P{i + 1}"] if i + 1 < depth else [])
+            for i in range(depth)
+        )
+        assert len(HetClass("H", projections=projections).projections) == depth
+
+    def test_a_long_dependency_cycle_is_rejected(self):
+        depth = 3000
+        projections = tuple(
+            self._projection(f"P{i}", deps=[f"P{(i + 1) % depth}"])
+            for i in range(depth)
+        )
+        with pytest.raises(ModelInvariantError, match="cycle at 'P0'"):
+            HetClass("H", projections=projections)
+
     def test_core_and_projection_overlap_rejected(self):
         entry = prop("p1", ValueType.INT, 1, "A")
         with pytest.raises(ModelInvariantError):
@@ -434,6 +467,43 @@ class TestValidation:
         rules = [v.rule for v in validate_network(net)]
         assert "generalization-cycle" in rules
 
+    def test_a_deep_hierarchy_has_no_cycle(self):
+        # deeper than the interpreter's recursion limit
+        net = Network()
+        depth = 5000
+        for i in range(depth):
+            net.classes[f"C{i}"] = _hom(f"C{i}", prop("p", ValueType.INT, i, f"C{i}"))
+        for i in range(depth - 1):
+            net.relations.append(
+                Relation(RelationKind.GENERALIZATION, f"C{i}", f"C{i + 1}")
+            )
+        assert validate_network(net) == []
+
+    def test_a_long_cycle_is_reported_once(self):
+        net = Network()
+        depth = 5000
+        for i in range(depth):
+            net.classes[f"C{i}"] = _hom(f"C{i}", prop("p", ValueType.INT, i, f"C{i}"))
+            net.relations.append(
+                Relation(RelationKind.GENERALIZATION, f"C{i}", f"C{(i + 1) % depth}")
+            )
+        findings = validate_network(net)
+        assert [v.rule for v in findings] == ["generalization-cycle"]
+        # the search starts from the smallest name, so the cycle is listed
+        # from C0 in edge order and closes where it started
+        cycle = [f"C{i}" for i in range(depth)] + ["C0"]
+        assert findings[0].entity == " -> ".join(cycle)
+
+    def test_cycles_are_listed_in_search_order(self):
+        net = Network()
+        for name in ("A", "B", "C", "D"):
+            net.classes[name] = _hom(name, prop("p", ValueType.INT, 1, name))
+        for source, target in (("A", "B"), ("B", "A"), ("B", "C"), ("C", "B"), ("D", "D")):
+            net.relations.append(Relation(RelationKind.GENERALIZATION, source, target))
+        assert [v.entity for v in validate_network(net)] == [
+            "A -> B -> A", "B -> C -> B", "D -> D",
+        ]
+
     def test_plan_references(self):
         from oodn.inheritance import InheritancePlan, Selection
 
@@ -450,6 +520,43 @@ class TestValidation:
             InheritancePlan(heir="H", sources=(("ZZ", Selection()),))
         )
         assert violations_are_fatal(validate_network(net))
+
+
+class TestValidateEdit:
+    def _net(self) -> Network:
+        net = Network()
+        net.classes["C"] = _hom("C", prop("p", ValueType.INT, 1, "C"))
+        net.classes["D"] = _hom("D", prop("q", ValueType.INT, 1, "D"))
+        net.classes["E"] = HomClass("E")
+        net.objects["c1"] = ObjectInstance("c1", "C", (("p", "x"),))
+        net.objects["d1"] = ObjectInstance("d1", "D", (("q", "y"),))
+        net.objects["c2"] = ObjectInstance("c2", "C", (("z", 1),))
+        net.relations.append(Relation(RelationKind.AGGREGATION, "C", "ZZ"))
+        return net
+
+    def test_a_class_covers_itself_and_its_objects(self):
+        net = self._net()
+        assert [(v.entity, v.rule) for v in validate_edit(net, "C")] == [
+            ("c1", "override-type"), ("c2", "unknown-override"),
+        ]
+        assert [(v.entity, v.rule) for v in validate_edit(net, "E")] == [
+            ("E", "empty-class"),
+        ]
+
+    def test_an_object_covers_itself_only(self):
+        net = self._net()
+        assert [(v.entity, v.rule) for v in validate_edit(net, "d1")] == [
+            ("d1", "override-type"),
+        ]
+
+    def test_the_rules_are_the_whole_networks(self):
+        net = self._net()
+        whole = validate_network(net)
+        for name in ("C", "D", "E", "c1", "c2", "d1"):
+            assert all(v in whole for v in validate_edit(net, name))
+        covered = {v for name in ("C", "D", "E") for v in validate_edit(net, name)}
+        # only the relation's finding lies outside every class edit's scope
+        assert [v.rule for v in whole if v not in covered] == ["dangling-endpoint"]
 
 
 # ---------------------------------------------------------------------------

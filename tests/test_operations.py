@@ -11,12 +11,15 @@ from oodn.model import (
     Network,
     ObjectInstance,
     OodnError,
+    Relation,
+    RelationKind,
     UnknownEntityError,
     ValueType,
     as_degree,
     materialize,
     method,
     prop,
+    validate_network,
 )
 from oodn.inheritance import InheritancePlan, Selection, inherit
 from oodn.operations import (
@@ -251,6 +254,50 @@ class TestSetValue:
         net = sample_net()
         with pytest.raises(UnknownEntityError):
             modify_set_value(net, "zz", "left", 1)
+
+
+class TestScope:
+    """A modifier checks the rules its edit can change: the edited class and
+    its objects, or the edited object; errors elsewhere do not block it."""
+
+    def test_mistyped_overrides_are_fixed_one_edit_at_a_time(self):
+        net = sample_net()
+        net.objects["o1"] = ObjectInstance("o1", "A", (("left", "x"),))
+        net.objects["o2"] = ObjectInstance("o2", "A", (("left", "y"),))
+        assert len(validate_network(net)) == 2
+        modify_set_value(net, "o1", "left", 1)
+        assert [v.entity for v in validate_network(net)] == ["o2"]
+        modify_set_value(net, "o2", "left", 2)
+        assert validate_network(net) == []
+
+    def test_a_dangling_relation_does_not_block_an_edit(self):
+        net = make_network()
+        net.classes["C"] = hom("C", prop("p", ValueType.INT, 1, "C"))
+        net.classes["D"] = hom("D", prop("q", ValueType.INT, 1, "D"))
+        net.relations.append(Relation(RelationKind.AGGREGATION, "C", "ZZ"))
+        modify_set_value(net, "D", "q", 2)
+        assert net.classes["D"].members().get("D", "q").member.value == 2
+
+    def test_a_rejection_reports_the_edits_findings_only(self):
+        net = sample_net()
+        net.objects["b1"] = ObjectInstance("b1", "B", (("right", 3),))
+        with pytest.raises(ModificationRejected) as info:
+            modify_remove_member(net, "A", "left")
+        assert [(v.entity, v.rule) for v in info.value.findings] == [
+            ("a1", "unknown-override")
+        ]
+        assert str(info.value) == (
+            "removing 'left' from 'A' rolled back: error: a1: unknown-override: "
+            "object sets 'left' which class 'A' lacks"
+        )
+
+    def test_an_edit_to_a_class_rechecks_its_objects(self):
+        net = sample_net()
+        net.objects["a2"] = ObjectInstance("a2", "A", (("shared", 1),))
+        with pytest.raises(ModificationRejected) as info:
+            modify_remove_member(net, "A", "shared")
+        assert [v.entity for v in info.value.findings] == ["a2"]
+        assert net.classes["A"].members().get("A", "shared") is not None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oodn.diagnostics import diagnose_all
 from oodn.dsl import export_structured, import_structured, parse_network, serialize
 from oodn.inheritance import (
     InheritancePlan,
@@ -23,6 +24,7 @@ from oodn.model import (
     FuzzySet,
     HomClass,
     Member,
+    MemberKind,
     MemberSet,
     ObjectInstance,
     OodnError,
@@ -30,11 +32,20 @@ from oodn.model import (
     RelationKind,
     ValueType,
     dedupe_similar,
+    declared_properties,
     format_rational,
     method,
     prop,
+    validate_network,
+    violations_are_fatal,
 )
-from oodn.operations import make_network, modify_add_member, modify_remove_member
+from oodn.operations import (
+    ModificationRejected,
+    make_network,
+    modify_add_member,
+    modify_remove_member,
+    modify_set_value,
+)
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
 # whole-network generation costs an order of magnitude more per example,
@@ -449,6 +460,31 @@ class TestLayering:
             assert decompose(het, name).similar_eq(dedupe_similar(view.values()))
 
 
+class TestRepairs:
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_each_suggestion_removes_its_own_finding(self, data):
+        net, plan = data
+        net.plans.append(plan)
+        try:
+            findings = diagnose_all(net)
+        except OodnError:
+            assume(False)
+        exceptions = sum(f.kind == "exception" for f in findings)
+        for finding in findings:
+            repaired = finding.suggestion
+            if repaired is None:
+                continue
+            assert parse_network(repaired.describe() + ";").plans[0] == repaired
+            net.plans[:] = [repaired]
+            # same kind, same owners: one name can form two similarity groups
+            assert (finding.kind, finding.subjects, finding.members) not in {
+                (f.kind, f.subjects, f.members) for f in diagnose_all(net)
+            }
+            if exceptions == (finding.kind == "exception"):
+                inherit(repaired, net, Policy.MIN)  # no other conflict is left
+
+
 class TestHashing:
     """Hashes are cached on first use; equal values must still hash alike
     whichever of them was hashed first, and caching must leave the
@@ -558,3 +594,103 @@ class TestModifierInverses:
         modify_remove_member(net, cname, entry.member.name, entry.member.owner)
         modify_add_member(net, cname, entry)
         assert net.classes[cname].members() == before
+
+
+def any_type_or(value_type: ValueType) -> st.SearchStrategy:
+    """The given type half the time, another type otherwise."""
+    others = [t for t in ValueType if t is not value_type]
+    return st.booleans().flatmap(
+        lambda same: st.just(value_type) if same else st.sampled_from(others)
+    )
+
+
+class TestModifierScope:
+    """A modifier checks only the rules its edit can change; on a network
+    that validated clean, it commits exactly when the whole network would
+    validate without error after the edit, and a rejection reports the
+    whole network's errors."""
+
+    @WHOLE_NETWORK
+    @given(net=networks(), data=st.data())
+    def test_commits_exactly_when_the_whole_network_validates(self, net, data):
+        assume(not violations_are_fatal(validate_network(net)))
+        after = make_network()
+        after.classes, after.objects = dict(net.classes), dict(net.objects)
+        after.relations, after.plans = list(net.relations), list(net.plans)
+        before = (dict(net.classes), dict(net.objects))
+        # Each branch sets ``run`` to one modifier call on ``net`` and makes
+        # the same edit by hand on ``after``.
+        edit = data.draw(st.sampled_from(("set object", "remove", "set class", "add")))
+        unbuildable: OodnError | None = None
+        try:
+            if edit == "add":
+                cname = data.draw(st.sampled_from(sorted(net.classes)))
+                name = data.draw(st.sampled_from(MEMBER_NAMES))
+                entry = data.draw(
+                    degreed_props(name, cname) if name in PROP_NAMES
+                    else degreed_methods(name, cname)
+                )
+                cls = net.classes[cname]
+                run = lambda: modify_add_member(net, cname, entry)  # noqa: E731
+                if entry.member.kind is MemberKind.PROPERTY:
+                    after.classes[cname] = HomClass(cname, cls.spec.extended(entry), cls.sig)
+                else:
+                    after.classes[cname] = HomClass(cname, cls.spec, cls.sig.extended(entry))
+            elif edit == "remove":
+                owned = [(c, e) for c, cls in sorted(net.classes.items()) for e in cls.members()]
+                overridden = [
+                    (c, e) for c, e in owned
+                    if any(o.class_ref == c and e.member.name in o.values()
+                           for o in net.objects.values())
+                ]
+                assume(owned)
+                # removing what an object overrides must fail, so draw it often
+                pool = overridden if overridden and data.draw(st.booleans()) else owned
+                cname, entry = data.draw(st.sampled_from(pool))
+                cls = net.classes[cname]
+                run = lambda: modify_remove_member(net, cname, entry.member.name)  # noqa: E731
+                after.classes[cname] = HomClass(
+                    cname,
+                    cls.spec.without(cname, entry.member.name),
+                    cls.sig.without(cname, entry.member.name),
+                )
+            elif edit == "set class":
+                props = [(c, e) for c, cls in sorted(net.classes.items()) for e in cls.spec]
+                assume(props)
+                cname, entry = data.draw(st.sampled_from(props))
+                value_type = data.draw(any_type_or(entry.member.value_type))
+                value = data.draw(value_for(value_type))
+                cls = net.classes[cname]
+                run = lambda: modify_set_value(net, cname, entry.member.name, value)  # noqa: E731
+                member = prop(entry.member.name, entry.member.value_type, value, cname)
+                spec = MemberSet(
+                    DegreedMember(member, e.degree) if e.identity == entry.identity else e
+                    for e in cls.spec
+                )
+                after.classes[cname] = HomClass(cname, spec, cls.sig)
+            else:
+                assume(net.objects)
+                oname = data.draw(st.sampled_from(sorted(net.objects)))
+                obj = net.objects[oname]
+                declared = declared_properties(net.classes[obj.class_ref])
+                assume(declared)
+                name = data.draw(st.sampled_from(sorted(declared)))
+                value_type = data.draw(any_type_or(declared[name]))
+                value = data.draw(value_for(value_type))
+                run = lambda: modify_set_value(net, oname, name, value)  # noqa: E731
+                overrides = {**obj.values(), name: value}
+                after.objects[oname] = ObjectInstance(
+                    oname, obj.class_ref, tuple(overrides.items())
+                )
+        except OodnError as exc:  # the edited class or member cannot be built
+            unbuildable = exc
+        errors = [v.render() for v in validate_network(after) if v.severity == "error"]
+        try:
+            run()
+        except ModificationRejected as exc:
+            assert (net.classes, net.objects) == before
+            reason = "; ".join(errors) if unbuildable is None else str(unbuildable)
+            assert reason and str(exc).endswith(" rolled back: " + reason)
+        else:
+            assert unbuildable is None and not errors
+            assert (net.classes, net.objects) == (after.classes, after.objects)
