@@ -63,19 +63,19 @@ from .model import (
     Projection,
     Relation,
     RelationKind,
+    StructuredImportError,
     Value,
     ValueType,
     as_degree,
+    decode_rational,
+    decode_value,
     format_rational,
-    format_value,
+    format_untyped,
     member_text,
     quote_text,
+    untyped_type,
 )
 from .operations import make_network
-
-
-class StructuredImportError(OodnError):
-    """A structured (JSON) document that does not describe a network."""
 
 
 class ParseError(OodnError):
@@ -653,24 +653,9 @@ def serialize_hetclass(cls: HetClass) -> str:
 def _serialize_object(obj: ObjectInstance) -> str:
     lines = [f"object {obj.name} : {obj.class_ref} {{"]
     for name, value in obj.member_values:
-        lines.append(f"  {name} = {_raw_value_text(value)};")
+        lines.append(f"  {name} = {format_untyped(value)};")
     lines.append("}")
     return "\n".join(lines)
-
-
-def _raw_value_text(value: Value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        # keep a decimal point so the literal reads back as a rational
-        if value.denominator == 1:
-            return f"{value.numerator}.0"
-        return format_rational(value)
-    if isinstance(value, str):
-        return quote_text(value)
-    return format_value(ValueType.FUZZY, value)
 
 
 def _serialize_relation(relation: Relation) -> str:
@@ -705,72 +690,6 @@ def serialize(net: Network) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _encode_value(value_type: ValueType, value: Value) -> object:
-    if value_type is ValueType.INT:
-        return value
-    if value_type is ValueType.REAL:
-        assert isinstance(value, Fraction)
-        return format_rational(value)
-    if value_type is ValueType.TEXT:
-        return value
-    if value_type is ValueType.BOOL:
-        return value
-    assert isinstance(value, FuzzySet)
-    encoded = []
-    for element, membership in value.entries:
-        if isinstance(element, str):
-            kind, shown = "text", element
-        elif isinstance(element, Fraction):
-            kind, shown = "real", format_rational(element)
-        else:
-            kind, shown = "int", element
-        encoded.append(
-            {"element": shown, "element_kind": kind, "membership": format_rational(membership)}
-        )
-    return encoded
-
-
-def _rational(raw: object) -> Fraction:
-    """A ratio string such as ``"1/2"`` or ``"0.75"``; nothing else."""
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise StructuredImportError(f"{raw!r} is not a ratio")
-
-
-_JSON_TYPES = {
-    ValueType.INT: int,
-    ValueType.REAL: str,
-    ValueType.TEXT: str,
-    ValueType.BOOL: bool,
-    ValueType.FUZZY: list,
-}
-
-
-def _decode_value(value_type: ValueType, raw: object) -> Value:
-    expected = _JSON_TYPES[value_type]
-    if not isinstance(raw, expected) or (expected is int and isinstance(raw, bool)):
-        raise StructuredImportError(f"{raw!r} is not a {value_type.value} value")
-    if value_type is ValueType.REAL:
-        return _rational(raw)
-    if value_type is not ValueType.FUZZY:
-        return raw
-    entries = []
-    for item in raw:
-        kind = item["element_kind"]
-        shown = item["element"]
-        if kind == "text":
-            element: str | int | Fraction = shown
-        elif kind == "real":
-            element = _rational(shown)
-        else:
-            element = int(shown)
-        entries.append((element, _rational(item["membership"])))
-    return FuzzySet(tuple(entries))
-
-
 def _encode_member(entry: DegreedMember) -> dict:
     member = entry.member
     if member.kind is MemberKind.PROPERTY:
@@ -780,7 +699,7 @@ def _encode_member(entry: DegreedMember) -> dict:
             "name": member.name,
             "owner": member.owner,
             "type": member.value_type.value,
-            "value": _encode_value(member.value_type, member.value),
+            "value": member.value_type.codec.encode(member.value),
             "degree": format_rational(entry.degree.value),
         }
     return {
@@ -794,7 +713,7 @@ def _encode_member(entry: DegreedMember) -> dict:
 
 
 def _decode_member(raw: dict) -> DegreedMember:
-    degree = as_degree(_rational(raw["degree"]))
+    degree = as_degree(decode_rational(raw["degree"]))
     if raw["kind"] == "prop":
         value_type = _VALUE_TYPES[raw["type"]]
         member = Member(
@@ -802,7 +721,7 @@ def _decode_member(raw: dict) -> DegreedMember:
             raw["name"],
             raw["owner"],
             value_type=value_type,
-            value=_decode_value(value_type, raw["value"]),
+            value=decode_value(value_type, raw["value"]),
         )
     else:
         member = Member(
@@ -831,7 +750,7 @@ def _decode_selection(raw: dict) -> Selection:
     return Selection(
         SelectionMode(raw["mode"]),
         tuple(
-            (item["name"], as_degree(_rational(item["degree"])))
+            (item["name"], as_degree(decode_rational(item["degree"])))
             for item in raw["entries"]
         ),
     )
@@ -881,7 +800,7 @@ def export_structured(net: Network) -> str:
                 "name": obj.name,
                 "class": obj.class_ref,
                 "values": [
-                    {"name": name, "value": _encode_raw(value)}
+                    {"name": name, "value": _encode_untyped(value)}
                     for name, value in obj.member_values
                 ],
             }
@@ -918,21 +837,9 @@ def export_structured(net: Network) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def _encode_raw(value: Value) -> object:
-    if isinstance(value, bool):
-        return {"type": "bool", "value": value}
-    if isinstance(value, int):
-        return {"type": "int", "value": value}
-    if isinstance(value, Fraction):
-        return {"type": "real", "value": format_rational(value)}
-    if isinstance(value, str):
-        return {"type": "text", "value": value}
-    return {"type": "fuzzy", "value": _encode_value(ValueType.FUZZY, value)}
-
-
-def _decode_raw(raw: dict) -> Value:
-    value_type = _VALUE_TYPES[raw["type"]]
-    return _decode_value(value_type, raw["value"])
+def _encode_untyped(value: Value) -> dict:
+    tag = untyped_type(value)
+    return {"type": tag.value, "value": tag.codec.encode(value)}
 
 
 def import_structured(text: str) -> Network:
@@ -978,7 +885,13 @@ def _decode_network(document: dict) -> Network:
         net.objects[entry["name"]] = ObjectInstance(
             entry["name"],
             entry["class"],
-            tuple((v["name"], _decode_raw(v["value"])) for v in entry["values"]),
+            tuple(
+                (
+                    v["name"],
+                    decode_value(_VALUE_TYPES[v["value"]["type"]], v["value"]["value"]),
+                )
+                for v in entry["values"]
+            ),
         )
     for entry in document["relations"]:
         net.relations.append(
@@ -987,7 +900,7 @@ def _decode_network(document: dict) -> Network:
                 entry["source"],
                 entry["target"],
                 entry["label"],
-                as_degree(_rational(entry["degree"])) if entry["degree"] else None,
+                as_degree(decode_rational(entry["degree"])) if entry["degree"] else None,
             )
         )
     for entry in document["plans"]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .inheritance import InheritancePlan
@@ -43,6 +43,10 @@ class UnknownEntityError(OodnError):
 
 class ModelInvariantError(OodnError):
     """A value would violate one of the model's construction invariants."""
+
+
+class StructuredImportError(OodnError):
+    """A structured (JSON) document that does not describe a network."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +122,110 @@ def format_rational(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-class ValueType(Enum):
-    """Type tag for property values and method parameters/returns."""
+def quote_text(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
 
-    INT = "int"
-    REAL = "real"
-    TEXT = "text"
-    BOOL = "bool"
-    FUZZY = "fuzzy"
+
+def is_identifier(text: str) -> bool:
+    if not text or not (text[0].isalpha() or text[0] == "_"):
+        return False
+    return all(ch.isalnum() or ch == "_" for ch in text)
+
+
+def decode_rational(raw: object) -> Fraction:
+    """A JSON ratio string such as ``"1/2"`` or ``"0.75"``; nothing else."""
+    if isinstance(raw, str):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise StructuredImportError(f"{raw!r} is not a ratio")
+
+
+@dataclass(frozen=True)
+class Codec:
+    """How the values of one type are checked, written and carried in JSON.
+
+    ``check`` accepts exactly the type's Python values, ``text`` writes one
+    in canonical syntax and ``encode`` as JSON data; ``is_json`` accepts
+    exactly such data (by default, what ``check`` accepts), which
+    ``decode`` reads back.
+    """
+
+    check: Callable[[object], bool]
+    text: Callable[[Any], str]
+    encode: Callable[[Any], object] = lambda value: value
+    is_json: Callable[[object], bool] | None = None
+    decode: Callable[[Any], "Value"] = lambda raw: raw
+
+
+def _fuzzy_text(value: "FuzzySet") -> str:
+    parts = []
+    for element, membership in value.entries:
+        if isinstance(element, str) and is_identifier(element):
+            shown = element
+        else:
+            shown = format_untyped(element)
+        parts.append(f"{shown}: {format_rational(membership)}")
+    return "{" + ", ".join(parts) + "}"
+
+
+def _encode_fuzzy(value: "FuzzySet") -> list:
+    encoded = []
+    for element, membership in value.entries:
+        tag = untyped_type(element, _ELEMENT_KINDS.values())
+        shown, kind = tag.codec.encode(element), tag.value
+        encoded.append(
+            {"element": shown, "element_kind": kind, "membership": format_rational(membership)}
+        )
+    return encoded
+
+
+def _decode_fuzzy(raw: list) -> "FuzzySet":
+    entries = []
+    for item in raw:
+        tag = _ELEMENT_KINDS[item["element_kind"]]
+        entries.append((decode_value(tag, item["element"]), decode_rational(item["membership"])))
+    return FuzzySet(tuple(entries))
+
+
+class ValueType(Enum):
+    """Type tag for property values and method parameters/returns.
+
+    Each tag carries the :class:`Codec` of its values, the one place where
+    they are checked, written and carried in JSON.
+    """
+
+    codec: Codec
+
+    INT = "int", Codec(lambda v: isinstance(v, int) and not isinstance(v, bool), str)
+    REAL = "real", Codec(
+        lambda v: isinstance(v, Fraction),
+        format_rational,
+        format_rational,
+        lambda raw: isinstance(raw, str),
+        decode_rational,
+    )
+    TEXT = "text", Codec(lambda v: isinstance(v, str), quote_text)
+    BOOL = "bool", Codec(lambda v: isinstance(v, bool), lambda v: "true" if v else "false")
+    FUZZY = "fuzzy", Codec(
+        lambda v: isinstance(v, FuzzySet),
+        _fuzzy_text,
+        _encode_fuzzy,
+        lambda raw: isinstance(raw, list),
+        _decode_fuzzy,
+    )
+
+    def __new__(cls, tag: str, codec: Codec) -> "ValueType":
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.codec = codec
+        return member
+
+
+# The types a fuzzy element may take.
+_ELEMENT_KINDS = {tag.value: tag for tag in (ValueType.INT, ValueType.REAL, ValueType.TEXT)}
 
 
 FuzzyElement = Union[str, int, Fraction]
@@ -153,6 +253,7 @@ class FuzzySet:
     def __post_init__(self) -> None:
         seen: list[FuzzyElement] = []
         for element, membership in self.entries:
+            untyped_type(element, _ELEMENT_KINDS.values())  # raises unless int, real or text
             if not isinstance(membership, Fraction):
                 raise ModelInvariantError("fuzzy memberships must be Fractions")
             if not 0 <= membership <= 1:
@@ -178,51 +279,42 @@ Value = Union[int, Fraction, str, bool, FuzzySet]
 
 def value_matches_type(tag: ValueType, value: Value) -> bool:
     """Check that a raw value is consistent with a type tag."""
-    if tag is ValueType.BOOL:
-        return isinstance(value, bool)
-    if tag is ValueType.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if tag is ValueType.REAL:
-        return isinstance(value, Fraction)
-    if tag is ValueType.TEXT:
-        return isinstance(value, str)
-    if tag is ValueType.FUZZY:
-        return isinstance(value, FuzzySet)
-    return False
+    return tag.codec.check(value)
 
 
 def format_value(tag: ValueType, value: Value) -> str:
     """Render a property value canonically for reports and serialization."""
-    if tag is ValueType.BOOL:
-        return "true" if value else "false"
-    if tag is ValueType.INT:
-        return str(value)
-    if tag is ValueType.REAL:
-        return format_rational(value)  # type: ignore[arg-type]
-    if tag is ValueType.TEXT:
-        return quote_text(value)  # type: ignore[arg-type]
-    assert isinstance(value, FuzzySet)
-    parts = []
-    for element, membership in value.entries:
-        if isinstance(element, str):
-            shown = element if is_identifier(element) else quote_text(element)
-        elif isinstance(element, Fraction):
-            shown = format_rational(element)
-        else:
-            shown = str(element)
-        parts.append(f"{shown}: {format_rational(membership)}")
-    return "{" + ", ".join(parts) + "}"
+    return tag.codec.text(value)
 
 
-def quote_text(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+def decode_value(tag: ValueType, raw: object) -> Value:
+    """Read a value of type ``tag`` back from its JSON data."""
+    if not (tag.codec.is_json or tag.codec.check)(raw):
+        raise StructuredImportError(f"{raw!r} is not a {tag.value} value")
+    return tag.codec.decode(raw)
 
 
-def is_identifier(text: str) -> bool:
-    if not text or not (text[0].isalpha() or text[0] == "_"):
-        return False
-    return all(ch.isalnum() or ch == "_" for ch in text)
+def untyped_type(value: Value, tags: Iterable[ValueType] = ValueType) -> ValueType:
+    """The type of a value nothing declares one for (an object override or a
+    fuzzy element), read off its Python type.  The checks exclude each
+    other: a ``bool`` is never an ``int`` value."""
+    for tag in tags:
+        if tag.codec.check(value):
+            return tag
+    names = ", ".join(tag.value for tag in tags)
+    raise ModelInvariantError(f"{value!r} has none of the types {names}")
+
+
+def format_untyped(value: Value) -> str:
+    """Canonical text of a value nothing declares a type for.
+
+    A whole-number real is written ``n.0`` so that it reads back as a
+    rational rather than an integer.
+    """
+    tag = untyped_type(value)
+    if tag is ValueType.REAL and value.denominator == 1:  # type: ignore[union-attr]
+        return f"{value.numerator}.0"  # type: ignore[union-attr]
+    return tag.codec.text(value)
 
 
 # ---------------------------------------------------------------------------

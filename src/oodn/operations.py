@@ -128,30 +128,16 @@ def exploit_instance_check(
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(net: Network) -> tuple:
-    return (
-        dict(net.objects),
-        dict(net.classes),
-        list(net.relations),
-        list(net.plans),
-        set(net.stale),
-    )
-
-
-def _restore(net: Network, snap: tuple) -> None:
-    net.objects, net.classes, net.relations, net.plans, net.stale = (
-        dict(snap[0]),
-        dict(snap[1]),
-        list(snap[2]),
-        list(snap[3]),
-        set(snap[4]),
-    )
-
-
-def _commit_or_rollback(net: Network, snap: tuple, edited: str, action: str) -> None:
+def _commit_or_rollback(
+    net: Network, entries: dict, edited: str, replacement: object, action: str
+) -> None:
+    """Put ``replacement`` in place of ``entries[edited]`` (a class or an
+    object) and keep it only if the edit validates."""
+    old = entries[edited]
+    entries[edited] = replacement
     findings = validate_edit(net, edited)
     if violations_are_fatal(findings):
-        _restore(net, snap)
+        entries[edited] = old
         rendered = "; ".join(
             f.render() for f in findings if f.severity == "error"
         )
@@ -192,7 +178,6 @@ def modify_add_member(
     """Add one member to a homogeneous class, atomically."""
     entry = member if isinstance(member, DegreedMember) else DegreedMember(member)
     cls = _require_hom(net, class_name)
-    snap = _snapshot(net)
     try:
         if entry.member.kind is MemberKind.PROPERTY:
             replacement = HomClass(cls.name, cls.spec.extended(entry), cls.sig)
@@ -203,10 +188,8 @@ def modify_add_member(
             f"adding {entry.member.display()} to {class_name!r} rolled back: {exc}",
             [],
         ) from exc
-    net.classes[class_name] = replacement
-    _commit_or_rollback(
-        net, snap, class_name, f"adding {entry.member.display()} to {class_name!r}"
-    )
+    action = f"adding {entry.member.display()} to {class_name!r}"
+    _commit_or_rollback(net, net.classes, class_name, replacement, action)
     _mark_stale(net, class_name)
 
 
@@ -227,16 +210,13 @@ def modify_remove_member(
         raise UnknownEntityError(
             f"class {class_name!r} has no member {member_name!r} owned by {owner!r}"
         )
-    snap = _snapshot(net)
     replacement = HomClass(
         cls.name,
         cls.spec.without(owner, member_name),
         cls.sig.without(owner, member_name),
     )
-    net.classes[class_name] = replacement
-    _commit_or_rollback(
-        net, snap, class_name, f"removing {member_name!r} from {class_name!r}"
-    )
+    action = f"removing {member_name!r} from {class_name!r}"
+    _commit_or_rollback(net, net.classes, class_name, replacement, action)
     _mark_stale(net, class_name)
 
 
@@ -266,7 +246,6 @@ def modify_set_value(
         raise UnknownEntityError(
             f"class {target!r} has no property {member_name!r}"
         )
-    snap = _snapshot(net)
     old = entry.member
     try:
         replaced = Member(
@@ -284,8 +263,9 @@ def modify_set_value(
         DegreedMember(replaced, e.degree) if e.identity == entry.identity else e
         for e in cls.spec
     )
-    net.classes[target] = HomClass(cls.name, new_spec, cls.sig)
-    _commit_or_rollback(net, snap, target, f"setting {member_name!r} on {target!r}")
+    replacement = HomClass(cls.name, new_spec, cls.sig)
+    action = f"setting {member_name!r} on {target!r}"
+    _commit_or_rollback(net, net.classes, target, replacement, action)
     _mark_stale(net, target)
 
 
@@ -298,19 +278,15 @@ def _set_object_value(
         raise UnknownEntityError(
             f"class {obj.class_ref!r} has no property {member_name!r}"
         )
-    snap = _snapshot(net)
     overrides = [
         (name, value if name == member_name else existing)
         for name, existing in obj.member_values
     ]
     if member_name not in {name for name, _ in obj.member_values}:
         overrides.append((member_name, value))
-    net.objects[object_name] = ObjectInstance(
-        obj.name, obj.class_ref, tuple(overrides)
-    )
-    _commit_or_rollback(
-        net, snap, object_name, f"setting {member_name!r} on object {object_name!r}"
-    )
+    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides))
+    action = f"setting {member_name!r} on object {object_name!r}"
+    _commit_or_rollback(net, net.objects, object_name, replacement, action)
     _mark_stale(net, object_name)
 
 

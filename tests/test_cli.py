@@ -411,6 +411,32 @@ def test_parse_errors_match_golden(case, capsys, tmp_path):
     )
 
 
+# Streams and exit codes of canonical parsing and of every export format on
+# every fixture, recorded before value checking, text and JSON were merged
+# into one codec per value type; the merge must not change a byte.
+EXPORT_GOLDEN = json.loads(
+    (DATA / "expected" / "export.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_GOLDEN))
+def test_export_output_matches_golden(case, capsys):
+    fixture, command, *flags = case.split()
+    code, out, err = run_cli([command, str(DATA / fixture), *flags], capsys)
+    expected = EXPORT_GOLDEN[case]
+    assert (code, out, err) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
+
+
+def test_export_golden_covers_every_fixture():
+    fixtures = {path.name for path in DATA.glob("*.oodn")}
+    assert {case.split()[0] for case in EXPORT_GOLDEN} == fixtures
+    assert len(EXPORT_GOLDEN) == 4 * len(fixtures)
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

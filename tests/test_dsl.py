@@ -341,6 +341,7 @@ FIXTURES = [
     "fuzzy_weak_member.oodn",
     "fuzzy_relation.oodn",
     "crisp.oodn",
+    "values.oodn",
 ]
 
 
@@ -481,6 +482,16 @@ class TestStructuredImportErrors:
     def test_not_json(self):
         with pytest.raises(StructuredImportError):
             import_structured("{")
+
+    @pytest.mark.parametrize(
+        "kind, element", [("text", 5), ("bogus", "7"), ("int", True), ("int", 2.5)]
+    )
+    def test_mistyped_fuzzy_element(self, kind, element):
+        net = parse_network("class A { prop f: fuzzy = {a: 1}; }")
+        doc = json.loads(export_structured(net))
+        item = self.members(doc)[0]["value"][0]
+        item["element_kind"], item["element"] = kind, element
+        self.rejects(doc)
 
     def test_type_checks_survive_optimized_mode(self):
         doc = self.document()

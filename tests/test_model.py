@@ -108,6 +108,9 @@ class TestValues:
             FuzzySet((("tall", Fraction(3, 2)),))
         with pytest.raises(ModelInvariantError):
             FuzzySet((("tall", Fraction(1, 2)), ("tall", Fraction(1, 4))))
+        for element in (True, 0.5, None):  # an element is an int, a real or a text
+            with pytest.raises(ModelInvariantError):
+                FuzzySet(((element, Fraction(1)),))
 
     def test_fuzzy_set_equality_ignores_order(self):
         forward = FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 2))))
@@ -132,6 +135,9 @@ class TestValues:
         assert format_value(ValueType.TEXT, 'say "hi"') == '"say \\"hi\\""'
         fuzzy = FuzzySet((("tall", Fraction(7, 10)), (2, Fraction(1))))
         assert format_value(ValueType.FUZZY, fuzzy) == "{tall: 0.7, 2: 1}"
+        # a whole-number real element keeps its type when read back
+        whole = FuzzySet(((Fraction(3), Fraction(1)), ("a b", Fraction(1, 3))))
+        assert format_value(ValueType.FUZZY, whole) == '{3.0: 1, "a b": 1/3}'
 
 
 # ---------------------------------------------------------------------------

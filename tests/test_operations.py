@@ -256,6 +256,30 @@ class TestSetValue:
             modify_set_value(net, "zz", "left", 1)
 
 
+class TestRollbackInPlace:
+    """A rejected edit puts back the one entry it replaced, in the very
+    containers a caller may already hold."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a second 'left' typed text makes a1's int override mistyped
+            lambda net: modify_add_member(net, "A", prop("left", ValueType.TEXT, "t", "Z")),
+            lambda net: modify_remove_member(net, "A", "left"),
+            lambda net: modify_set_value(net, "a1", "left", "text"),
+        ],
+        ids=["add", "remove", "set"],
+    )
+    def test_rejected_edit_restores_the_entry_in_place(self, edit):
+        net = sample_net()
+        classes, objects = net.classes, net.objects
+        cls, obj = classes["A"], objects["a1"]
+        with pytest.raises(ModificationRejected):
+            edit(net)
+        assert net.classes is classes and net.objects is objects
+        assert classes["A"] is cls and objects["a1"] is obj
+
+
 class TestScope:
     """A modifier checks the rules its edit can change: the edited class and
     its objects, or the edited object; errors elsewhere do not block it."""

@@ -72,9 +72,15 @@ weak_degrees = st.fractions(
     min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64
 ).map(Degree)
 
-fuzzy_sets = st.lists(
-    st.sampled_from(ELEMENT_NAMES), unique=True, min_size=1, max_size=3
-).flatmap(
+# Every element kind: bare and quoted strings, ints, and rationals, the
+# whole-number ones included; ``unique`` keeps the elements distinct by ==.
+fuzzy_elements = st.one_of(
+    st.sampled_from(ELEMENT_NAMES + ("3", "a b", "true")),
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+fuzzy_sets = st.lists(fuzzy_elements, unique=True, min_size=1, max_size=3).flatmap(
     lambda elements: st.lists(
         st.fractions(min_value=0, max_value=1, max_denominator=10),
         min_size=len(elements),
@@ -548,6 +554,12 @@ class TestRoundTrips:
     def test_structured_export_inverts(self, net):
         rebuilt = import_structured(export_structured(net))
         assert rebuilt == net
+
+    @WHOLE_NETWORK
+    @given(net=networks())
+    def test_equal_networks_export_equal_json(self, net):
+        # parse(serialize(net)) == net, so the two must export alike
+        assert export_structured(parse_network(serialize(net))) == export_structured(net)
 
 
 # ---------------------------------------------------------------------------
