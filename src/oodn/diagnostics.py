@@ -30,9 +30,8 @@ from .inheritance import (
     InheritancePlan,
     Link,
     Policy,
-    Selection,
-    SelectionMode,
     View,
+    exception_repair,
     merge,
     walk,
 )
@@ -95,10 +94,7 @@ def _exception_findings(
         conflicts = link.conflicts()
         if not conflicts:
             continue
-        names = tuple(sorted({name for name, _, _ in conflicts}))
-        narrowed = plan.selection_for(link.parent).restricted(
-            link.parent_view, set(names)
-        )
+        names, suggestion = exception_repair(plan, link, conflicts)
         detail = "; ".join(
             f"{name}: own {local.member.display()}={value_text(local.member)} "
             f"against arriving {arriving.member.display()}="
@@ -115,7 +111,7 @@ def _exception_findings(
                     f"{link.child!r} contradicts members inherited crisply from "
                     f"{link.parent!r}: {detail}"
                 ),
-                suggestion=plan.with_selections({link.parent: narrowed}),
+                suggestion=suggestion,
             )
         )
     return diagnostics
@@ -143,7 +139,6 @@ def _ambiguity_findings(
         for entry in link.taken.values():
             by_name.setdefault(entry.member.name, []).append((link.parent, entry))
     link_of = {link.parent: link for link in links}
-    selections = dict(plan.sources)
     diagnostics = []
     for name in sorted(by_name):
         contributions = by_name[name]
@@ -153,13 +148,10 @@ def _ambiguity_findings(
         keys = {entry.member.similarity_key() for _, entry in contributions}
         if len(keys) < 2:
             continue
-        narrowed = {
-            source: selections[source].restricted(link_of[source].parent_view, {name})
-            for source in involved
-        }
+        narrowed = {source: link_of[source].narrowed({name}) for source in involved}
         # Every other involved source is narrowed; the kept one stays whole.
         suggestion, *alternatives = (
-            plan.with_selections(narrowed | {kept: selections[kept]})
+            plan.with_selections(narrowed | {kept: link_of[kept].selection})
             for kept in involved
         )
         detail = "; ".join(
@@ -214,7 +206,6 @@ def _redundancy_findings(
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
     position = {name: index for index, (name, _) in enumerate(plan.sources)}
     link_of = {link.parent: link for link in links}
-    selections = dict(plan.sources)
     diagnostics = []
     flagged = [key for key, entries in groups.items() if len(entries) > 1]
     for key in sorted(flagged, key=lambda k: (k[1], str(k))):
@@ -231,12 +222,7 @@ def _redundancy_findings(
         suggestion = None
         if all(owner in link_of for owner in surplus):
             suggestion = plan.with_selections(
-                {
-                    owner: selections[owner].restricted(
-                        link_of[owner].parent_view, {name}
-                    )
-                    for owner in surplus
-                }
+                {owner: link_of[owner].narrowed({name}) for owner in surplus}
             )
         diagnostics.append(
             Diagnostic(
@@ -271,16 +257,12 @@ def _surplus_against_required(
     if not surplus:
         return []
 
-    def required_from(link: Link) -> Selection | None:
-        selection = plan.selection_for(link.parent)
-        names = dict.fromkeys(e.member.name for e in link.parent_view.values())
-        kept = tuple((n, selection.degree_for(n)) for n in names if n in required)
-        return Selection(SelectionMode.LISTED, kept) if kept else None
-
-    # Only the selections facing the heir decide what reaches it.
+    # Only the selections facing the heir decide what reaches it.  Each
+    # drops the surplus and so keeps only required names it already took.
     heir_facing = links[-1:] if plan.chain else links
+    excluded = set(surplus)
     suggestion = plan.with_selections(
-        {link.parent: required_from(link) for link in heir_facing}
+        {link.parent: link.narrowed(excluded) for link in heir_facing}
     )
     return [
         Diagnostic(

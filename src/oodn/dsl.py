@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import Any, Callable, TypeVar
 
 from .inheritance import (
     InheritancePlan,
@@ -54,7 +55,6 @@ from .model import (
     FuzzySet,
     HetClass,
     HomClass,
-    Member,
     MemberKind,
     MemberSet,
     Network,
@@ -72,10 +72,15 @@ from .model import (
     format_rational,
     format_untyped,
     member_text,
+    method,
+    prop,
     quote_text,
     untyped_type,
 )
 from .operations import make_network
+
+
+T = TypeVar("T")
 
 
 class ParseError(OodnError):
@@ -195,6 +200,21 @@ class _Parser:
             return True
         return False
 
+    def build(self, token: Token, make: Callable[..., T], *args: Any) -> T:
+        """``make(*args)``, with a model invariant it breaks reported as a
+        parse error at ``token``."""
+        try:
+            return make(*args)
+        except OodnError as exc:
+            raise self.fail(str(exc), token) from exc
+
+    def separated(self, read: Callable[[], T]) -> list[T]:
+        """One or more items, each consumed by ``read``, between commas."""
+        items = [read()]
+        while self.accept(","):
+            items.append(read())
+        return items
+
     def number(self, token: Token) -> Fraction:
         kind, text, _ = token
         if kind == "INT":
@@ -251,11 +271,9 @@ class _Parser:
         entries: list[DegreedMember] = []
         while not self.accept("}"):
             entries.append(self._parse_member(default_owner=name))
-        try:
-            spec, sig = MemberSet(entries).by_kind()
-            net.classes[name] = HomClass(name, spec=spec, sig=sig)
-        except OodnError as exc:
-            raise self.fail(str(exc), name_token) from exc
+        net.classes[name] = self.build(
+            name_token, lambda: HomClass(name, *MemberSet(entries).by_kind())
+        )
 
     def _parse_member(self, default_owner: str) -> DegreedMember:
         text = self.tokens[self.pos][1]
@@ -280,17 +298,8 @@ class _Parser:
         value = self._parse_value(value_type)
         degree = self._parse_degree_suffix()
         self.expect(";")
-        try:
-            member = Member(
-                MemberKind.PROPERTY,
-                name,
-                owner,
-                value_type=value_type,
-                value=value,
-            )
-            return DegreedMember(member, degree)
-        except OodnError as exc:
-            raise self.fail(str(exc), name_token) from exc
+        member = self.build(name_token, prop, name, value_type, value, owner)
+        return DegreedMember(member, degree)
 
     def _parse_method(self, default_owner: str) -> DegreedMember:
         self.expect("method")
@@ -298,29 +307,20 @@ class _Parser:
         self.expect("(")
         params: list[tuple[str, ValueType]] = []
         if not self.accept(")"):
-            while True:
-                pname = self.expect_kind("IDENT")[1]
-                self.expect(":")
-                params.append((pname, self._parse_type()))
-                if not self.accept(","):
-                    break
+            params = self.separated(self._parse_param)
             self.expect(")")
         returns = None
         if self.accept("->"):
             returns = self._parse_type()
         degree = self._parse_degree_suffix()
         self.expect(";")
-        try:
-            member = Member(
-                MemberKind.METHOD,
-                name,
-                owner,
-                params=tuple(params),
-                returns=returns,
-            )
-            return DegreedMember(member, degree)
-        except OodnError as exc:
-            raise self.fail(str(exc), name_token) from exc
+        member = self.build(name_token, method, name, owner, params, returns)
+        return DegreedMember(member, degree)
+
+    def _parse_param(self) -> tuple[str, ValueType]:
+        pname = self.expect_kind("IDENT")[1]
+        self.expect(":")
+        return pname, self._parse_type()
 
     def _parse_type(self) -> ValueType:
         token = self.expect_kind("IDENT")
@@ -336,10 +336,7 @@ class _Parser:
 
     def _parse_degree_number(self) -> Degree:
         token, value = self.numeral("a degree")
-        try:
-            return as_degree(value)
-        except OodnError as exc:
-            raise self.fail(str(exc), token) from exc
+        return self.build(token, as_degree, value)
 
     # -- values --------------------------------------------------------------
 
@@ -373,15 +370,9 @@ class _Parser:
         open_token = self.expect("{")
         entries: list[tuple[str | int | Fraction, Fraction]] = []
         if not self.accept("}"):
-            while True:
-                entries.append(self._parse_fuzzy_entry())
-                if not self.accept(","):
-                    break
+            entries = self.separated(self._parse_fuzzy_entry)
             self.expect("}")
-        try:
-            return FuzzySet(tuple(entries))
-        except OodnError as exc:
-            raise self.fail(str(exc), open_token) from exc
+        return self.build(open_token, FuzzySet, tuple(entries))
 
     def _parse_fuzzy_entry(self) -> tuple[str | int | Fraction, Fraction]:
         token = self.tokens[self.pos]
@@ -418,10 +409,9 @@ class _Parser:
             self.expect("=")
             overrides.append((member_name, self._parse_raw_value()))
             self.expect(";")
-        try:
-            net.objects[name] = ObjectInstance(name, class_ref, tuple(overrides))
-        except OodnError as exc:
-            raise self.fail(str(exc), name_token) from exc
+        net.objects[name] = self.build(
+            name_token, ObjectInstance, name, class_ref, tuple(overrides)
+        )
 
     def _parse_raw_value(self) -> Value:
         """Object override value, typed by its literal form alone."""
@@ -463,10 +453,9 @@ class _Parser:
         if self.accept("/"):
             degree = self._parse_degree_number()
         self.expect(";")
-        try:
-            net.relations.append(Relation(kind, source, target, label, degree))
-        except OodnError as exc:
-            raise self.fail(str(exc), kind_token) from exc
+        net.relations.append(
+            self.build(kind_token, Relation, kind, source, target, label, degree)
+        )
 
     # -- plans -----------------------------------------------------------------
 
@@ -479,16 +468,9 @@ class _Parser:
         while self.accept(link):
             sources.append(self._parse_source())
         self.expect(";")
-        try:
-            net.plans.append(
-                InheritancePlan(
-                    heir=heir_token[1],
-                    sources=tuple(sources),
-                    chain=chain,
-                )
-            )
-        except OodnError as exc:
-            raise self.fail(str(exc), heir_token) from exc
+        net.plans.append(
+            self.build(heir_token, InheritancePlan, heir_token[1], tuple(sources), chain)
+        )
 
     def _parse_source(self) -> tuple[str, Selection]:
         name = self.expect_kind("IDENT")[1]
@@ -500,27 +482,22 @@ class _Parser:
         )
         if forced_listed:
             self.pos += 1
-        entries: list[tuple[str, Degree]] = []
-        all_degreed = True
-        while True:
-            item = self.expect_kind("IDENT")[1]
-            if self.accept("/"):
-                entries.append((item, self._parse_degree_number()))
-            else:
-                entries.append((item, DEGREE_ONE))
-                all_degreed = False
-            if not self.accept(","):
-                break
+        items = self.separated(self._parse_selection_item)
         close = self.expect(")")
         mode = (
             SelectionMode.ALL
-            if all_degreed and not forced_listed
+            if not forced_listed and all(degree is not None for _, degree in items)
             else SelectionMode.LISTED
         )
-        try:
-            return name, Selection(mode, tuple(entries))
-        except OodnError as exc:
-            raise self.fail(str(exc), close) from exc
+        entries = tuple(
+            (item, DEGREE_ONE if degree is None else degree) for item, degree in items
+        )
+        return name, self.build(close, Selection, mode, entries)
+
+    def _parse_selection_item(self) -> tuple[str, Degree | None]:
+        """A selected name and its degree, None when it carries none."""
+        item = self.expect_kind("IDENT")[1]
+        return item, self._parse_degree_number() if self.accept("/") else None
 
     # -- heterogeneous classes --------------------------------------------------
 
@@ -548,10 +525,7 @@ class _Parser:
                 self.expect_kind("ARROW")
                 labels: list[str] = []
                 if not self.accept("core"):
-                    while True:
-                        labels.append(_unescape(self.expect_kind("STRING")[1]))
-                        if not self.accept(","):
-                            break
+                    labels = self.separated(self._parse_label)
                 self.expect(";")
                 if participant in participants:
                     raise self.fail(
@@ -564,15 +538,13 @@ class _Parser:
                     f"found {token[1]!r}",
                     token,
                 )
-        try:
-            net.classes[name] = HetClass(
-                name,
-                core=MemberSet(core),
-                projections=tuple(projections),
-                participants=participants,
-            )
-        except OodnError as exc:
-            raise self.fail(str(exc), name_token) from exc
+        net.classes[name] = self.build(
+            name_token,
+            lambda: HetClass(name, MemberSet(core), tuple(projections), participants),
+        )
+
+    def _parse_label(self) -> str:
+        return _unescape(self.expect_kind("STRING")[1])
 
     def _parse_projection(self, owner: str) -> Projection:
         self.expect("projection")
@@ -581,19 +553,15 @@ class _Parser:
         depends: list[str] = []
         if self.accept("depends"):
             self.expect("(")
-            while True:
-                depends.append(_unescape(self.expect_kind("STRING")[1]))
-                if not self.accept(","):
-                    break
+            depends = self.separated(self._parse_label)
             self.expect(")")
         self.expect("{")
         members: list[DegreedMember] = []
         while not self.accept("}"):
             members.append(self._parse_member(default_owner=owner))
-        try:
-            return Projection(label, MemberSet(members), tuple(depends))
-        except OodnError as exc:
-            raise self.fail(str(exc), label_token) from exc
+        return self.build(
+            label_token, lambda: Projection(label, MemberSet(members), tuple(depends))
+        )
 
 
 def parse_network(text: str) -> Network:
@@ -716,22 +684,14 @@ def _decode_member(raw: dict) -> DegreedMember:
     degree = as_degree(decode_rational(raw["degree"]))
     if raw["kind"] == "prop":
         value_type = _VALUE_TYPES[raw["type"]]
-        member = Member(
-            MemberKind.PROPERTY,
-            raw["name"],
-            raw["owner"],
-            value_type=value_type,
-            value=decode_value(value_type, raw["value"]),
-        )
+        value = decode_value(value_type, raw["value"])
+        member = prop(raw["name"], value_type, value, raw["owner"])
     else:
-        member = Member(
-            MemberKind.METHOD,
+        member = method(
             raw["name"],
             raw["owner"],
-            params=tuple(
-                (p["name"], _VALUE_TYPES[p["type"]]) for p in raw["params"]
-            ),
-            returns=_VALUE_TYPES[raw["returns"]] if raw["returns"] else None,
+            [(p["name"], _VALUE_TYPES[p["type"]]) for p in raw["params"]],
+            _VALUE_TYPES[raw["returns"]] if raw["returns"] else None,
         )
     return DegreedMember(member, degree)
 
@@ -853,6 +813,10 @@ def import_structured(text: str) -> Network:
         raise StructuredImportError(f"missing or unknown key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise StructuredImportError(f"malformed document: {exc}") from exc
+    except StructuredImportError:
+        raise
+    except OodnError as exc:  # a model or plan invariant the document breaks
+        raise StructuredImportError(str(exc)) from exc
 
 
 def _decode_network(document: dict) -> Network:

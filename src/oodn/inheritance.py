@@ -92,12 +92,6 @@ class Selection:
     def is_weak(self) -> bool:
         return any(degree.is_weak for _, degree in self.entries)
 
-    def degree_for(self, name: str) -> Degree:
-        for entry_name, degree in self.entries:
-            if entry_name == name:
-                return degree
-        return DEGREE_ONE
-
     @cached_property
     def text(self) -> str:
         """The selection as written after its source in a file, such as
@@ -114,7 +108,7 @@ class Selection:
             return f"(only {items})"
         return f"({items})"
 
-    def restricted(self, view: View, excluded: set[str]) -> Selection | None:
+    def restricted(self, view: View, excluded: Container[str]) -> Selection | None:
         """This selection narrowed to exclude the given bare names, over
         the members ``view`` offers; None when nothing is left."""
         degrees = dict(self.entries)
@@ -357,6 +351,12 @@ class Link:
         if self._conflicts is None:
             self._conflicts = _exception_conflicts(self.own, self.taken.values())
         return self._conflicts
+
+    def narrowed(self, excluded: Container[str]) -> Selection | None:
+        """This link's selection without the given bare names, over what
+        the parent holds; None when nothing is left.  Every repair narrows
+        through here, so a repaired take never exceeds the original one."""
+        return self.selection.restricted(self.parent_view, excluded)
 
 
 def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
@@ -620,13 +620,19 @@ def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
     return merged
 
 
+def exception_repair(
+    plan: InheritancePlan, link: Link, conflicts: list[Conflict]
+) -> tuple[tuple[str, ...], InheritancePlan | None]:
+    """The contradicted names, sorted, and the plan with the link's
+    selection narrowed to exclude them (None when no plan is left)."""
+    names = tuple(sorted({name for name, _, _ in conflicts}))
+    return names, plan.with_selections({link.parent: link.narrowed(names)})
+
+
 def _raise_exception_conflict(
     plan: InheritancePlan, link: Link, conflicts: list[Conflict]
 ) -> None:
-    names = tuple(sorted({name for name, _, _ in conflicts}))
-    narrowed = plan.selection_for(link.parent).restricted(
-        link.parent_view, set(names)
-    )
+    names, suggestion = exception_repair(plan, link, conflicts)
     detail = "; ".join(
         f"{name}: {local.member.display()}={value_text(local.member)} vs "
         f"{arriving.member.display()}={value_text(arriving.member)}"
@@ -638,7 +644,7 @@ def _raise_exception_conflict(
         f"{link.parent!r} ({detail}); exclude or weaken the inherited copy",
         subjects=(link.parent, link.child),
         members=names,
-        suggestion=plan.with_selections({link.parent: narrowed}),
+        suggestion=suggestion,
     )
 
 

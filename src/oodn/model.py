@@ -551,12 +551,6 @@ class MemberSet:
         subset._items = tuple(entries)
         return subset
 
-    def properties(self) -> "MemberSet":
-        return self._subset(e for e in self._items if e.member.kind is MemberKind.PROPERTY)
-
-    def methods(self) -> "MemberSet":
-        return self._subset(e for e in self._items if e.member.kind is MemberKind.METHOD)
-
     def by_kind(self) -> tuple["MemberSet", "MemberSet"]:
         """Properties and methods, split in one pass."""
         properties: list[DegreedMember] = []
@@ -749,7 +743,7 @@ class HetClass:
                 entries.extend(projection.members)
         return dedupe_similar(entries)
 
-    def full_content(self) -> MemberSet:
+    def members(self) -> MemberSet:
         """Core plus every projection, similar members collapsed."""
         entries: list[DegreedMember] = list(self.core)
         for projection in self.projections:
@@ -998,11 +992,7 @@ def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[V
 def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
     """Value type of every property an object of ``cls`` may set."""
     mapping: dict[str, ValueType] = {}
-    if isinstance(cls, HomClass):
-        entries = list(cls.spec)
-    else:
-        entries = [e for e in cls.full_content() if e.member.kind is MemberKind.PROPERTY]
-    for entry in entries:
+    for entry in cls.members():
         if entry.member.value_type is not None:
             mapping[entry.member.name] = entry.member.value_type
     return mapping
@@ -1057,18 +1047,12 @@ def is_fuzzy(net: Network) -> bool:
     for cls in net.classes.values():
         if class_is_fuzzy(cls):
             return True
+    # Every class is crisp by now, so an object is fuzzy by its own values.
     for obj in net.objects.values():
-        if _object_is_fuzzy(net, obj):
-            return True
+        for _, value in obj.member_values:
+            if isinstance(value, FuzzySet) and value.genuinely_fuzzy:
+                return True
     return any(relation.degree is not None for relation in net.relations)
-
-
-def _object_is_fuzzy(net: Network, obj: ObjectInstance) -> bool:
-    for _, value in obj.member_values:
-        if isinstance(value, FuzzySet) and value.genuinely_fuzzy:
-            return True
-    cls = net.classes.get(obj.class_ref)
-    return cls is not None and class_is_fuzzy(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,10 +1085,8 @@ def materialize(
     if hosts:
         return hosts[0].member_view(name)
     cls = net.classes.get(name)
-    if isinstance(cls, HomClass):
+    if cls is not None:
         return cls.members()
-    if isinstance(cls, HetClass):
-        return cls.full_content()
     obj = net.objects.get(name)
     if obj is not None:
         return _object_members(net, obj)
@@ -1119,17 +1101,10 @@ def _object_members(net: Network, obj: ObjectInstance) -> MemberSet:
         )
     overrides = obj.values()
     rebuilt: list[DegreedMember] = []
-    base = cls.members() if isinstance(cls, HomClass) else cls.full_content()
-    for entry in base:
+    for entry in cls.members():
         member = entry.member
         if member.kind is MemberKind.PROPERTY and member.name in overrides:
-            member = Member(
-                MemberKind.PROPERTY,
-                member.name,
-                obj.name,
-                value_type=member.value_type,
-                value=overrides[member.name],
-            )
+            member = prop(member.name, member.value_type, overrides[member.name], obj.name)
             rebuilt.append(DegreedMember(member, entry.degree))
         else:
             rebuilt.append(entry)

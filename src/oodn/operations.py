@@ -34,6 +34,7 @@ from .model import (
     declared_properties,
     dedupe_similar,
     materialize,
+    prop,
     validate_edit,
     violations_are_fatal,
 )
@@ -248,13 +249,7 @@ def modify_set_value(
         )
     old = entry.member
     try:
-        replaced = Member(
-            MemberKind.PROPERTY,
-            old.name,
-            old.owner,
-            value_type=old.value_type,
-            value=value,
-        )
+        replaced = prop(old.name, old.value_type, value, old.owner)
     except OodnError as exc:
         raise ModificationRejected(
             f"setting {member_name!r} on {target!r} rolled back: {exc}", []

@@ -247,11 +247,20 @@ GOLDEN = json.loads(
 )
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+# Streams and exit codes of `oodn diagnose --required R`, with and without
+# --apply-suggestions, on every fixture, recorded before every repair was made
+# to narrow through one method.  R makes each fixture with a plan report a
+# surplus; no required name reaches both of pathology_both.oodn's heirs.
+REQUIRED_GOLDEN = json.loads(
+    (DATA / "expected" / "diagnose_required.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN | REQUIRED_GOLDEN))
 def test_diagnose_output_matches_golden(case, capsys):
     fixture, *flags = case.split()
     code, out, err = run_cli(["diagnose", str(DATA / fixture), *flags], capsys)
-    expected = GOLDEN[case]
+    expected = (GOLDEN | REQUIRED_GOLDEN)[case]
     assert (code, out, err) == (
         expected["exit"],
         expected["stdout"],
@@ -308,6 +317,22 @@ def test_inherit_and_diagnose_suggest_the_same_repair(capsys, tmp_path):
     assert "  suggestion: H inherits B\n" in diagnosed
 
 
+def test_required_repair_only_narrows(capsys, tmp_path):
+    # Widening X's take to the required 'b' would make 'b' ambiguous.
+    path = tmp_path / "listed.oodn"
+    path.write_text(
+        "class X { prop a: int = 1; prop b: int = 2; }\n"
+        "class Y { prop b: int = 3; prop c: int = 3; }\n"
+        "H inherits X (a), Y;\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["diagnose", str(path), "--required", "b"], capsys)
+    assert code == 1
+    assert "  suggestion: H inherits Y (b)\n" in err
+    applied = ["diagnose", str(path), "--required", "b", "--apply-suggestions"]
+    assert run_cli(applied, capsys)[:2] == (0, "H inherits Y (b);\n")
+
+
 def test_redundancy_repair_keeps_the_strongest_copy(capsys, tmp_path):
     # A passes 'u' only at 0.5 while B passes it crisply: the repair narrows
     # A, so the heir still holds 'u' crisply.
@@ -341,8 +366,9 @@ def test_fuzzy_values_written_in_another_order_do_not_conflict(capsys, tmp_path)
 
 def test_golden_covers_every_fixture():
     fixtures = {path.name for path in DATA.glob("*.oodn")}
-    assert {case.split()[0] for case in GOLDEN} == fixtures
-    assert len(GOLDEN) == 2 * len(fixtures)
+    for golden in (GOLDEN, REQUIRED_GOLDEN):
+        assert {case.split()[0] for case in golden} == fixtures
+        assert len(golden) == 2 * len(fixtures)
 
 
 # Streams and exit codes of `oodn inherit` under every policy and format on

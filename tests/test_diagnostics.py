@@ -37,7 +37,7 @@ from oodn.model import (
 
 def hom(name: str, *entries) -> HomClass:
     ms = MemberSet(entries)
-    return HomClass(name, spec=ms.properties(), sig=ms.methods())
+    return HomClass(name, *ms.by_kind())
 
 
 def net_of(*classes: HomClass, plans=()) -> Network:
@@ -326,6 +326,30 @@ class TestRedundancyDetection:
         assert detect_redundancy(found.suggestion, net, required=["party"]) == []
         view = decompose(inherit(found.suggestion, net), "Nixon")
         assert sorted(e.member.name for e in view) == ["elected", "party"]
+
+    def test_required_repair_never_widens_a_listed_take(self):
+        # X's take lists only 'a': narrowing X to the required 'b' would
+        # widen it and make 'b' arrive from both sources.
+        net = parse_network(
+            "class X { prop a: int = 1; prop b: int = 2; }\n"
+            "class Y { prop b: int = 3; prop c: int = 3; }\n"
+            "H inherits X (a), Y;\n"
+        )
+        assert diagnose_all(net) == []
+        [found] = diagnose_all(net, required=["b"])
+        assert found.members == ("a", "c")
+        assert found.suggestion.describe() == "H inherits Y (b)"
+        net.plans[:] = [found.suggestion]
+        assert diagnose_all(net, required=["b"]) == []
+
+    def test_required_repair_keeps_a_listed_take_in_written_order(self):
+        net = parse_network(
+            "class A { prop p: int = 1; prop q: int = 2; prop r: int = 3; }\n"
+            "class H { }\n"
+            "H inherits A (r, q, p);\n"
+        )
+        [found] = diagnose_all(net, required=["p", "r"])
+        assert found.suggestion.describe() == "H inherits A (r, p)"
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,52 @@ class TestStructuredImportErrors:
         item["element_kind"], item["element"] = kind, element
         self.rejects(doc)
 
+    # Each edit breaks a model or plan invariant that construction checks.
+    BROKEN_INVARIANTS = {
+        "degree above 1": (
+            lambda doc: doc["classes"][0]["spec"][1].update(degree="3/2"),
+            "degree must lie in (0, 1], got 3/2",
+        ),
+        "membership above 1": (
+            lambda doc: doc["classes"][0]["spec"][0]["value"][0].update(membership="2"),
+            "fuzzy membership must lie in [0, 1], got 2",
+        ),
+        "fuzzy element twice": (
+            lambda doc: (items := doc["classes"][0]["spec"][0]["value"]).append(items[0]),
+            "duplicate fuzzy element 'a'",
+        ),
+        "member twice": (
+            lambda doc: (items := doc["classes"][0]["spec"]).append(items[0]),
+            "duplicate member 'f' owned by 'A' in one member set",
+        ),
+        "plan source twice": (
+            lambda doc: (items := doc["plans"][0]["sources"]).append(items[0]),
+            "an inheritance plan names a source twice",
+        ),
+        "heir as its own source": (
+            lambda doc: doc["plans"][0]["sources"][0].update({"class": "B"}),
+            "heir 'B' cannot be its own source",
+        ),
+        "selection naming a member twice": (
+            lambda doc: doc["plans"][0]["sources"][0]["selection"].update(
+                entries=[{"name": "f", "degree": "1"}] * 2
+            ),
+            "selection names a member twice",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
+    def test_broken_invariant_is_a_typed_error(self, case):
+        net = parse_network(
+            "class A { prop f: fuzzy = {a: 1}; prop r: real = 1/2 /0.5; }\n"
+            "class B { }\n"
+            "B inherits A;\n"
+        )
+        doc = json.loads(export_structured(net))
+        edit, message = self.BROKEN_INVARIANTS[case]
+        edit(doc)
+        assert str(self.rejects(doc)) == message
+
     def test_type_checks_survive_optimized_mode(self):
         doc = self.document()
         self.members(doc)[0]["value"] = 5

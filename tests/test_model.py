@@ -219,8 +219,9 @@ class TestMemberSet:
         assert ms.get("A1", "p1").member is p
         assert ms.get("A1", "zz") is None
         assert names(ms) == ["p1", "f1"]
-        assert list(ms.properties())[0].member is p
-        assert list(ms.methods())[0].member is f
+        properties, methods = ms.by_kind()
+        assert [e.member for e in properties] == [p]
+        assert [e.member for e in methods] == [f]
         assert len(ms.extended(prop("p2", ValueType.INT, 2, "A1"))) == 3
         assert len(ms.without("A1", "p1")) == 1
 
@@ -249,7 +250,7 @@ class TestMemberSet:
 
 def _hom(name: str, *entries) -> HomClass:
     ms = MemberSet(entries)
-    return HomClass(name, spec=ms.properties(), sig=ms.methods())
+    return HomClass(name, *ms.by_kind())
 
 
 class TestHomClass:
@@ -387,7 +388,7 @@ class TestHetClass:
         )
         assert names(het.member_view("A")) == ["shared", "pa"]
         assert names(het.member_view("C")) == ["shared"]
-        assert names(het.full_content()) == ["shared", "pa", "pb"]
+        assert names(het.members()) == ["shared", "pa", "pb"]
         with pytest.raises(UnknownEntityError):
             het.member_view("zz")
 

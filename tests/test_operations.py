@@ -42,7 +42,7 @@ from oodn.operations import (
 
 def hom(name: str, *entries) -> HomClass:
     ms = MemberSet(entries)
-    return HomClass(name, spec=ms.properties(), sig=ms.methods())
+    return HomClass(name, *ms.by_kind())
 
 
 def sample_net() -> Network:

@@ -16,6 +16,8 @@ from oodn.inheritance import (
     build_views,
     decompose,
     inherit,
+    merge,
+    walk,
 )
 from oodn.model import (
     DEGREE_ONE,
@@ -244,7 +246,7 @@ def crisp_chains(draw):
             else:
                 entries.append(method(name, cname))
         ms = MemberSet(entries)
-        net.classes[cname] = HomClass(cname, ms.properties(), ms.methods())
+        net.classes[cname] = HomClass(cname, *ms.by_kind())
     return net, chain
 
 
@@ -376,7 +378,7 @@ class TestChainFlattening:
         net, chain = data
         het = inherit(full_chain_plan(chain), net)
         total = sum(len(net.classes[c].members()) for c in chain)
-        assert len(het.full_content()) == total
+        assert len(het.members()) == total
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ def similar_classes(draw, name: str) -> HomClass:
         for m in draw(st.lists(st.sampled_from(METHOD_NAMES[:2]), unique=True))
     ]
     members = MemberSet(entries)
-    return HomClass(name, members.properties(), members.methods())
+    return HomClass(name, *members.by_kind())
 
 
 @st.composite
@@ -489,6 +491,39 @@ class TestRepairs:
             }
             if exceptions == (finding.kind == "exception"):
                 inherit(repaired, net, Policy.MIN)  # no other conflict is left
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans(), choice=st.data())
+    def test_suggestions_only_narrow_what_each_source_took(self, data, choice):
+        net, plan = data
+        net.plans.append(plan)
+        try:
+            links = walk(plan, net)
+        except OodnError:
+            assume(False)
+        arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+        arrived = sorted({entry.member.name for entry in arrivals.values()})
+        assume(arrived)
+        required = choice.draw(
+            st.lists(st.sampled_from(arrived), unique=True, min_size=1)
+        )
+        offered = {
+            link.parent: [e.member.name for e in link.parent_view.values()]
+            for link in links
+        }
+
+        def takes(selection: Selection, source: str) -> dict:
+            factors = dict(selection.entries)
+            if selection.mode is SelectionMode.LISTED:
+                return factors
+            return {name: factors.get(name, DEGREE_ONE) for name in offered[source]}
+
+        for finding in diagnose_all(net, required=required):
+            if finding.suggestion is None:
+                continue
+            for source, selection in finding.suggestion.sources:
+                before = takes(plan.selection_for(source), source)
+                assert takes(selection, source).items() <= before.items()
 
 
 class TestHashing:
