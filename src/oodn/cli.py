@@ -22,7 +22,6 @@ invocation itself is wrong (usage, missing file, unsatisfiable
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from enum import IntEnum
 from pathlib import Path
@@ -33,6 +32,7 @@ from .dsl import (
     encode_hetclass,
     export_graph,
     export_structured,
+    json_text,
     parse_network,
     serialize,
     serialize_hetclass,
@@ -137,7 +137,7 @@ def _cmd_inherit(args: argparse.Namespace) -> ExitStatus:
     results = _run_plans(net, _policy(args.policy))
     if args.format == "json":
         document = [encode_hetclass(het) for het in results]
-        print(json.dumps(document, indent=2))
+        print(json_text(document))
         return ExitStatus.OK
     blocks = [serialize_hetclass(het) for het in results]
     sys.stdout.write("\n\n".join(blocks) + ("\n" if blocks else ""))

@@ -285,7 +285,15 @@ def diagnose_all(
     """All findings over every declared plan, in declaration order.
 
     Each plan is walked once and the walk is shared by all three detectors.
+    Raises :class:`RequirementError` when a plan cannot deliver every
+    ``required`` name, or when members are required of a network that
+    declares no plan, since nothing delivers them there.
     """
+    if required and not net.plans:
+        raise RequirementError(
+            "no plan is declared to deliver the required members: "
+            f"{', '.join(sorted(required))}"
+        )
     findings: list[Diagnostic] = []
     for plan in net.plans:
         links = walk(plan, net)

@@ -40,6 +40,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, TypeVar
 
 from .inheritance import (
@@ -97,46 +99,87 @@ class ParseError(OodnError):
 # ---------------------------------------------------------------------------
 
 
-# (kind, text, start offset); the line and column of an offset are worked
-# out only when an error is reported there.
-Token = tuple[str, str, int]
-
+# The one token definition.  Whitespace and comments match outside the group,
+# so ``findall`` gives "" for them; every other match gives its token's text.
+# Branches that can start with the same character keep their order (a comment
+# before ``/``, an arrow before a negative number, a ratio before a decimal
+# before an integer); the commonest tokens come first, and the last branch
+# takes a character no other branch accepts.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>//[^\n]*)
-  | (?P<ARROW>->)
-  | (?P<RATIO>-?\d+/\d+(?![.\d]))
-  | (?P<DECIMAL>-?\d+\.\d+)
-  | (?P<INT>-?\d+)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<PUNCT>[{}():;,=./])
-  | (?P<BAD>.)
+    \s+
+  | //[^\n]*
+  | ( [A-Za-z_][A-Za-z0-9_]*    # identifier
+    | [{}():;,=./]              # punctuation
+    | ->
+    | -?\d+/\d+(?![.\d])        # ratio
+    | -?\d+\.\d+                # decimal
+    | -?\d+                     # integer
+    | "(?:[^"\\\n]|\\.)*"       # string
+    | .                         # a bad character
+    )
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCTUATION = frozenset("{}():;,=./")
+_SINGLES = _IDENT_START | _PUNCTUATION
+_NUMBER_KINDS = ("INT", "DECIMAL", "RATIO")
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of ``offset`` in ``text``."""
+def _kind(token: str) -> str:
+    """The kind of a token, told from its text; "" is the end of input.
+
+    An identifier starts with an ASCII letter or ``_``, a string with ``"``,
+    and a number with a digit or ``-``; the separator a number holds tells
+    a ratio from a decimal.
+    """
+    first = token[:1]
+    if first in _IDENT_START:
+        return "IDENT"
+    if first == '"':
+        return "STRING"
+    if token == "->":
+        return "ARROW"
+    if first in _PUNCTUATION:
+        return "PUNCT"
+    if not token:
+        return "EOF"
+    if "/" in token:
+        return "RATIO"
+    return "DECIMAL" if "." in token else "INT"
+
+
+def _is_bad(token: str) -> bool:
+    """Whether ``token`` is a character that starts no token.
+
+    Only the last branch of the token definition gives a lone character
+    other than a letter, ``_``, a punctuation mark or a digit."""
+    return len(token) == 1 and token not in _SINGLES and not token.isdecimal()
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column where token number ``index`` of ``text``
+    starts; an index past the last token is the end of the text.
+
+    Tokens carry no offsets, so an error finds its token's offset by
+    scanning again up to that token."""
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    offset = next(islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Every token of ``text``, ending in an end-of-input token."""
-    tokens = [
-        (kind, match.group(), match.start())
-        for match in _TOKEN_RE.finditer(text)
-        if (kind := match.lastgroup) != "WS" and kind != "COMMENT"
-    ]
-    bad = next((token for token in tokens if token[0] == "BAD"), None)
-    if bad is not None:
-        _, char, start = bad
-        raise ParseError(f"unexpected character {char!r}", *_position(text, start))
-    tokens.append(("EOF", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The text of every token of ``text``, ending in "" for end of input."""
+    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    if any(map(_is_bad, set(tokens))):
+        index = next(i for i, token in enumerate(tokens) if _is_bad(token))
+        raise ParseError(
+            f"unexpected character {tokens[index]!r}", *_position(text, index)
+        )
+    tokens.append("")
     return tokens
 
 
@@ -152,15 +195,16 @@ def _unescape(raw: str) -> str:
 _VALUE_TYPES = {t.value: t for t in ValueType}
 _RELATION_KINDS = {k.value: k for k in RelationKind}
 _KEYWORDS = {"class", "hetclass", "object", "relation"}
-_NUMBER_TOKENS = ("INT", "DECIMAL", "RATIO")
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token texts.
 
     A punctuation mark, an arrow or a keyword is told apart by its text
-    alone, since no other kind of token can have that text.  Nothing reads
-    past the end-of-input token: only a token already checked is consumed.
+    alone, since no other kind of token can have that text.  A token is
+    named by its index in the list, which an error turns into a line and
+    column.  Nothing reads past the end-of-input token: only a token
+    already checked is consumed.
     """
 
     def __init__(self, text: str) -> None:
@@ -170,43 +214,51 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def fail(self, message: str, token: Token | None = None) -> ParseError:
-        start = (token or self.tokens[self.pos])[2]
-        return ParseError(message, *_position(self.text, start))
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A parse error at token number ``at``, by default the next one."""
+        return ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def _expected(self, wanted: str, token: Token) -> ParseError:
-        shown = token[1] or "end of input"
-        return self.fail(f"expected {wanted!r}, found {shown!r}", token)
+    def _expected(self, wanted: str) -> ParseError:
+        shown = self.tokens[self.pos] or "end of input"
+        return self.fail(f"expected {wanted!r}, found {shown!r}")
 
-    def expect(self, text: str) -> Token:
-        """Consume the punctuation mark or keyword ``text``."""
+    def expect(self, text: str, name: str | None = None) -> None:
+        """Consume the punctuation mark, arrow or keyword ``text``; an error
+        calls it ``name``, by default ``text`` itself."""
+        if self.tokens[self.pos] != text:
+            raise self._expected(name or text)
+        self.pos += 1
+
+    def ident(self) -> str:
+        """Consume an identifier and return it."""
         token = self.tokens[self.pos]
-        if token[1] != text:
-            raise self._expected(text, token)
+        if token[:1] not in _IDENT_START:
+            raise self._expected("ident")
         self.pos += 1
         return token
 
-    def expect_kind(self, kind: str) -> Token:
+    def string(self) -> str:
+        """Consume a quoted string and return its unescaped text."""
         token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise self._expected(kind.lower(), token)
+        if token[:1] != '"':
+            raise self._expected("string")
         self.pos += 1
-        return token
+        return _unescape(token)
 
     def accept(self, text: str) -> bool:
         """Consume the punctuation mark or keyword ``text`` if it is next."""
-        if self.tokens[self.pos][1] == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def build(self, token: Token, make: Callable[..., T], *args: Any) -> T:
+    def build(self, at: int, make: Callable[..., T], *args: Any) -> T:
         """``make(*args)``, with a model invariant it breaks reported as a
-        parse error at ``token``."""
+        parse error at token number ``at``."""
         try:
             return make(*args)
         except OodnError as exc:
-            raise self.fail(str(exc), token) from exc
+            raise self.fail(str(exc), at) from exc
 
     def separated(self, read: Callable[[], T]) -> list[T]:
         """One or more items, each consumed by ``read``, between commas."""
@@ -215,24 +267,27 @@ class _Parser:
             items.append(read())
         return items
 
-    def number(self, token: Token) -> Fraction:
-        kind, text, _ = token
-        if kind == "INT":
-            return Fraction(int(text))
-        if kind == "RATIO":
-            numerator, denominator = text.split("/")
-            if int(denominator):
-                return Fraction(int(numerator), int(denominator))
-            raise self.fail(f"zero denominator in {text!r}", token)
-        return Fraction(text)
-
-    def numeral(self, what: str) -> tuple[Token, Fraction]:
-        """Consume a number token, or fail saying ``what`` was expected."""
+    def number(self) -> Fraction:
+        """Consume the number token that is next."""
         token = self.tokens[self.pos]
-        if token[0] not in _NUMBER_TOKENS:
-            raise self.fail(f"expected {what}, found {token[1]!r}", token)
+        kind = _kind(token)
+        if kind == "RATIO":
+            numerator, denominator = token.split("/")
+            if not int(denominator):
+                raise self.fail(f"zero denominator in {token!r}")
+            value = Fraction(int(numerator), int(denominator))
+        else:
+            value = Fraction(int(token) if kind == "INT" else token)
         self.pos += 1
-        return token, self.number(token)
+        return value
+
+    def numeral(self, what: str) -> tuple[int, Fraction]:
+        """The index and value of the number token that is next, consumed;
+        fails saying ``what`` was expected if none is."""
+        token = self.tokens[self.pos]
+        if _kind(token) not in _NUMBER_KINDS:
+            raise self.fail(f"expected {what}, found {token!r}")
+        return self.pos, self.number()
 
     # -- document ----------------------------------------------------------
 
@@ -244,66 +299,66 @@ class _Parser:
             "object": self._parse_object,
             "relation": self._parse_relation,
         }
-        while (token := self.tokens[self.pos])[0] != "EOF":
-            if token[0] != "IDENT":
-                raise self.fail(f"expected a declaration, found {token[1]!r}", token)
-            declarations.get(token[1], self._parse_plan)(net)
+        while token := self.tokens[self.pos]:
+            if token[:1] not in _IDENT_START:
+                raise self.fail(f"expected a declaration, found {token!r}")
+            declarations.get(token, self._parse_plan)(net)
         return net
 
-    def _declare_class(self, net: Network, name: str, token: Token) -> None:
+    def _declare_class(self, net: Network, name: str, at: int) -> None:
         if name in net.classes:
-            raise self.fail(f"class {name!r} declared twice", token)
+            raise self.fail(f"class {name!r} declared twice", at)
         if name in net.objects:
-            raise self.fail(
-                f"{name!r} already names an object", token
-            )
+            raise self.fail(f"{name!r} already names an object", at)
 
     # -- homogeneous classes -----------------------------------------------
 
     def _parse_class(self, net: Network) -> None:
         self.expect("class")
-        name_token = self.expect_kind("IDENT")
-        name = name_token[1]
+        at = self.pos
+        name = self.ident()
         if name in _KEYWORDS:
-            raise self.fail(f"{name!r} cannot name a class", name_token)
-        self._declare_class(net, name, name_token)
+            raise self.fail(f"{name!r} cannot name a class", at)
+        self._declare_class(net, name, at)
         self.expect("{")
         entries: list[DegreedMember] = []
         while not self.accept("}"):
             entries.append(self._parse_member(default_owner=name))
         net.classes[name] = self.build(
-            name_token, lambda: HomClass(name, *MemberSet(entries).by_kind())
+            at, lambda: HomClass(name, *MemberSet(entries).by_kind())
         )
 
     def _parse_member(self, default_owner: str) -> DegreedMember:
-        text = self.tokens[self.pos][1]
+        text = self.tokens[self.pos]
         if text == "prop":
             return self._parse_prop(default_owner)
         if text == "method":
             return self._parse_method(default_owner)
         raise self.fail(f"expected 'prop' or 'method', found {text!r}")
 
-    def _parse_member_name(self, default_owner: str) -> tuple[str, str, Token]:
-        first = self.expect_kind("IDENT")
+    def _parse_member_name(self, default_owner: str) -> tuple[str, str]:
+        first = self.ident()
         if self.accept("."):
-            return first[1], self.expect_kind("IDENT")[1], first
-        return default_owner, first[1], first
+            return first, self.ident()
+        return default_owner, first
 
     def _parse_prop(self, default_owner: str) -> DegreedMember:
         self.expect("prop")
-        owner, name, name_token = self._parse_member_name(default_owner)
+        at = self.pos
+        owner, name = self._parse_member_name(default_owner)
         self.expect(":")
         value_type = self._parse_type()
         self.expect("=")
         value = self._parse_value(value_type)
         degree = self._parse_degree_suffix()
         self.expect(";")
-        member = self.build(name_token, prop, name, value_type, value, owner)
+        member = self.build(at, prop, name, value_type, value, owner)
         return DegreedMember(member, degree)
 
     def _parse_method(self, default_owner: str) -> DegreedMember:
         self.expect("method")
-        owner, name, name_token = self._parse_member_name(default_owner)
+        at = self.pos
+        owner, name = self._parse_member_name(default_owner)
         self.expect("(")
         params: list[tuple[str, ValueType]] = []
         if not self.accept(")"):
@@ -314,19 +369,19 @@ class _Parser:
             returns = self._parse_type()
         degree = self._parse_degree_suffix()
         self.expect(";")
-        member = self.build(name_token, method, name, owner, params, returns)
+        member = self.build(at, method, name, owner, params, returns)
         return DegreedMember(member, degree)
 
     def _parse_param(self) -> tuple[str, ValueType]:
-        pname = self.expect_kind("IDENT")[1]
+        pname = self.ident()
         self.expect(":")
         return pname, self._parse_type()
 
     def _parse_type(self) -> ValueType:
-        token = self.expect_kind("IDENT")
-        value_type = _VALUE_TYPES.get(token[1])
+        at = self.pos
+        value_type = _VALUE_TYPES.get(self.ident())
         if value_type is None:
-            raise self.fail(f"unknown type {token[1]!r}", token)
+            raise self.fail(f"unknown type {self.tokens[at]!r}", at)
         return value_type
 
     def _parse_degree_suffix(self) -> Degree:
@@ -335,58 +390,55 @@ class _Parser:
         return self._parse_degree_number()
 
     def _parse_degree_number(self) -> Degree:
-        token, value = self.numeral("a degree")
-        return self.build(token, as_degree, value)
+        at, value = self.numeral("a degree")
+        return self.build(at, as_degree, value)
 
     # -- values --------------------------------------------------------------
 
     def _parse_value(self, value_type: ValueType) -> Value:
         token = self.tokens[self.pos]
-        kind, text, _ = token
         if value_type is ValueType.INT:
-            if kind != "INT":
-                raise self.fail(f"expected an integer, found {text!r}", token)
+            if _kind(token) != "INT":
+                raise self.fail(f"expected an integer, found {token!r}")
             self.pos += 1
-            return int(text)
+            return int(token)
         if value_type is ValueType.REAL:
             return self.numeral("a number")[1]
         if value_type is ValueType.BOOL:
-            if text in ("true", "false"):
+            if token in ("true", "false"):
                 self.pos += 1
-                return text == "true"
-            raise self.fail(
-                f"expected 'true' or 'false', found {text!r}", token
-            )
+                return token == "true"
+            raise self.fail(f"expected 'true' or 'false', found {token!r}")
         if value_type is ValueType.TEXT:
-            if kind != "STRING":
-                raise self.fail(
-                    f"expected a quoted string, found {text!r}", token
-                )
-            self.pos += 1
-            return _unescape(text)
+            if token[:1] != '"':
+                raise self.fail(f"expected a quoted string, found {token!r}")
+            return self.string()
         return self._parse_fuzzy_set()
 
     def _parse_fuzzy_set(self) -> FuzzySet:
-        open_token = self.expect("{")
+        at = self.pos
+        self.expect("{")
         entries: list[tuple[str | int | Fraction, Fraction]] = []
         if not self.accept("}"):
             entries = self.separated(self._parse_fuzzy_entry)
             self.expect("}")
-        return self.build(open_token, FuzzySet, tuple(entries))
+        return self.build(at, FuzzySet, tuple(entries))
 
     def _parse_fuzzy_entry(self) -> tuple[str | int | Fraction, Fraction]:
         token = self.tokens[self.pos]
-        kind, text, _ = token
+        kind = _kind(token)
         element: str | int | Fraction
         if kind == "IDENT":
-            element = text
+            element = self.ident()
         elif kind == "STRING":
-            element = _unescape(text)
-        elif kind in _NUMBER_TOKENS:
-            element = int(text) if kind == "INT" else self.number(token)
+            element = self.string()
+        elif kind == "INT":
+            element = int(token)
+            self.pos += 1
+        elif kind in _NUMBER_KINDS:
+            element = self.number()
         else:
-            raise self.fail(f"expected a fuzzy element, found {text!r}", token)
-        self.pos += 1
+            raise self.fail(f"expected a fuzzy element, found {token!r}")
         self.expect(":")
         return element, self.numeral("a membership")[1]
 
@@ -394,96 +446,94 @@ class _Parser:
 
     def _parse_object(self, net: Network) -> None:
         self.expect("object")
-        name_token = self.expect_kind("IDENT")
-        name = name_token[1]
+        at = self.pos
+        name = self.ident()
         if name in net.objects:
-            raise self.fail(f"object {name!r} declared twice", name_token)
+            raise self.fail(f"object {name!r} declared twice", at)
         if name in net.classes:
-            raise self.fail(f"{name!r} already names a class", name_token)
+            raise self.fail(f"{name!r} already names a class", at)
         self.expect(":")
-        class_ref = self.expect_kind("IDENT")[1]
+        class_ref = self.ident()
         overrides: list[tuple[str, Value]] = []
         self.expect("{")
         while not self.accept("}"):
-            member_name = self.expect_kind("IDENT")[1]
+            member_name = self.ident()
             self.expect("=")
             overrides.append((member_name, self._parse_raw_value()))
             self.expect(";")
         net.objects[name] = self.build(
-            name_token, ObjectInstance, name, class_ref, tuple(overrides)
+            at, ObjectInstance, name, class_ref, tuple(overrides)
         )
 
     def _parse_raw_value(self) -> Value:
         """Object override value, typed by its literal form alone."""
         token = self.tokens[self.pos]
-        kind, text, _ = token
+        kind = _kind(token)
         if kind == "INT":
             self.pos += 1
-            return int(text)
-        if kind in ("DECIMAL", "RATIO"):
-            self.pos += 1
-            return self.number(token)
+            return int(token)
+        if kind in _NUMBER_KINDS:
+            return self.number()
         if kind == "STRING":
+            return self.string()
+        if token in ("true", "false"):
             self.pos += 1
-            return _unescape(text)
-        if text in ("true", "false"):
-            self.pos += 1
-            return text == "true"
-        if text == "{":
+            return token == "true"
+        if token == "{":
             return self._parse_fuzzy_set()
-        raise self.fail(f"expected a value, found {text!r}", token)
+        raise self.fail(f"expected a value, found {token!r}")
 
     # -- relations -----------------------------------------------------------
 
     def _parse_relation(self, net: Network) -> None:
         self.expect("relation")
-        kind_token = self.expect_kind("IDENT")
-        kind = _RELATION_KINDS.get(kind_token[1])
+        at = self.pos
+        kind = _RELATION_KINDS.get(self.ident())
         if kind is None:
-            raise self.fail(
-                f"unknown relation kind {kind_token[1]!r}", kind_token
-            )
+            raise self.fail(f"unknown relation kind {self.tokens[at]!r}", at)
         label = None
         if kind is RelationKind.ASSOCIATION:
-            label = self.expect_kind("IDENT")[1]
-        source = self.expect_kind("IDENT")[1]
-        self.expect_kind("ARROW")
-        target = self.expect_kind("IDENT")[1]
+            label = self.ident()
+        source = self.ident()
+        self.expect("->", "arrow")
+        target = self.ident()
         degree = None
         if self.accept("/"):
             degree = self._parse_degree_number()
         self.expect(";")
         net.relations.append(
-            self.build(kind_token, Relation, kind, source, target, label, degree)
+            self.build(at, Relation, kind, source, target, label, degree)
         )
 
     # -- plans -----------------------------------------------------------------
 
     def _parse_plan(self, net: Network) -> None:
-        heir_token = self.expect_kind("IDENT")
+        at = self.pos
+        heir = self.ident()
         self.expect("inherits")
         sources = [self._parse_source()]
-        chain = self.tokens[self.pos][1] != ","
+        chain = self.tokens[self.pos] != ","
         link = "inherits" if chain else ","
         while self.accept(link):
             sources.append(self._parse_source())
         self.expect(";")
         net.plans.append(
-            self.build(heir_token, InheritancePlan, heir_token[1], tuple(sources), chain)
+            self.build(at, InheritancePlan, heir, tuple(sources), chain)
         )
 
     def _parse_source(self) -> tuple[str, Selection]:
-        name = self.expect_kind("IDENT")[1]
+        name = self.ident()
         if not self.accept("("):
             return name, Selection()
         forced_listed = (
-            self.tokens[self.pos][1] == "only"
-            and self.tokens[self.pos + 1][0] == "IDENT"
+            self.tokens[self.pos] == "only"
+            and self.tokens[self.pos + 1][:1] in _IDENT_START
         )
         if forced_listed:
             self.pos += 1
         items = self.separated(self._parse_selection_item)
-        close = self.expect(")")
+        at = self.pos
+        self.expect(")")
         mode = (
             SelectionMode.ALL
             if not forced_listed and all(degree is not None for _, degree in items)
@@ -492,75 +542,72 @@ class _Parser:
         entries = tuple(
             (item, DEGREE_ONE if degree is None else degree) for item, degree in items
         )
-        return name, self.build(close, Selection, mode, entries)
+        return name, self.build(at, Selection, mode, entries)
 
     def _parse_selection_item(self) -> tuple[str, Degree | None]:
         """A selected name and its degree, None when it carries none."""
-        item = self.expect_kind("IDENT")[1]
+        item = self.ident()
         return item, self._parse_degree_number() if self.accept("/") else None
 
     # -- heterogeneous classes --------------------------------------------------
 
     def _parse_hetclass(self, net: Network) -> None:
         self.expect("hetclass")
-        name_token = self.expect_kind("IDENT")
-        name = name_token[1]
-        self._declare_class(net, name, name_token)
+        at = self.pos
+        name = self.ident()
+        self._declare_class(net, name, at)
         self.expect("{")
         core: list[DegreedMember] = []
         projections: list[Projection] = []
         participants: dict[str, tuple[str, ...]] = {}
         while not self.accept("}"):
-            token = self.tokens[self.pos]
-            if token[1] == "core":
+            section = self.pos
+            token = self.tokens[section]
+            if token == "core":
                 self.pos += 1
                 self.expect("{")
                 while not self.accept("}"):
                     core.append(self._parse_member(default_owner=name))
-            elif token[1] == "projection":
+            elif token == "projection":
                 projections.append(self._parse_projection(name))
-            elif token[1] == "participant":
+            elif token == "participant":
                 self.pos += 1
-                participant = self.expect_kind("IDENT")[1]
-                self.expect_kind("ARROW")
+                participant = self.ident()
+                self.expect("->", "arrow")
                 labels: list[str] = []
                 if not self.accept("core"):
-                    labels = self.separated(self._parse_label)
+                    labels = self.separated(self.string)
                 self.expect(";")
                 if participant in participants:
                     raise self.fail(
-                        f"participant {participant!r} declared twice", token
+                        f"participant {participant!r} declared twice", section
                     )
                 participants[participant] = tuple(labels)
             else:
                 raise self.fail(
                     "expected 'core', 'projection', or 'participant', "
-                    f"found {token[1]!r}",
-                    token,
+                    f"found {token!r}"
                 )
         net.classes[name] = self.build(
-            name_token,
+            at,
             lambda: HetClass(name, MemberSet(core), tuple(projections), participants),
         )
 
-    def _parse_label(self) -> str:
-        return _unescape(self.expect_kind("STRING")[1])
-
     def _parse_projection(self, owner: str) -> Projection:
         self.expect("projection")
-        label_token = self.expect_kind("STRING")
-        label = _unescape(label_token[1])
+        at = self.pos
+        label = self.string()
         depends: list[str] = []
         if self.accept("depends"):
             self.expect("(")
-            depends = self.separated(self._parse_label)
+            depends = self.separated(self.string)
             self.expect(")")
         self.expect("{")
         members: list[DegreedMember] = []
         while not self.accept("}"):
             members.append(self._parse_member(default_owner=owner))
         return self.build(
-            label_token, lambda: Projection(label, MemberSet(members), tuple(depends))
+            at, lambda: Projection(label, MemberSet(members), tuple(depends))
         )
 
 
@@ -656,6 +703,47 @@ def serialize(net: Network) -> str:
 # ---------------------------------------------------------------------------
 # Structured (JSON) export and import
 # ---------------------------------------------------------------------------
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def json_text(document: object) -> str:
+    """``document`` as ``json.dumps(document, indent=2)`` writes it.
+
+    ``document`` holds dicts with string keys, lists, strings, ints, bools
+    and None, as every ``oodn`` export does; anything else is a TypeError.
+    With ``indent`` set, the standard library leaves its C encoder for a
+    pure-Python one.  This writer joins each container's items at once and
+    escapes strings with the C escaper ``json.dumps`` itself uses.
+    """
+    return _json_text(document, "\n")
+
+
+def _json_text(value: object, newline: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is int:
+        return str(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def _encode_member(entry: DegreedMember) -> dict:
@@ -794,7 +882,7 @@ def export_structured(net: Network) -> str:
         "modifiers": sorted(net.modifiers),
         "plans": plans,
     }
-    return json.dumps(document, indent=2) + "\n"
+    return json_text(document) + "\n"
 
 
 def _encode_untyped(value: Value) -> dict:

@@ -237,6 +237,20 @@ class TestDiagnose:
         assert out == ""
         assert "requirement error" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--apply-suggestions"]])
+    def test_requirement_on_a_file_without_plans_is_usage_error(
+        self, flags, fixture_path, capsys
+    ):
+        # No plan delivers a required name, so the requirement is unsatisfiable.
+        code, out, err = run_cli(
+            ["diagnose", str(fixture_path("crisp.oodn")), "--required", "p1", *flags],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "requirement error: no plan is declared to deliver the required members: p1\n"
+        )
+
 
 # Streams and exit codes of `oodn diagnose` on every fixture, recorded
 # before diagnosis was reworked for speed; the rework must not change a byte.
@@ -250,7 +264,9 @@ GOLDEN = json.loads(
 # Streams and exit codes of `oodn diagnose --required R`, with and without
 # --apply-suggestions, on every fixture, recorded before every repair was made
 # to narrow through one method.  R makes each fixture with a plan report a
-# surplus; no required name reaches both of pathology_both.oodn's heirs.
+# surplus; no required name reaches both of pathology_both.oodn's heirs.  The
+# four fixtures without a plan were recorded again once a requirement on them
+# exited 3, as no plan can deliver it, instead of 0 with "no findings".
 REQUIRED_GOLDEN = json.loads(
     (DATA / "expected" / "diagnose_required.json").read_text(encoding="utf-8")
 )

@@ -13,6 +13,7 @@ from oodn.diagnostics import (
 )
 from oodn.dsl import parse_network
 from oodn.inheritance import (
+    InheritanceConflictError,
     InheritancePlan,
     Selection,
     SelectionMode,
@@ -379,6 +380,63 @@ class TestDiagnoseAll:
         findings = diagnose_all(net, required=["a1", "b1"])
         assert len(findings) == 1
         assert findings[0].kind == "redundancy"
+
+    def test_requirement_without_plans_raises(self):
+        net = net_of(hom("A", prop("p", ValueType.INT, 1, "A")))
+        with pytest.raises(RequirementError, match="no plan is declared"):
+            diagnose_all(net, required=["p"])
+        # requiring nothing is met by no plan at all
+        assert diagnose_all(net, required=[]) == []
+        assert diagnose_all(net) == []
+
+
+# ---------------------------------------------------------------------------
+# The classic pathologies (Touretzky, The Mathematics of Inheritance Systems)
+# ---------------------------------------------------------------------------
+
+
+class TestClassicPathologies:
+    """The heterogeneous class keeps conflicting copies apart, and diagnosis
+    names the pathology behind them."""
+
+    def test_nixon_diamond_keeps_both_policies_apart(self, fixture_path):
+        net = parse_network(fixture_path("pathology_nixon.oodn").read_text(encoding="utf-8"))
+        het = inherit(net.plans[0], net)
+        holders = {
+            projection.label: entry.member
+            for projection in het.projections
+            for entry in projection.members
+            if entry.member.name == "policy"
+        }
+        assert list(holders) == ["Quaker", "Republican"]
+        quaker, republican = holders["Quaker"], holders["Republican"]
+        assert quaker.identity == ("Quaker", "policy")
+        assert republican.identity == ("Republican", "policy")
+        assert (quaker.value, republican.value) == ("pacifist", "hawk")
+        assert het.core.get("Quaker", "policy") is None
+        assert set(holders) <= set(het.participants["Nixon"])
+        view = decompose(het, "Nixon")
+        assert view.get("Quaker", "policy").member == quaker
+        assert view.get("Republican", "policy").member == republican
+
+    def test_nixon_diamond_is_one_ambiguity_on_policy(self, fixture_path):
+        net = parse_network(fixture_path("pathology_nixon.oodn").read_text(encoding="utf-8"))
+        findings = diagnose_all(net)
+        assert [(f.kind, f.members) for f in findings] == [("ambiguity", ("policy",))]
+        assert findings[0].subjects == ("Quaker", "Republican")
+
+    def test_penguin_is_refused_with_the_narrowed_plan(self, fixture_path):
+        net = parse_network(fixture_path("pathology_penguin.oodn").read_text(encoding="utf-8"))
+        with pytest.raises(InheritanceConflictError) as raised:
+            inherit(net.plans[0], net)
+        assert raised.value.kind == "exception"
+        assert raised.value.suggestion.describe() == "Penguin inherits Bird (feathers)"
+
+    def test_penguin_is_diagnosed_as_an_exception(self, fixture_path):
+        net = parse_network(fixture_path("pathology_penguin.oodn").read_text(encoding="utf-8"))
+        findings = diagnose_all(net)
+        assert [(f.kind, f.members) for f in findings] == [("exception", ("fly",))]
+        assert findings[0].suggestion.describe() == "Penguin inherits Bird (feathers)"
 
 
 class TestReportRendering:

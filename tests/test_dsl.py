@@ -15,6 +15,7 @@ from oodn.dsl import (
     export_graph,
     export_structured,
     import_structured,
+    json_text,
     parse_network,
     serialize,
     serialize_hetclass,
@@ -434,6 +435,30 @@ class TestStructured:
         entry = rebuilt.classes["A"].members().get("A", "p")
         assert entry.member.value == Fraction(1, 3)
         assert entry.degree.value == Fraction(1, 7)
+
+
+class TestJsonText:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {},
+            "",
+            None,
+            True,
+            -(10**30),
+            [[], {}, [[]], {"": {}}],
+            {"a": [True, False, None, 0, -7], "b": {"c": "d"}, "é": 'q"\\\n\u2028\U0001f600'},
+            [{"sig": [], "core": [], "depends_on": []}, [1, [2, [3]]]],
+        ],
+    )
+    def test_matches_indented_stdlib_json(self, document):
+        assert json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), (1, 2), {1: "a"}])
+    def test_rejects_what_oodn_never_emits(self, value):
+        with pytest.raises(TypeError):
+            json_text([value])
 
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -7,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oodn.diagnostics import diagnose_all
-from oodn.dsl import export_structured, import_structured, parse_network, serialize
+from oodn.dsl import (
+    encode_hetclass,
+    export_structured,
+    import_structured,
+    json_text,
+    parse_network,
+    serialize,
+)
 from oodn.inheritance import (
     InheritancePlan,
     Policy,
@@ -24,12 +32,14 @@ from oodn.model import (
     Degree,
     DegreedMember,
     FuzzySet,
+    HetClass,
     HomClass,
     Member,
     MemberKind,
     MemberSet,
     ObjectInstance,
     OodnError,
+    Projection,
     Relation,
     RelationKind,
     ValueType,
@@ -595,6 +605,57 @@ class TestRoundTrips:
     def test_equal_networks_export_equal_json(self, net):
         # parse(serialize(net)) == net, so the two must export alike
         assert export_structured(parse_network(serialize(net))) == export_structured(net)
+
+
+# Any character but a lone surrogate, and the ones JSON escapes or widens.
+wide_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ('"', "\\", "\n", 'a"b\\c\nd', "é", "\u2028", "\x7f", "\U0001f600")
+)
+
+
+@st.composite
+def json_networks(draw):
+    """A generated network plus a class ``T`` of any-character texts and a
+    big int, with no methods, and a heterogeneous class ``X`` whose labels
+    hold any characters; its core and ``depends_on`` lists may be empty."""
+    net = draw(networks())
+    texts = draw(st.lists(wide_texts, min_size=1, max_size=3))
+    entries = [prop(f"t{i}", ValueType.TEXT, text, "T") for i, text in enumerate(texts)]
+    entries.append(prop("big", ValueType.INT, draw(st.integers(-(10**40), 10**40)), "T"))
+    net.classes["T"] = HomClass("T", MemberSet(entries), MemberSet())
+    labels = draw(st.lists(wide_texts, unique=True, max_size=3))
+    projections = tuple(
+        Projection(
+            label,
+            MemberSet([prop(f"q{i}", ValueType.TEXT, label, "T")]),
+            tuple(draw(st.lists(st.sampled_from(labels[:i]), unique=True)) if i else ()),
+        )
+        for i, label in enumerate(labels)
+    )
+    core = MemberSet(entries[: draw(st.integers(0, 1))])
+    net.classes["X"] = HetClass("X", core, projections, {"T": tuple(labels), "U": ()})
+    return net
+
+
+class TestJsonText:
+    """``json_text`` writes what ``json.dumps(..., indent=2)`` writes."""
+
+    @WHOLE_NETWORK
+    @given(net=json_networks())
+    def test_export_is_the_standard_library_text(self, net):
+        text = export_structured(net)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @WHOLE_NETWORK
+    @given(net=json_networks())
+    def test_hetclass_documents_are_the_standard_library_text(self, net):
+        document = [encode_hetclass(net.classes["X"])]
+        for plan in net.plans:
+            try:
+                document.append(encode_hetclass(inherit(plan, net, Policy.MIN)))
+            except OodnError:
+                pass
+        assert json_text(document) == json.dumps(document, indent=2)
 
 
 # ---------------------------------------------------------------------------
