@@ -6,8 +6,9 @@ Three classic troubles:
   * ambiguity  — two parents pass down the same name with different content
   * redundancy — more knowledge arrives than the stated purpose needs
 
-Each finding carries an executable repair: a replacement plan that makes
-the trouble disappear.
+Each finding carries a repair, held as what it removes; its suggestion is
+an executable replacement plan, built when read, that makes the trouble
+disappear.
 
 Run me directly:
 
@@ -81,8 +82,9 @@ show("full diagnostic report", render_report(findings))
 
 # -- Applying the suggestions makes the network clean -------------------------
 
-repaired = {f.suggestion.heir: f.suggestion for f in findings if f.suggestion}
-net.plans[:] = [repaired.get(plan.heir, plan) for plan in net.plans]
+# A finding's repair names the plan it was found on; the suggestion replaces it.
+repaired = {f.repair.plan: f.suggestion for f in findings if f.suggestion}
+net.plans[:] = [repaired.get(plan, plan) for plan in net.plans]
 
 show("after applying every suggestion", render_report(diagnose_all(net)))
 

@@ -169,15 +169,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> ExitStatus:
         return ExitStatus.OK
 
     for _ in range(5):
-        applicable = [f for f in findings if f.suggestion is not None]
-        if not applicable:
+        # Each repair replaces the plan it was found on, the last one winning.
+        repaired = {
+            f.repair.plan: f.suggestion for f in findings if f.suggestion is not None
+        }
+        if not repaired:
             break
-        for finding in applicable:
-            assert finding.suggestion is not None
-            for index, plan in enumerate(net.plans):
-                if plan.heir == finding.suggestion.heir:
-                    net.plans[index] = finding.suggestion
-                    break
+        net.plans[:] = [repaired.get(plan, plan) for plan in net.plans]
         findings = diagnose_all(net, required=required)
     for plan in net.plans:
         print(serialize_plan(plan))

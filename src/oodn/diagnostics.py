@@ -18,7 +18,10 @@ Three pathologies are detected, none of which requires executing a plan:
   beyond that list.  The suggestion narrows selections so the surplus
   stops flowing.
 
-Suggestions are full plans, directly executable in place of the original.
+A repair is held as what it removes (see :class:`Repair`), which costs
+one entry per source, so diagnosis grows about linearly with declared
+members.  The executable plans are built only when ``suggestion`` or
+``alternatives`` is read, and ``render`` writes them without building them.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .inheritance import (
     InheritancePlan,
     Link,
     Policy,
+    Repair,
     View,
-    exception_repair,
     merge,
     walk,
 )
@@ -44,26 +47,32 @@ class RequirementError(OodnError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One detected pathology on one plan."""
+    """One detected pathology on one plan, with its repair if it has one."""
 
     kind: str
     plan: str
     subjects: tuple[str, ...]
     members: tuple[str, ...]
     message: str
-    suggestion: InheritancePlan | None = None
-    alternatives: tuple[InheritancePlan, ...] = ()
+    repair: Repair | None = None
+
+    @property
+    def suggestion(self) -> InheritancePlan | None:
+        return None if self.repair is None else self.repair.plans[0]
+
+    @property
+    def alternatives(self) -> tuple[InheritancePlan | None, ...]:
+        return () if self.repair is None else self.repair.plans[1:]
 
     def render(self) -> str:
-        lines = [f"{self.kind} in plan [{self.plan}]"]
-        lines.append(f"  members: {', '.join(self.members)}")
-        lines.append(f"  {self.message}")
-        if self.suggestion is not None:
-            lines.append(f"  suggestion: {self.suggestion.describe()}")
-        else:
-            lines.append("  suggestion: none")
-        for alternative in self.alternatives:
-            lines.append(f"  alternative: {alternative.describe()}")
+        texts = [None] if self.repair is None else self.repair.texts()
+        lines = [
+            f"{self.kind} in plan [{self.plan}]",
+            f"  members: {', '.join(self.members)}",
+            f"  {self.message}",
+            f"  suggestion: {texts[0] or 'none'}",
+        ]
+        lines.extend(f"  alternative: {text}" for text in texts[1:])
         return "\n".join(lines)
 
 
@@ -86,15 +95,13 @@ def detect_exception(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     return _exception_findings(plan, walk(plan, net))
 
 
-def _exception_findings(
-    plan: InheritancePlan, links: list[Link]
-) -> list[Diagnostic]:
+def _exception_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for link in links:
         conflicts = link.conflicts()
         if not conflicts:
             continue
-        names, suggestion = exception_repair(plan, link, conflicts)
+        names = tuple(sorted({name for name, _, _ in conflicts}))
         detail = "; ".join(
             f"{name}: own {local.member.display()}={value_text(local.member)} "
             f"against arriving {arriving.member.display()}="
@@ -111,7 +118,7 @@ def _exception_findings(
                     f"{link.child!r} contradicts members inherited crisply from "
                     f"{link.parent!r}: {detail}"
                 ),
-                suggestion=suggestion,
+                repair=Repair(plan, ((link, frozenset(names)),)),
             )
         )
     return diagnostics
@@ -120,18 +127,16 @@ def _exception_findings(
 def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     """Same-named, differently-valued members arriving from parallel sources.
 
-    Each involved source's selection is narrowed once per ambiguous name;
-    the suggestion and every alternative are then one plan each over the
-    plan's sources, sharing those narrowed selections.
+    Each involved source is narrowed by the ambiguous name; the suggestion
+    keeps the first whole and each alternative another, so the finding
+    holds one repair whatever the number of alternatives.
     """
     if plan.chain:
         return []
     return _ambiguity_findings(plan, walk(plan, net))
 
 
-def _ambiguity_findings(
-    plan: InheritancePlan, links: list[Link]
-) -> list[Diagnostic]:
+def _ambiguity_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagnostic]:
     if plan.chain:
         return []
     by_name: dict[str, list[tuple[str, DegreedMember]]] = {}
@@ -139,6 +144,7 @@ def _ambiguity_findings(
         for entry in link.taken.values():
             by_name.setdefault(entry.member.name, []).append((link.parent, entry))
     link_of = {link.parent: link for link in links}
+    written = plan.describe()
     diagnostics = []
     for name in sorted(by_name):
         contributions = by_name[name]
@@ -148,11 +154,11 @@ def _ambiguity_findings(
         keys = {entry.member.similarity_key() for _, entry in contributions}
         if len(keys) < 2:
             continue
-        narrowed = {source: link_of[source].narrowed({name}) for source in involved}
-        # Every other involved source is narrowed; the kept one stays whole.
-        suggestion, *alternatives = (
-            plan.with_selections(narrowed | {kept: link_of[kept].selection})
-            for kept in involved
+        excluded = frozenset({name})
+        repair = Repair(
+            plan,
+            tuple((link_of[source], excluded) for source in involved),
+            kept=tuple(involved),
         )
         detail = "; ".join(
             f"{source} passes {entry.member.display()}={value_text(entry.member)}"
@@ -161,15 +167,14 @@ def _ambiguity_findings(
         diagnostics.append(
             Diagnostic(
                 kind="ambiguity",
-                plan=plan.describe(),
+                plan=written,
                 subjects=tuple(involved),
                 members=(name,),
                 message=(
                     f"{name!r} arrives from {len(involved)} sources with "
                     f"conflicting content: {detail}"
                 ),
-                suggestion=suggestion,
-                alternatives=tuple(alternatives),
+                repair=repair,
             )
         )
     return diagnostics
@@ -206,6 +211,7 @@ def _redundancy_findings(
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
     position = {name: index for index, (name, _) in enumerate(plan.sources)}
     link_of = {link.parent: link for link in links}
+    written = plan.describe()
     diagnostics = []
     flagged = [key for key, entries in groups.items() if len(entries) > 1]
     for key in sorted(flagged, key=lambda k: (k[1], str(k))):
@@ -219,15 +225,14 @@ def _redundancy_findings(
         surplus = [owner for owner in owners if owner != keep]
         # Each surplus owner's outgoing selection is narrowed over all it
         # holds: on a chain that includes what its ancestors pass through.
-        suggestion = None
+        repair = None
         if all(owner in link_of for owner in surplus):
-            suggestion = plan.with_selections(
-                {owner: link_of[owner].narrowed({name}) for owner in surplus}
-            )
+            excluded = frozenset({name})
+            repair = Repair(plan, tuple((link_of[o], excluded) for o in surplus))
         diagnostics.append(
             Diagnostic(
                 kind="redundancy",
-                plan=plan.describe(),
+                plan=written,
                 subjects=tuple(owners),
                 members=(name,),
                 message=(
@@ -235,7 +240,7 @@ def _redundancy_findings(
                     f"(declared by {', '.join(owners)}); the copies beyond "
                     f"{keep!r}'s add nothing"
                 ),
-                suggestion=suggestion,
+                repair=repair,
             )
         )
     return diagnostics
@@ -260,10 +265,7 @@ def _surplus_against_required(
     # Only the selections facing the heir decide what reaches it.  Each
     # drops the surplus and so keeps only required names it already took.
     heir_facing = links[-1:] if plan.chain else links
-    excluded = set(surplus)
-    suggestion = plan.with_selections(
-        {link.parent: link.narrowed(excluded) for link in heir_facing}
-    )
+    excluded = frozenset(surplus)
     return [
         Diagnostic(
             kind="redundancy",
@@ -274,7 +276,7 @@ def _surplus_against_required(
                 f"{len(surplus)} inherited members are not in the required list: "
                 f"{', '.join(surplus)}"
             ),
-            suggestion=suggestion,
+            repair=Repair(plan, tuple((link, excluded) for link in heir_facing)),
         )
     ]
 

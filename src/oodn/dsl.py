@@ -112,9 +112,9 @@ _TOKEN_RE = re.compile(
   | ( [A-Za-z_][A-Za-z0-9_]*    # identifier
     | [{}():;,=./]              # punctuation
     | ->
-    | -?\d+/\d+(?![.\d])        # ratio
-    | -?\d+\.\d+                # decimal
-    | -?\d+                     # integer
+    | -?[0-9]+/[0-9]+(?![.0-9]) # ratio
+    | -?[0-9]+\.[0-9]+          # decimal
+    | -?[0-9]+                  # integer
     | "(?:[^"\\\n]|\\.)*"       # string
     | .                         # a bad character
     )
@@ -124,7 +124,7 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r"\\(.)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _PUNCTUATION = frozenset("{}():;,=./")
-_SINGLES = _IDENT_START | _PUNCTUATION
+_SINGLES = _IDENT_START | _PUNCTUATION | frozenset("0123456789")
 _NUMBER_KINDS = ("INT", "DECIMAL", "RATIO")
 
 
@@ -155,8 +155,9 @@ def _is_bad(token: str) -> bool:
     """Whether ``token`` is a character that starts no token.
 
     Only the last branch of the token definition gives a lone character
-    other than a letter, ``_``, a punctuation mark or a digit."""
-    return len(token) == 1 and token not in _SINGLES and not token.isdecimal()
+    other than an ASCII letter, ``_``, a punctuation mark or an ASCII digit;
+    any other script's digit is such a character."""
+    return len(token) == 1 and token not in _SINGLES
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -320,13 +321,18 @@ class _Parser:
         if name in _KEYWORDS:
             raise self.fail(f"{name!r} cannot name a class", at)
         self._declare_class(net, name, at)
-        self.expect("{")
-        entries: list[DegreedMember] = []
-        while not self.accept("}"):
-            entries.append(self._parse_member(default_owner=name))
+        entries = self._parse_members(name)
         net.classes[name] = self.build(
             at, lambda: HomClass(name, *MemberSet(entries).by_kind())
         )
+
+    def _parse_members(self, default_owner: str) -> list[DegreedMember]:
+        """A braced block of members."""
+        self.expect("{")
+        members = []
+        while not self.accept("}"):
+            members.append(self._parse_member(default_owner))
+        return members
 
     def _parse_member(self, default_owner: str) -> DegreedMember:
         text = self.tokens[self.pos]
@@ -565,9 +571,7 @@ class _Parser:
             token = self.tokens[section]
             if token == "core":
                 self.pos += 1
-                self.expect("{")
-                while not self.accept("}"):
-                    core.append(self._parse_member(default_owner=name))
+                core.extend(self._parse_members(name))
             elif token == "projection":
                 projections.append(self._parse_projection(name))
             elif token == "participant":
@@ -602,10 +606,7 @@ class _Parser:
             self.expect("(")
             depends = self.separated(self.string)
             self.expect(")")
-        self.expect("{")
-        members: list[DegreedMember] = []
-        while not self.accept("}"):
-            members.append(self._parse_member(default_owner=owner))
+        members = self._parse_members(owner)
         return self.build(
             at, lambda: Projection(label, MemberSet(members), tuple(depends))
         )

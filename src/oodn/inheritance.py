@@ -100,27 +100,14 @@ class Selection:
         listed = self.mode is SelectionMode.LISTED
         if not listed and not self.entries:
             return ""
+        weak = [degree.is_weak for _, degree in self.entries]
         items = ", ".join(
-            name if listed and not degree.is_weak else f"{name}/{degree}"
-            for name, degree in self.entries
+            f"{name}/{degree}" if is_weak or not listed else name
+            for (name, degree), is_weak in zip(self.entries, weak)
         )
-        if listed and all(degree.is_weak for _, degree in self.entries):
+        if listed and all(weak):
             return f"(only {items})"
         return f"({items})"
-
-    def restricted(self, view: View, excluded: Container[str]) -> Selection | None:
-        """This selection narrowed to exclude the given bare names, over
-        the members ``view`` offers; None when nothing is left."""
-        degrees = dict(self.entries)
-        candidates: Iterable[str] = degrees
-        if self.mode is SelectionMode.ALL:
-            candidates = dict.fromkeys(e.member.name for e in view.values())
-        kept = tuple(
-            (name, degrees.get(name, DEGREE_ONE))
-            for name in candidates
-            if name not in excluded
-        )
-        return Selection(SelectionMode.LISTED, kept) if kept else None
 
 
 @dataclass(frozen=True)
@@ -167,28 +154,16 @@ class InheritancePlan:
 
     def describe(self) -> str:
         """The plan as written in a file, without the closing ``;``."""
+        return self.written(_source_text(name, sel) for name, sel in self.sources)
+
+    def written(self, parts: Iterable[str]) -> str:
+        """The plan's text around the given per-source texts, in order."""
         joiner = " inherits " if self.chain else ", "
-        rendered = joiner.join(
-            f"{name} {sel.text}" if sel.text else name for name, sel in self.sources
-        )
-        return f"{self.heir} inherits {rendered}"
+        return f"{self.heir} inherits {joiner.join(parts)}"
 
-    def with_selections(
-        self, narrowed: Mapping[str, Selection | None]
-    ) -> InheritancePlan | None:
-        """The plan with the given sources' selections replaced.
 
-        A source narrowed to nothing (None) drops out of a parallel plan.  A
-        chain cannot lose a level, so it then gets no repair; neither does a
-        plan left without sources.
-        """
-        replaced = [
-            (name, narrowed.get(name, selection)) for name, selection in self.sources
-        ]
-        kept = tuple((name, sel) for name, sel in replaced if sel is not None)
-        if not kept or (self.chain and len(kept) != len(replaced)):
-            return None
-        return replace(self, sources=kept)
+def _source_text(name: str, selection: Selection) -> str:
+    return f"{name} {selection.text}" if selection.text else name
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +278,18 @@ class InheritanceConflictError(OodnError):
         *,
         subjects: tuple[str, ...] = (),
         members: tuple[str, ...] = (),
-        suggestion: InheritancePlan | None = None,
+        repair: Repair | None = None,
     ) -> None:
         super().__init__(message)
         self.kind = kind
         self.subjects = subjects
         self.members = members
-        self.suggestion = suggestion
+        self.repair = repair
+
+    @property
+    def suggestion(self) -> InheritancePlan | None:
+        """The repaired plan, built on first use."""
+        return None if self.repair is None else self.repair.plans[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +336,71 @@ class Link:
         """This link's selection without the given bare names, over what
         the parent holds; None when nothing is left.  Every repair narrows
         through here, so a repaired take never exceeds the original one."""
-        return self.selection.restricted(self.parent_view, excluded)
+        degrees = dict(self.selection.entries)
+        candidates: Iterable[str] = degrees
+        if self.selection.mode is SelectionMode.ALL:
+            candidates = dict.fromkeys(e.member.name for e in self.parent_view.values())
+        kept = tuple(
+            (name, degrees.get(name, DEGREE_ONE))
+            for name in candidates
+            if name not in excluded
+        )
+        return Selection(SelectionMode.LISTED, kept) if kept else None
+
+
+@dataclass(frozen=True, eq=False)
+class Repair:
+    """A repair held as what it removes: each narrowed source's link with
+    the bare names it stops passing on, and per plan on offer, the source
+    that plan keeps whole (or None).  Sources are narrowed on first use,
+    once for every plan.  A source narrowed to nothing drops out of a
+    parallel plan; a chain cannot lose a level, so its plan is then None,
+    as is a plan left without sources.  Equal plans make equal repairs."""
+
+    plan: InheritancePlan
+    excluded: tuple[tuple[Link, frozenset[str]], ...]
+    kept: tuple[str | None, ...] = (None,)
+
+    @cached_property
+    def _narrowed(self) -> dict[str, Selection | None]:
+        return {link.parent: link.narrowed(names) for link, names in self.excluded}
+
+    def _offered(self, item: Callable[[str, Selection], object]) -> list[list | None]:
+        """Each plan on offer as ``item(source, selection)`` per source it
+        keeps, in source order, or None when it has no plan."""
+        position = {name: at for at, (name, _) in enumerate(self.plan.sources)}
+        whole = [item(*source) for source in self.plan.sources]
+        cut = whole.copy()
+        for name, selection in self._narrowed.items():
+            cut[position[name]] = selection and item(name, selection)
+        offered = []
+        for kept in self.kept:
+            items = cut
+            if kept is not None:
+                at = position[kept]
+                items = [*cut[:at], whole[at], *cut[at + 1 :]]
+            left = list(filter(None, items))  # drops None: an item is never empty
+            whole_chain = not self.plan.chain or len(left) == len(items)
+            offered.append(left if left and whole_chain else None)
+        return offered
+
+    @cached_property
+    def plans(self) -> tuple[InheritancePlan | None, ...]:
+        return tuple(
+            sources and replace(self.plan, sources=tuple(sources))
+            for sources in self._offered(lambda *source: source)
+        )
+
+    def texts(self) -> list[str | None]:
+        """Each plan on offer as ``describe`` writes it, without building it."""
+        offered = self._offered(_source_text)
+        return [parts and self.plan.written(parts) for parts in offered]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Repair) and self.plans == other.plans
+
+    def __hash__(self) -> int:
+        return hash(self.plans)
 
 
 def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
@@ -434,14 +478,6 @@ def _exception_conflicts(
         ):
             conflicts.append((arriving.member.name, local, arriving))
     return conflicts
-
-
-def _layered(taken: View, own: Iterable[DegreedMember]) -> View:
-    """A participant's view: what it takes, its own members on top."""
-    view = dict(taken)
-    for entry in own:
-        view[entry.identity] = entry
-    return view
 
 
 class _Runs:
@@ -620,19 +656,10 @@ def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
     return merged
 
 
-def exception_repair(
-    plan: InheritancePlan, link: Link, conflicts: list[Conflict]
-) -> tuple[tuple[str, ...], InheritancePlan | None]:
-    """The contradicted names, sorted, and the plan with the link's
-    selection narrowed to exclude them (None when no plan is left)."""
-    names = tuple(sorted({name for name, _, _ in conflicts}))
-    return names, plan.with_selections({link.parent: link.narrowed(names)})
-
-
 def _raise_exception_conflict(
     plan: InheritancePlan, link: Link, conflicts: list[Conflict]
 ) -> None:
-    names, suggestion = exception_repair(plan, link, conflicts)
+    names = tuple(sorted({name for name, _, _ in conflicts}))
     detail = "; ".join(
         f"{name}: {local.member.display()}={value_text(local.member)} vs "
         f"{arriving.member.display()}={value_text(arriving.member)}"
@@ -644,7 +671,7 @@ def _raise_exception_conflict(
         f"{link.parent!r} ({detail}); exclude or weaken the inherited copy",
         subjects=(link.parent, link.child),
         members=names,
-        suggestion=suggestion,
+        repair=Repair(plan, ((link, frozenset(names)),)),
     )
 
 
@@ -678,7 +705,8 @@ def _checked_parallel(
             )
             blamed.setdefault(link.parent, (link, []))[1].append(conflict)
         _raise_exception_conflict(plan, *blamed[min(blamed)])
-    return links, _layered(arrived, own)
+    arrived.update((entry.identity, entry) for entry in own)  # own members on top
+    return links, arrived
 
 
 def build_views(

@@ -667,7 +667,12 @@ class HetClass:
                         f"class {self.name!r}: projection {projection.label!r} "
                         f"depends on unknown label {dep!r}"
                     )
-        self._check_dependency_acyclicity()
+        graph = {p.label: p.depends_on for p in self.projections}
+        cycle = next(_cycles(graph, graph), None)
+        if cycle is not None:
+            raise ModelInvariantError(
+                f"class {self.name!r}: projection dependencies form a cycle at {cycle[-1]!r}"
+            )
         core_ids = {entry.identity for entry in self.core}
         # Each identity's first degree, and every degree of one placed again.
         first: dict[tuple[str, str], Degree] = {}
@@ -700,30 +705,6 @@ class HetClass:
                         f"class {self.name!r}: participant {participant!r} maps to "
                         f"unknown projection {label!r}"
                     )
-
-    def _check_dependency_acyclicity(self) -> None:
-        # Depth-first, on an explicit stack of (label, unvisited dependencies)
-        # so that a long dependency chain cannot exhaust the interpreter's.
-        graph = {p.label: p.depends_on for p in self.projections}
-        state: dict[str, int] = {}
-        for label in graph:
-            if label in state:
-                continue
-            state[label] = 1
-            pending = [(label, iter(graph[label]))]
-            while pending:
-                node, deps = pending[-1]
-                nxt = next(deps, None)
-                if nxt is None:
-                    state[node] = 2
-                    pending.pop()
-                elif state.get(nxt) == 1:
-                    raise ModelInvariantError(
-                        f"class {self.name!r}: projection dependencies form a cycle at {nxt!r}"
-                    )
-                elif nxt not in state:
-                    state[nxt] = 1
-                    pending.append((nxt, iter(graph[nxt])))
 
     def member_view(self, participant: str) -> MemberSet:
         """Effective member set of one participant: core plus its projections.
@@ -896,7 +877,11 @@ def validate_network(net: Network) -> list[Violation]:
             if relation.source not in net.objects or relation.target not in net.classes:
                 error(where, "instance-of-endpoints", "instance_of links object to class")
 
-    for cycle in _generalization_cycles(net):
+    generalizes: dict[str, list[str]] = {}
+    for relation in net.relations:
+        if relation.kind is RelationKind.GENERALIZATION:
+            generalizes.setdefault(relation.source, []).append(relation.target)
+    for cycle in _cycles(generalizes, sorted(generalizes)):
         error(
             " -> ".join(cycle),
             "generalization-cycle",
@@ -998,22 +983,18 @@ def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
     return mapping
 
 
-def _generalization_cycles(net: Network) -> list[list[str]]:
-    """Depth-first cycle search over the generalization edges, on an
-    explicit stack so that a deep hierarchy cannot exhaust the interpreter's."""
-    graph: dict[str, list[str]] = {}
-    for relation in net.relations:
-        if relation.kind is RelationKind.GENERALIZATION:
-            graph.setdefault(relation.source, []).append(relation.target)
-    cycles: list[list[str]] = []
-    state: dict[str, int] = {}
+def _cycles(graph: dict[str, Iterable[str]], roots: Iterable[str]) -> Iterator[list[str]]:
+    """Each cycle a depth-first search from every root in turn meets, as
+    the path around it with its first node repeated last.  The search keeps
+    an explicit stack, so that a deep graph cannot exhaust the interpreter's."""
+    state: dict[str, int] = {}  # 1 while on the path, 2 once done
     path: list[str] = []  # the nodes being visited, root first
-    for root in sorted(graph):
+    for root in roots:
         if root in state:
             continue
         state[root] = 1
         path.append(root)
-        pending = [iter(graph[root])]  # each path node's unvisited targets
+        pending = [iter(graph.get(root, ()))]  # each path node's unvisited targets
         while pending:
             nxt = next(pending[-1], None)
             if nxt is None:
@@ -1024,8 +1005,7 @@ def _generalization_cycles(net: Network) -> list[list[str]]:
                 path.append(nxt)
                 pending.append(iter(graph.get(nxt, ())))
             elif state[nxt] == 1:
-                cycles.append(path[path.index(nxt):] + [nxt])
-    return cycles
+                yield path[path.index(nxt):] + [nxt]
 
 
 def violations_are_fatal(findings: Iterable[Violation]) -> bool:

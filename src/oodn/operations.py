@@ -133,18 +133,16 @@ def _commit_or_rollback(
     net: Network, entries: dict, edited: str, replacement: object, action: str
 ) -> None:
     """Put ``replacement`` in place of ``entries[edited]`` (a class or an
-    object) and keep it only if the edit validates."""
+    object) and keep it only if the edit validates; once kept, mark what
+    was built from it stale."""
     old = entries[edited]
     entries[edited] = replacement
     findings = validate_edit(net, edited)
     if violations_are_fatal(findings):
         entries[edited] = old
-        rendered = "; ".join(
-            f.render() for f in findings if f.severity == "error"
-        )
-        raise ModificationRejected(
-            f"{action} rolled back: {rendered}", findings
-        )
+        rendered = "; ".join(f.render() for f in findings if f.severity == "error")
+        raise ModificationRejected(f"{action} rolled back: {rendered}", findings)
+    _mark_stale(net, edited)
 
 
 def _mark_stale(net: Network, changed: str) -> None:
@@ -179,19 +177,15 @@ def modify_add_member(
     """Add one member to a homogeneous class, atomically."""
     entry = member if isinstance(member, DegreedMember) else DegreedMember(member)
     cls = _require_hom(net, class_name)
+    action = f"adding {entry.member.display()} to {class_name!r}"
     try:
         if entry.member.kind is MemberKind.PROPERTY:
             replacement = HomClass(cls.name, cls.spec.extended(entry), cls.sig)
         else:
             replacement = HomClass(cls.name, cls.spec, cls.sig.extended(entry))
     except OodnError as exc:
-        raise ModificationRejected(
-            f"adding {entry.member.display()} to {class_name!r} rolled back: {exc}",
-            [],
-        ) from exc
-    action = f"adding {entry.member.display()} to {class_name!r}"
+        raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
     _commit_or_rollback(net, net.classes, class_name, replacement, action)
-    _mark_stale(net, class_name)
 
 
 def modify_remove_member(
@@ -218,7 +212,6 @@ def modify_remove_member(
     )
     action = f"removing {member_name!r} from {class_name!r}"
     _commit_or_rollback(net, net.classes, class_name, replacement, action)
-    _mark_stale(net, class_name)
 
 
 def modify_set_value(
@@ -248,20 +241,17 @@ def modify_set_value(
             f"class {target!r} has no property {member_name!r}"
         )
     old = entry.member
+    action = f"setting {member_name!r} on {target!r}"
     try:
         replaced = prop(old.name, old.value_type, value, old.owner)
     except OodnError as exc:
-        raise ModificationRejected(
-            f"setting {member_name!r} on {target!r} rolled back: {exc}", []
-        ) from exc
+        raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
     new_spec = MemberSet(
         DegreedMember(replaced, e.degree) if e.identity == entry.identity else e
         for e in cls.spec
     )
     replacement = HomClass(cls.name, new_spec, cls.sig)
-    action = f"setting {member_name!r} on {target!r}"
     _commit_or_rollback(net, net.classes, target, replacement, action)
-    _mark_stale(net, target)
 
 
 def _set_object_value(
@@ -282,7 +272,6 @@ def _set_object_value(
     replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides))
     action = f"setting {member_name!r} on object {object_name!r}"
     _commit_or_rollback(net, net.objects, object_name, replacement, action)
-    _mark_stale(net, object_name)
 
 
 # ---------------------------------------------------------------------------

@@ -30,3 +30,14 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
         code = exc.code if isinstance(exc.code, int) else 1
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def chain_text(depth: int, width: int = 20) -> str:
+    """A take-all chain of ``depth`` classes, each declaring ``width``
+    properties of its own and two methods whose names every level reuses."""
+    classes = []
+    for level in range(depth):
+        props = " ".join(f"prop c{level}_{j}: int = {j};" for j in range(width))
+        classes.append(f"class C{level} {{ {props} method start(); method stop(); }}")
+    sources = " inherits ".join(f"C{level}" for level in reversed(range(depth - 1)))
+    return "\n".join(classes) + f"\nC{depth - 1} inherits {sources};\n"

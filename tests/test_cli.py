@@ -209,6 +209,21 @@ class TestDiagnose:
             "Nixon inherits Quaker, Republican (party);\n"
         )
 
+    def test_apply_suggestions_repairs_the_plan_each_finding_is_on(
+        self, tmp_path, capsys
+    ):
+        # Two plans share an heir; only the second contradicts it.
+        path = tmp_path / "same_heir.oodn"
+        path.write_text(
+            "class A { prop p: int = 1; prop q: int = 1; }\n"
+            "class H { prop p: int = 2; }\n"
+            "H inherits A (q);\n"
+            "H inherits A;\n",
+            encoding="utf-8",
+        )
+        applied = run_cli(["diagnose", str(path), "--apply-suggestions"], capsys)
+        assert applied == (0, "H inherits A (q);\nH inherits A (q);\n", "")
+
     def test_required_surplus(self, fixture_path, capsys):
         code, _, err = run_cli(
             [
@@ -435,7 +450,8 @@ def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
 
 # Streams and exit codes of `oodn parse` on malformed sources, recorded before
 # the tokenizer and parser were reworked for speed; every message, line and
-# column must survive the rework unchanged.
+# column must survive the rework unchanged.  The two non-ASCII digit cases were
+# recorded again once numbers were read from ASCII digits only.
 PARSE_ERRORS = json.loads(
     (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
 )

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from conftest import chain_text
 from oodn.diagnostics import (
     Diagnostic,
     RequirementError,
@@ -437,6 +441,24 @@ class TestClassicPathologies:
         findings = diagnose_all(net)
         assert [(f.kind, f.members) for f in findings] == [("exception", ("fly",))]
         assert findings[0].suggestion.describe() == "Penguin inherits Bird (feathers)"
+
+
+class TestScaling:
+    @staticmethod
+    def diagnose_peak(depth: int) -> int:
+        net = parse_network(chain_text(depth))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            diagnose_all(net)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_chain_memory_grows_about_linearly_with_depth(self):
+        # Narrowing every redundant level's selection over all it held, for
+        # each finding as it was found, made this 3.9.
+        assert self.diagnose_peak(100) <= 2.5 * self.diagnose_peak(50)
 
 
 class TestReportRendering:

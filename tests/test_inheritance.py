@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import chain_text
 from oodn.dsl import parse_network, serialize_hetclass
 from oodn.inheritance import (
     Arity,
@@ -697,17 +698,6 @@ class TestRuns:
             "C2": [("C0", "x"), ("C1", "y"), ("C0", "p"), ("C2", "z")],
         }
         assert views["C2"][("C0", "x")].degree.value == Fraction(1, 2)
-
-
-def chain_text(depth: int, width: int = 20) -> str:
-    """A take-all chain of ``depth`` classes, each declaring ``width``
-    properties of its own and three methods whose names every level reuses."""
-    classes = []
-    for level in range(depth):
-        props = " ".join(f"prop c{level}_{j}: int = {j};" for j in range(width))
-        classes.append(f"class C{level} {{ {props} method start(); method stop(); }}")
-    sources = " inherits ".join(f"C{level}" for level in reversed(range(depth - 1)))
-    return "\n".join(classes) + f"\nC{depth - 1} inherits {sources};\n"
 
 
 class TestScaling:

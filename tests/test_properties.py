@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oodn.diagnostics import diagnose_all
 from oodn.dsl import (
+    ParseError,
     encode_hetclass,
     export_structured,
     import_structured,
@@ -535,6 +538,42 @@ class TestRepairs:
                 before = takes(plan.selection_for(source), source)
                 assert takes(selection, source).items() <= before.items()
 
+    @staticmethod
+    def check_rendered_repairs(net, plan):
+        """Each finding renders the very plans its ``suggestion`` and
+        ``alternatives`` build, with and without a requirement."""
+        net.plans.append(plan)
+        try:
+            findings = diagnose_all(net)
+            links = walk(plan, net)
+        except OodnError:
+            assume(False)
+        arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+        arrived = sorted({entry.member.name for entry in arrivals.values()})
+        if arrived:
+            findings += diagnose_all(net, required=arrived[: len(arrived) // 2 + 1])
+        for finding in findings:
+            lines = finding.render().split("\n")
+            suggested = [line[14:] for line in lines if line.startswith("  suggestion: ")]
+            assert len(suggested) == 1
+            assert (suggested[0] == "none") == (finding.suggestion is None)
+            if finding.suggestion is not None:
+                assert suggested[0] == finding.suggestion.describe()
+            assert [line[15:] for line in lines if line.startswith("  alternative: ")] == [
+                alternative.describe() for alternative in finding.alternatives
+            ]
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_rendered_repairs_are_the_built_plans(self, data):
+        self.check_rendered_repairs(*data)
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_rendered_parallel_repairs_are_the_built_plans(self, data):
+        net, plan = data
+        self.check_rendered_repairs(net, replace(plan, chain=False))
+
 
 class TestHashing:
     """Hashes are cached on first use; equal values must still hash alike
@@ -577,6 +616,16 @@ class TestHashing:
 # ---------------------------------------------------------------------------
 
 
+# A string literal, or a comment up to the end of its line: an insertion
+# anywhere after its first character lands inside it.
+LITERAL_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"|//[^\n]*')
+# Digits of other scripts, and any other non-ASCII character but whitespace,
+# which separates tokens in any script.
+non_ascii_marks = st.sampled_from("٣۴१৭๓") | st.characters(
+    min_codepoint=0x80, blacklist_categories=("Cs",)
+).filter(lambda char: not char.isspace())
+
+
 class TestRoundTrips:
     @COMMON
     @given(plan=plans())
@@ -605,6 +654,26 @@ class TestRoundTrips:
     def test_equal_networks_export_equal_json(self, net):
         # parse(serialize(net)) == net, so the two must export alike
         assert export_structured(parse_network(serialize(net))) == export_structured(net)
+
+    @WHOLE_NETWORK
+    @given(net=networks(), char=non_ascii_marks, choice=st.data())
+    def test_non_ascii_outside_literals_never_parses(self, net, char, choice):
+        """Names, numbers and punctuation are ASCII, so a non-ASCII mark
+        outside a string literal or a comment is an error wherever it
+        stands, a digit of another script included; inside either it is
+        text."""
+        text = serialize(net) + f"// a comment may hold {char}\n"
+        assert parse_network(text) == net
+        inside = {
+            index
+            for match in LITERAL_RE.finditer(text)
+            for index in range(match.start() + 1, match.end() + 1)
+        }
+        at = choice.draw(
+            st.sampled_from([i for i in range(len(text) + 1) if i not in inside])
+        )
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_network(text[:at] + char + text[at:])
 
 
 # Any character but a lone surrogate, and the ones JSON escapes or widens.
