@@ -464,6 +464,8 @@ def _exception_conflicts(
         for entry in own
         if entry.member.kind is MemberKind.PROPERTY
     }
+    if not own_props:  # nothing to contradict
+        return conflicts
     for arriving in arrivals:
         if arriving.member.kind is not MemberKind.PROPERTY:
             continue

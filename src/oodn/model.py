@@ -24,9 +24,11 @@ supposed to change through the modifier operations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -54,31 +56,50 @@ class StructuredImportError(OodnError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Degree:
-    """Exact rational membership degree in the half-open interval (0, 1]."""
+class _Held:
+    """Base of a frozen value that keeps what it computes from its fields
+    in slots of its own.  They are no fields, so reprs, equality and
+    ``fields()`` leave them out; copies and pickles rebuild the value
+    through ``__init__``, so the copy computes its own."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+class _DegreeKeys(_Held):
+    __slots__ = ("_hash", "is_weak")
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class Degree(_DegreeKeys):
+    """Exact rational membership degree in the half-open interval (0, 1].
+
+    ``is_weak`` (below 1) is computed once, at construction, and read
+    from a slot; the hash is computed on first use and held the same way.
+    """
 
     value: Fraction
-    _hash = None  # not a field: cached by __hash__ on first use
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+        value = self.value
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+            object.__setattr__(self, "value", value)
         # A Fraction's denominator is positive, so integer comparisons of its
         # two parts decide the bounds without Fraction arithmetic.
-        if not 0 < self.value.numerator <= self.value.denominator:
-            raise ModelInvariantError(f"degree must lie in (0, 1], got {self.value}")
-
-    @property
-    def is_weak(self) -> bool:
-        return self.value.numerator < self.value.denominator
+        numerator, denominator = value.as_integer_ratio()
+        if not 0 < numerator <= denominator:
+            raise ModelInvariantError(f"degree must lie in (0, 1], got {value}")
+        object.__setattr__(self, "is_weak", numerator < denominator)
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(self.value)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        try:
+            return self._hash
+        except AttributeError:  # first use
+            object.__setattr__(self, "_hash", hash(self.value))
+            return self._hash
 
     def __mul__(self, other: "Degree") -> "Degree":
         return Degree(self.value * other.value)
@@ -217,6 +238,9 @@ class ValueType(Enum):
         _decode_fuzzy,
     )
 
+    # A singleton compared by identity, so it hashes by identity, in C.
+    __hash__ = object.__hash__
+
     def __new__(cls, tag: str, codec: Codec) -> "ValueType":
         member = object.__new__(cls)
         member._value_ = tag
@@ -326,16 +350,23 @@ class MemberKind(Enum):
     PROPERTY = "prop"
     METHOD = "method"
 
+    __hash__ = object.__hash__  # as ValueType's
 
-@dataclass(frozen=True)
-class Member:
+
+class _MemberKeys(_Held):
+    __slots__ = ("identity",)
+
+
+@dataclass(frozen=True, slots=True)
+class Member(_MemberKeys):
     """A property or method, stamped with the class that declared it.
 
     Identity within a member set is the (owner, name) pair: two classes may
     each declare a member called ``p1`` and both survive side by side in a
     heterogeneous structure.  Similarity (see :func:`similar`) deliberately
     ignores the owner so that equal knowledge declared twice can be
-    recognized and merged where merging is wanted.
+    recognized and merged where merging is wanted.  The identity is
+    computed once, at construction, and read from a slot after that.
     """
 
     kind: MemberKind
@@ -345,13 +376,12 @@ class Member:
     value: Value | None = None
     params: tuple[tuple[str, ValueType], ...] = ()
     returns: ValueType | None = None
-    _hash = None  # not a field: cached by __hash__ on first use
 
     def __post_init__(self) -> None:
         if self.kind is MemberKind.PROPERTY:
             if self.value_type is None:
                 raise ModelInvariantError(f"property {self.name!r} needs a value type")
-            if not value_matches_type(self.value_type, self.value):
+            if not self.value_type.codec.check(self.value):
                 raise ModelInvariantError(
                     f"property {self.name!r}: value {self.value!r} does not match "
                     f"type {self.value_type.value}"
@@ -372,20 +402,12 @@ class Member:
                         f"method {self.name!r} has duplicate parameter {pname!r}"
                     )
                 seen.add(pname)
+        object.__setattr__(self, "identity", (self.owner, self.name))
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(
-                (self.kind, self.name, self.owner, self.value_type, self.value,
-                 self.params, self.returns)
-            )
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    @property
-    def identity(self) -> tuple[str, str]:
-        return (self.owner, self.name)
+        # Equal members share an identity, and a member set holds one
+        # member per identity.
+        return hash(self.identity)
 
     def similarity_key(self) -> tuple:
         """Owner-free content key; equal keys mean similar members."""
@@ -431,24 +453,26 @@ def similar(a: Member, b: Member) -> bool:
     return a.similarity_key() == b.similarity_key()
 
 
-@dataclass(frozen=True)
-class DegreedMember:
+class _EntryKeys(_Held):
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True)
+class DegreedMember(_EntryKeys):
     """A member together with the degree to which it belongs to its carrier."""
 
     member: Member
     degree: Degree = DEGREE_ONE
-    _hash = None  # not a field: cached by __hash__ on first use
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.member, self.degree))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        try:
+            return self._hash
+        except AttributeError:  # first use
+            object.__setattr__(self, "_hash", hash((self.member, self.degree)))
+            return self._hash
 
-    @property
-    def identity(self) -> tuple[str, str]:
-        return self.member.identity
+    # The member's identity, one hop away, read without a Python frame.
+    identity = property(attrgetter("member.identity"))
 
     def display(self) -> str:
         base = self.member.display()
@@ -489,7 +513,8 @@ class MemberSet:
     a set of (member, degree) pairs; :meth:`similar_eq` loosens that further
     by comparing owner-free similarity keys, which is the right notion when
     a reconstructed member set may carry another participant's copy of the
-    same knowledge.
+    same knowledge.  Identities are read from the slots where members hold
+    them, computed once, at construction.
     """
 
     __slots__ = ("_items",)
@@ -499,12 +524,13 @@ class MemberSet:
         seen: set[tuple[str, str]] = set()
         for item in items:
             entry = item if isinstance(item, DegreedMember) else DegreedMember(item)
-            if entry.identity in seen:
-                owner, name = entry.identity
+            identity = entry.identity
+            if identity in seen:
+                owner, name = identity
                 raise ModelInvariantError(
                     f"duplicate member {name!r} owned by {owner!r} in one member set"
                 )
-            seen.add(entry.identity)
+            seen.add(identity)
             coerced.append(entry)
         self._items: tuple[DegreedMember, ...] = tuple(coerced)
 
@@ -718,18 +744,12 @@ class HetClass:
                 f"{participant!r} does not participate in class {self.name!r}"
             )
         wanted = set(self.participants[participant])
-        entries: list[DegreedMember] = list(self.core)
-        for projection in self.projections:
-            if projection.label in wanted:
-                entries.extend(projection.members)
-        return dedupe_similar(entries)
+        shares = (p.members for p in self.projections if p.label in wanted)
+        return dedupe_similar(chain(self.core, *shares))
 
     def members(self) -> MemberSet:
         """Core plus every projection, similar members collapsed."""
-        entries: list[DegreedMember] = list(self.core)
-        for projection in self.projections:
-            entries.extend(projection.members)
-        return dedupe_similar(entries)
+        return dedupe_similar(chain(self.core, *(p.members for p in self.projections)))
 
 
 KnowledgeClass = Union[HomClass, HetClass]
@@ -738,11 +758,9 @@ KnowledgeClass = Union[HomClass, HetClass]
 def class_is_fuzzy(cls: KnowledgeClass) -> bool:
     """A class is fuzzy when it holds a weak member or a genuinely fuzzy value."""
     if isinstance(cls, HomClass):
-        entries = list(cls.spec) + list(cls.sig)
+        entries = chain(cls.spec, cls.sig)
     else:
-        entries = list(cls.core)
-        for projection in cls.projections:
-            entries.extend(projection.members)
+        entries = chain(cls.core, *(p.members for p in cls.projections))
     for entry in entries:
         if entry.degree.is_weak:
             return True
@@ -1054,7 +1072,7 @@ def materialize(
     """
     hosts = [
         cls
-        for cls in list(net.classes.values()) + list(extra)
+        for cls in chain(net.classes.values(), extra)
         if isinstance(cls, HetClass) and name in cls.participants
     ]
     if len(hosts) > 1:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,17 @@ class TestMembers:
         assert entry.display() == "p1(A1)"
         weak = DegreedMember(entry, as_degree("1/2"))
         assert weak.display() == "p1(A1)/0.5"
+
+    def test_held_keys_are_frozen_like_the_fields(self):
+        entry = DegreedMember(prop("p1", ValueType.INT, 1, "A1"), as_degree("1/2"))
+        for value, key in ((entry.member, "identity"), (entry.degree, "is_weak")):
+            # A frozen dataclass built with slots=True raises TypeError, not
+            # FrozenInstanceError, for a name that is no field (CPython 3.10-3.13).
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                setattr(value, key, None)
+            assert not hasattr(value, "__dict__")
+        assert entry.identity == ("A1", "p1") and entry.degree.is_weak
+        assert entry.identity is entry.member.identity
 
     def test_similarity_ignores_owner(self):
         a = prop("p1", ValueType.INT, 1, "A1")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -609,6 +611,58 @@ class TestHashing:
         assert [f.name for f in fields(DegreedMember)] == ["member", "degree"]
         assert [f.name for f in fields(Degree)] == ["value"]
         assert replace(entry, degree=DEGREE_ONE) == DegreedMember(entry.member)
+        # Nor is any other held key, and none shows in a repr.
+        hash(entry.member), hash(entry.degree)
+        held = {"_hash", "identity", "is_weak"}
+        for value in (entry, entry.member, entry.degree):
+            assert held.isdisjoint(f.name for f in fields(value))
+            assert not any(key in repr(value) for key in held)
+
+    @staticmethod
+    def held_keys_hold(entry: DegreedMember) -> None:
+        member, degree = entry.member, entry.degree
+        assert member.identity == (member.owner, member.name) == entry.identity
+        if member.kind is MemberKind.PROPERTY:
+            owner_free = (member.kind, member.name, member.value_type, member.value)
+        else:
+            owner_free = (member.kind, member.name, member.params, member.returns)
+        assert member.similarity_key() == owner_free
+        assert degree.is_weak is (degree.value < 1)
+
+    @COMMON
+    @given(entry=st.one_of(degreed_props("p0", "C0"), degreed_methods("m0", "C0")))
+    def test_held_keys_match_their_definitions_in_every_copy(self, entry):
+        """Keys live in slots that are no fields; every way of copying a
+        value must still leave the copy's keys equal to their definitions."""
+        copies = [
+            replace, copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+        ]
+        self.held_keys_hold(entry)
+        for make in copies:
+            again = make(entry)
+            assert again == entry and hash(again) == hash(entry)
+            self.held_keys_hold(again)
+            self.held_keys_hold(DegreedMember(make(entry.member), make(entry.degree)))
+
+    @COMMON
+    @given(entry=st.one_of(degreed_props("p0", "C0"), degreed_methods("m0", "C0")))
+    def test_tags_and_keys_find_their_entries_after_a_pickle(self, entry):
+        """Type tags hash by identity, so a tag read back must be the very
+        singleton, and every key built from tags must still find its entry."""
+        member = entry.member
+        tags = [member.kind, member.value_type, member.returns, *(t for _, t in member.params)]
+        tags = [tag for tag in tags if tag is not None]
+        keys = [
+            *tags, member.identity, member.similarity_key(), (member.similarity_key(), entry.degree),
+            member, entry.degree, entry,
+        ]
+        table = {key: at for at, key in enumerate(keys)}
+        for tag in tags:
+            assert pickle.loads(pickle.dumps(tag)) is tag
+        for key in keys:
+            back = pickle.loads(pickle.dumps(key))
+            assert back == key and hash(back) == hash(key)
+            assert table[back] == table[key]
 
 
 # ---------------------------------------------------------------------------
