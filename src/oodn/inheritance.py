@@ -649,11 +649,7 @@ def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
                     subjects=(first, link.parent, plan.heir),
                     members=(entry.member.name,),
                 )
-            if (
-                entry.degree < present.degree
-                if policy is Policy.MIN
-                else entry.degree > present.degree
-            ):
+            if (entry.degree < present.degree) == (policy is Policy.MIN):  # they differ
                 merged[identity] = entry
     return merged
 
@@ -759,7 +755,8 @@ def inherit(
     a bitmask of participant indices, root first; on a chain it is a run's
     range of levels.  A projection depends on the smallest audiences
     strictly containing its own, the transitive reduction of the subset
-    order over the non-empty groups.
+    order over the non-empty groups.  A participant holds one entry per
+    identity, so no group holds two: its member set needs no check.
     """
     order = plan.participants_root_first()
     holdings: Iterable[tuple[DegreedMember, int]]
@@ -825,7 +822,7 @@ def inherit(
                 minimal.append(other)
         deps = tuple(labels[other] for other in supersets if other in minimal)
         projections.append(
-            Projection(labels[mask], MemberSet(members), depends_on=deps)
+            Projection(labels[mask], MemberSet._subset(members), depends_on=deps)
         )
     participants = {
         name: tuple(labels[mask] for mask in groups if mask >> index & 1)
@@ -833,7 +830,7 @@ def inherit(
     }
     return HetClass(
         name=plan.heir,
-        core=MemberSet(core_entries),
+        core=MemberSet._subset(core_entries),
         projections=tuple(projections),
         participants=participants,
     )

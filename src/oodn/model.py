@@ -24,7 +24,8 @@ supposed to change through the modifier operations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections.abc import MutableMapping
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -66,6 +67,14 @@ class _Held:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    # In place of the refusals ``dataclass(frozen=True, slots=True)`` makes,
+    # which raise ``TypeError`` for a name that is no field.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class _DegreeKeys(_Held):
@@ -481,6 +490,10 @@ class DegreedMember(_EntryKeys):
         return base
 
 
+for _cls in (Degree, Member, DegreedMember):
+    del _cls.__setattr__, _cls.__delattr__  # _Held's refuse every write
+
+
 def member_text(entry: DegreedMember, head: str) -> str:
     """An entry's kind, typing, value and degree around ``head``, the
     member's name as the caller shows it."""
@@ -829,6 +842,59 @@ class Relation:
 # ---------------------------------------------------------------------------
 
 
+class ClassTable(dict):
+    """A network's classes by name, indexed on every write: ``hosts(name)``
+    yields the heterogeneous classes listing ``name`` as a participant, and
+    ``heterogeneous`` holds the names one is stored under.  A ``HetClass`` is
+    frozen, so what it hosts changes only when a class is stored in its place."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._hosts: dict[str, dict[str, HetClass]] = {}
+        self.heterogeneous: set[str] = set()
+        self.update(*args, **kwargs)
+
+    def __reduce__(self) -> tuple:  # pickle would set items before the index
+        return type(self), (dict(self),)
+
+    def hosts(self, name: str) -> Iterable[HetClass]:
+        return self._hosts.get(name, {}).values()
+
+    def _drop(self, key: str) -> None:
+        if key in self.heterogeneous:
+            self.heterogeneous.remove(key)
+            for participant in self[key].participants:
+                hosts = self._hosts[participant]
+                del hosts[key]
+                if not hosts:
+                    del self._hosts[participant]
+
+    def __setitem__(self, key: str, cls: KnowledgeClass) -> None:
+        self._drop(key)
+        super().__setitem__(key, cls)
+        if isinstance(cls, HetClass):
+            self.heterogeneous.add(key)
+            for participant in cls.participants:
+                self._hosts.setdefault(participant, {})[key] = cls
+
+    def pop(self, key: str, *default: Any) -> Any:
+        self._drop(key)
+        return super().pop(key, *default)
+
+    __delitem__ = pop
+
+    def popitem(self) -> tuple[str, KnowledgeClass]:
+        if self:
+            self._drop(next(reversed(self)))  # a dict pops its last item
+        return super().popitem()
+
+    def __ior__(self, other: Any) -> "ClassTable":
+        self.update(other)
+        return self
+
+    setdefault, update = MutableMapping.setdefault, MutableMapping.update  # via __setitem__
+    clear = MutableMapping.clear  # via popitem
+
+
 @dataclass
 class Network:
     """The five-part knowledge container plus declared inheritance plans.
@@ -837,16 +903,20 @@ class Network:
     :func:`oodn.operations.make_network` returns a network with the built-in
     operations installed.  ``stale`` collects names of heterogeneous classes
     whose inputs were mutated after construction; they are flagged, never
-    rebuilt behind the caller's back.
+    rebuilt behind the caller's back.  ``classes`` is a :class:`ClassTable`,
+    which keeps its host index current on every write.
     """
 
     objects: dict[str, ObjectInstance] = field(default_factory=dict)
-    classes: dict[str, KnowledgeClass] = field(default_factory=dict)
+    classes: ClassTable = field(default_factory=ClassTable)
     relations: list[Relation] = field(default_factory=list)
     exploiters: dict[str, Callable] = field(default_factory=dict)
     modifiers: dict[str, Callable] = field(default_factory=dict)
     plans: list["InheritancePlan"] = field(default_factory=list)
     stale: set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.classes = ClassTable(self.classes)  # so a plain dict passed in is indexed
 
 
 @dataclass(frozen=True)
@@ -1070,11 +1140,8 @@ def materialize(
     results that are not registered in the network (for example, freshly
     executed inheritance plans).
     """
-    hosts = [
-        cls
-        for cls in chain(net.classes.values(), extra)
-        if isinstance(cls, HetClass) and name in cls.participants
-    ]
+    hosts = [*net.classes.hosts(name)]
+    hosts += [cls for cls in extra if isinstance(cls, HetClass) and name in cls.participants]
     if len(hosts) > 1:
         raise UnknownEntityError(
             f"{name!r} participates in several heterogeneous classes; "

@@ -10,7 +10,8 @@ built from the modified entity as stale rather than silently rebuilding
 them.  The check is :func:`oodn.model.validate_edit` on the edited class
 or object, so an error elsewhere in the network does not block an edit,
 and :attr:`ModificationRejected.findings` holds the findings in the edit's
-scope, warnings included.
+scope, warnings included.  Marking stale reads the host index of the
+class table (:class:`oodn.model.ClassTable`) instead of scanning it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .inheritance import decompose
 from .model import (
     Degree,
     DegreedMember,
-    HetClass,
     HomClass,
     Member,
     MemberKind,
@@ -71,9 +71,7 @@ def exploit_union(
     entries: list[DegreedMember] = []
     for name in names:
         entries.extend(materialize(net, name))
-    merged = dedupe_similar(entries)
-    spec, sig = merged.by_kind()
-    return HomClass(result_name, spec=spec, sig=sig)
+    return HomClass(result_name, *dedupe_similar(entries).by_kind())
 
 
 def exploit_intersection(
@@ -85,11 +83,8 @@ def exploit_intersection(
     sets = [materialize(net, name) for name in names]
     keysets = [{_entry_key(entry) for entry in member_set} for member_set in sets]
     shared = set.intersection(*keysets)
-    kept = dedupe_similar(
-        entry for entry in sets[0] if _entry_key(entry) in shared
-    )
-    spec, sig = kept.by_kind()
-    return HomClass(result_name, spec=spec, sig=sig)
+    kept = dedupe_similar(entry for entry in sets[0] if _entry_key(entry) in shared)
+    return HomClass(result_name, *kept.by_kind())
 
 
 def exploit_instance_check(
@@ -118,10 +113,7 @@ def exploit_instance_check(
     for entry in required:
         if offered.get(entry.member.name) != entry.member.value_type:
             return False
-    weak = [entry.degree for entry in required if entry.degree.is_weak]
-    if weak:
-        return min(weak)
-    return True
+    return min((entry.degree for entry in required if entry.degree.is_weak), default=True)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +138,14 @@ def _commit_or_rollback(
 
 
 def _mark_stale(net: Network, changed: str) -> None:
-    """Flag heterogeneous classes whose inputs include the changed entity."""
-    for cls in net.classes.values():
-        if isinstance(cls, HetClass) and changed in cls.participants:
-            net.stale.add(cls.name)
-    for plan in net.plans:
-        if isinstance(net.classes.get(plan.heir), HetClass) and (
-            changed in plan.class_names()
-        ):
-            net.stale.add(plan.heir)
+    """Flag heterogeneous classes whose inputs include the changed entity:
+    its indexed hosts, and each registered heir of a plan that names it."""
+    net.stale.update(cls.name for cls in net.classes.hosts(changed))
+    heirs = net.classes.heterogeneous
+    if heirs:  # else no plan's heir can be one
+        net.stale.update(
+            plan.heir for plan in net.plans if plan.heir in heirs and changed in plan.class_names()
+        )
 
 
 def _require_hom(net: Network, class_name: str) -> HomClass:
@@ -263,13 +254,8 @@ def _set_object_value(
         raise UnknownEntityError(
             f"class {obj.class_ref!r} has no property {member_name!r}"
         )
-    overrides = [
-        (name, value if name == member_name else existing)
-        for name, existing in obj.member_values
-    ]
-    if member_name not in {name for name, _ in obj.member_values}:
-        overrides.append((member_name, value))
-    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides))
+    overrides = obj.values() | {member_name: value}  # a new name goes last
+    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides.items()))
     action = f"setting {member_name!r} on object {object_name!r}"
     _commit_or_rollback(net, net.objects, object_name, replacement, action)
 

@@ -6,6 +6,7 @@ import pytest
 
 from oodn.model import (
     Degree,
+    HetClass,
     HomClass,
     MemberSet,
     Network,
@@ -347,6 +348,23 @@ class TestStaleness:
         net.plans.append(plan)
         modify_add_member(net, "B", prop("np", ValueType.INT, 3, "B"))
         assert "H" not in net.stale
+
+    def test_a_registered_heir_without_participants_is_marked_through_its_plan(self):
+        # No participant names the edited class, so only the plan links it
+        # to H: finding no host must not skip the plans.
+        net = sample_net()
+        net.classes["H"] = HetClass("H")
+        net.plans.append(InheritancePlan(heir="H", sources=(("A", Selection()),)))
+        modify_add_member(net, "B", prop("np", ValueType.INT, 3, "B"))
+        assert net.stale == set()
+        modify_add_member(net, "A", prop("np", ValueType.INT, 3, "A"))
+        assert net.stale == {"H"}
+
+    def test_a_host_is_marked_by_the_name_it_carries(self):
+        net = sample_net()
+        net.classes["K"] = HetClass("H", participants={"A": ()})
+        modify_add_member(net, "A", prop("np", ValueType.INT, 3, "A"))
+        assert net.stale == {"H"}
 
 
 # ---------------------------------------------------------------------------

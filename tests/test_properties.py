@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from oodn.diagnostics import diagnose_all
 from oodn.dsl import (
@@ -22,6 +23,7 @@ from oodn.dsl import (
     serialize,
 )
 from oodn.inheritance import (
+    InheritanceConflictError,
     InheritancePlan,
     Policy,
     Selection,
@@ -34,6 +36,7 @@ from oodn.inheritance import (
 )
 from oodn.model import (
     DEGREE_ONE,
+    ClassTable,
     Degree,
     DegreedMember,
     FuzzySet,
@@ -42,15 +45,19 @@ from oodn.model import (
     Member,
     MemberKind,
     MemberSet,
+    Network,
     ObjectInstance,
     OodnError,
     Projection,
     Relation,
     RelationKind,
+    UnknownEntityError,
     ValueType,
+    _object_members,
     dedupe_similar,
     declared_properties,
     format_rational,
+    materialize,
     method,
     prop,
     validate_network,
@@ -58,6 +65,7 @@ from oodn.model import (
 )
 from oodn.operations import (
     ModificationRejected,
+    _mark_stale,
     make_network,
     modify_add_member,
     modify_remove_member,
@@ -469,6 +477,21 @@ class TestLayering:
             for label in het.participants[name]:
                 rebuilt.extend(projections[label])
             assert MemberSet(rebuilt) == MemberSet(view.values())
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_core_and_projections_hold_distinct_identities(self, data):
+        """``inherit`` builds its member sets without checking identities,
+        so each one's identities must be distinct by construction."""
+        net, plan = data
+        for shape in (plan, replace(plan, chain=not plan.chain)):
+            try:
+                het = inherit(shape, net, Policy.MIN)
+            except InheritanceConflictError:
+                continue
+            for members in (het.core, *(p.members for p in het.projections)):
+                identities = [entry.identity for entry in members]
+                assert len(identities) == len(set(identities))
 
     @WHOLE_NETWORK
     @given(data=layered_plans())
@@ -925,3 +948,225 @@ class TestModifierScope:
         else:
             assert unbuildable is None and not errors
             assert (net.classes, net.objects) == (after.classes, after.objects)
+
+
+# ---------------------------------------------------------------------------
+# The class table's host index
+# ---------------------------------------------------------------------------
+
+INDEX_NAMES = ("A", "B", "H", "K")  # registry keys, class names and participants
+
+
+def materialize_by_scan(net: Network, name: str, extra=()) -> MemberSet:
+    """``materialize`` as it was before the class table kept a host index:
+    it scanned every registered class, and ``extra``, for hosts."""
+    hosts = [
+        cls
+        for cls in [*net.classes.values(), *extra]
+        if isinstance(cls, HetClass) and name in cls.participants
+    ]
+    if len(hosts) > 1:
+        raise UnknownEntityError(
+            f"{name!r} participates in several heterogeneous classes; "
+            f"reconstruct through a specific one"
+        )
+    if hosts:
+        return hosts[0].member_view(name)
+    cls = net.classes.get(name)
+    if cls is not None:
+        return cls.members()
+    obj = net.objects.get(name)
+    if obj is not None:
+        return _object_members(net, obj)
+    raise UnknownEntityError(f"nothing named {name!r} is declared")
+
+
+def stale_by_scan(net: Network, changed: str) -> set[str]:
+    """The names ``_mark_stale`` flagged before the host index, by its two
+    scans: every registered class, then every plan."""
+    stale = set()
+    for cls in net.classes.values():
+        if isinstance(cls, HetClass) and changed in cls.participants:
+            stale.add(cls.name)
+    for plan in net.plans:
+        if isinstance(net.classes.get(plan.heir), HetClass) and (
+            changed in plan.class_names()
+        ):
+            stale.add(plan.heir)
+    return stale
+
+
+def outcome(call):
+    """A call's member list, or the type and text of the error it raised."""
+    try:
+        return list(call())
+    except OodnError as exc:
+        return type(exc), str(exc)
+
+
+index_hom_classes = st.builds(
+    lambda name, value: HomClass(name, MemberSet([prop("p", ValueType.INT, value, name)])),
+    st.sampled_from(INDEX_NAMES),
+    st.integers(0, 3),
+)
+# The name may differ from the key it is stored under, and a class may list
+# no participant at all.
+index_het_classes = st.builds(
+    lambda name, participants: HetClass(name, participants=dict.fromkeys(participants, ())),
+    st.sampled_from(INDEX_NAMES),
+    st.lists(st.sampled_from(INDEX_NAMES + ("o",)), unique=True, max_size=3),
+)
+index_classes = st.one_of(index_hom_classes, index_het_classes)
+index_items = st.lists(st.tuples(st.sampled_from(INDEX_NAMES), index_classes), max_size=3)
+
+INDEX_TEXT = """
+class A { prop p: int = 1; }
+class B { prop p: int = 2; }
+hetclass H { core { prop q: int = 1; } participant A -> core; participant o -> core; }
+hetclass K { participant B -> core; }
+object o : A { }
+K inherits A;
+H inherits A, B;
+"""
+
+
+class HostIndexMachine(RuleBasedStateMachine):
+    """Writes through every mutator of the class table, modifier calls,
+    parsing, import and copies of the network; after each step the host
+    index must be what a scan of the table finds, and ``materialize`` and
+    marking stale must give what their scans gave."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.net = make_network()
+        self.extra: list[HetClass] = []
+
+    @initialize()
+    def register_an_heir_without_participants(self) -> None:
+        self.net.classes["A"] = HomClass("A", MemberSet([prop("p", ValueType.INT, 0, "A")]))
+        self.net.classes["H"] = HetClass("H")
+        self.net.plans.append(InheritancePlan(heir="H", sources=(("A", Selection()),)))
+
+    @rule(key=st.sampled_from(INDEX_NAMES), cls=index_classes)
+    def store(self, key, cls) -> None:
+        self.net.classes[key] = cls
+
+    @rule(key=st.sampled_from(INDEX_NAMES), default=st.booleans())
+    def remove(self, key, default) -> None:
+        table = self.net.classes
+        if default:
+            table.pop(key, None)
+        elif key in table:
+            del table[key]
+        else:
+            with pytest.raises(KeyError):
+                table.pop(key)
+
+    @rule()
+    def pop_last(self) -> None:
+        table = self.net.classes
+        if table:
+            last = list(table.items())[-1]
+            assert table.popitem() == last
+        else:
+            with pytest.raises(KeyError):
+                table.popitem()
+
+    @rule(key=st.sampled_from(INDEX_NAMES), cls=index_classes)
+    def store_unless_present(self, key, cls) -> None:
+        self.net.classes.setdefault(key, cls)
+
+    @rule(items=index_items, how=st.sampled_from(("mapping", "pairs", "keywords", "|=")))
+    def merge(self, items, how) -> None:
+        table = self.net.classes
+        if how == "mapping":
+            table.update(dict(items))
+        elif how == "pairs":
+            table.update(items)
+        elif how == "keywords":
+            table.update(**dict(items))
+        else:
+            table |= items
+
+    @rule()
+    def clear(self) -> None:
+        self.net.classes.clear()
+
+    @rule(key=st.sampled_from(INDEX_NAMES), value=st.integers(0, 3), edit=st.integers(0, 2))
+    def modify(self, key, value, edit) -> None:
+        before = set(self.net.stale)
+        expected = before | stale_by_scan(self.net, key)
+        try:
+            if edit == 0:
+                modify_set_value(self.net, key, "p", value)
+            elif edit == 1:
+                modify_add_member(self.net, key, prop(f"n{value}", ValueType.INT, value, key))
+            else:
+                modify_remove_member(self.net, key, f"n{value}")
+        except OodnError:
+            assert self.net.stale == before
+        else:
+            assert self.net.stale == expected
+
+    @rule(
+        heir=st.sampled_from(INDEX_NAMES),
+        sources=st.lists(st.sampled_from(INDEX_NAMES), unique=True, min_size=1, max_size=2),
+    )
+    def plan(self, heir, sources) -> None:
+        assume(heir not in sources)
+        selected = tuple((name, Selection()) for name in sources)
+        self.net.plans.append(InheritancePlan(heir=heir, sources=selected))
+
+    @rule()
+    def parse(self) -> None:
+        self.net = parse_network(INDEX_TEXT)
+
+    @rule()
+    def export_and_import(self) -> None:
+        self.net = import_structured(export_structured(self.net))
+
+    @rule(how=st.sampled_from(("copy", "deepcopy", "pickle")))
+    def copied(self, how) -> None:
+        if how == "copy":
+            self.net = copy.copy(self.net)
+        elif how == "deepcopy":
+            self.net = copy.deepcopy(self.net)
+        else:
+            self.net = pickle.loads(pickle.dumps(self.net))
+
+    @rule(extra=st.lists(index_het_classes, max_size=2))
+    def offer(self, extra) -> None:
+        self.extra = extra
+
+    @invariant()
+    def index_is_what_a_scan_finds(self) -> None:
+        table = self.net.classes
+        assert isinstance(table, ClassTable)
+        scanned: dict[str, dict[str, int]] = {}
+        for key, cls in table.items():
+            if isinstance(cls, HetClass):
+                for participant in cls.participants:
+                    scanned.setdefault(participant, {})[key] = id(cls)
+        indexed = {
+            participant: {key: id(cls) for key, cls in hosts.items()}
+            for participant, hosts in table._hosts.items()
+        }
+        assert indexed == scanned
+        assert table.heterogeneous == {
+            key for key, cls in table.items() if isinstance(cls, HetClass)
+        }
+        for name in INDEX_NAMES + ("o", "zz"):
+            for extra in ((), self.extra):
+                assert outcome(lambda: materialize(self.net, name, extra)) == outcome(
+                    lambda: materialize_by_scan(self.net, name, extra)
+                )
+            saved, self.net.stale = self.net.stale, set()
+            _mark_stale(self.net, name)
+            assert self.net.stale == stale_by_scan(self.net, name)
+            self.net.stale = saved
+
+
+TestHostIndex = HostIndexMachine.TestCase
+TestHostIndex.settings = settings(
+    max_examples=150, stateful_step_count=25, deadline=None, derandomize=True
+)
