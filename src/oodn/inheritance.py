@@ -649,7 +649,11 @@ def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
                     subjects=(first, link.parent, plan.heir),
                     members=(entry.member.name,),
                 )
-            if (entry.degree < present.degree) == (policy is Policy.MIN):  # they differ
+            if (
+                entry.degree < present.degree
+                if policy is Policy.MIN
+                else entry.degree > present.degree
+            ):
                 merged[identity] = entry
     return merged
 

@@ -68,8 +68,7 @@ class _Held:
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    # In place of the refusals ``dataclass(frozen=True, slots=True)`` makes,
-    # which raise ``TypeError`` for a name that is no field.
+    # Every write is refused alike; dataclass's raise TypeError for a non-field.
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -843,49 +842,32 @@ class Relation:
 
 
 class ClassTable(dict):
-    """A network's classes by name, indexed on every write: ``hosts(name)``
-    yields the heterogeneous classes listing ``name`` as a participant, and
-    ``heterogeneous`` holds the names one is stored under.  A ``HetClass`` is
-    frozen, so what it hosts changes only when a class is stored in its place."""
+    """A network's classes by name, which keeps ``heterogeneous``, the names
+    a ``HetClass`` is stored under, current on every write."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        self._hosts: dict[str, dict[str, HetClass]] = {}
         self.heterogeneous: set[str] = set()
         self.update(*args, **kwargs)
 
-    def __reduce__(self) -> tuple:  # pickle would set items before the index
+    def __reduce__(self) -> tuple:  # pickle would set items before the set exists
         return type(self), (dict(self),)
 
-    def hosts(self, name: str) -> Iterable[HetClass]:
-        return self._hosts.get(name, {}).values()
-
-    def _drop(self, key: str) -> None:
-        if key in self.heterogeneous:
-            self.heterogeneous.remove(key)
-            for participant in self[key].participants:
-                hosts = self._hosts[participant]
-                del hosts[key]
-                if not hosts:
-                    del self._hosts[participant]
-
     def __setitem__(self, key: str, cls: KnowledgeClass) -> None:
-        self._drop(key)
+        self.heterogeneous.discard(key)
         super().__setitem__(key, cls)
         if isinstance(cls, HetClass):
             self.heterogeneous.add(key)
-            for participant in cls.participants:
-                self._hosts.setdefault(participant, {})[key] = cls
 
     def pop(self, key: str, *default: Any) -> Any:
-        self._drop(key)
+        self.heterogeneous.discard(key)
         return super().pop(key, *default)
 
     __delitem__ = pop
 
     def popitem(self) -> tuple[str, KnowledgeClass]:
-        if self:
-            self._drop(next(reversed(self)))  # a dict pops its last item
-        return super().popitem()
+        key, cls = super().popitem()
+        self.heterogeneous.discard(key)
+        return key, cls
 
     def __ior__(self, other: Any) -> "ClassTable":
         self.update(other)
@@ -903,8 +885,8 @@ class Network:
     :func:`oodn.operations.make_network` returns a network with the built-in
     operations installed.  ``stale`` collects names of heterogeneous classes
     whose inputs were mutated after construction; they are flagged, never
-    rebuilt behind the caller's back.  ``classes`` is a :class:`ClassTable`,
-    which keeps its host index current on every write.
+    rebuilt behind the caller's back.  ``classes`` is always a
+    :class:`ClassTable`: a plain ``dict`` is wrapped when assigned.
     """
 
     objects: dict[str, ObjectInstance] = field(default_factory=dict)
@@ -915,8 +897,10 @@ class Network:
     plans: list["InheritancePlan"] = field(default_factory=list)
     stale: set[str] = field(default_factory=set)
 
-    def __post_init__(self) -> None:
-        self.classes = ClassTable(self.classes)  # so a plain dict passed in is indexed
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "classes" and not isinstance(value, ClassTable):
+            value = ClassTable(value)  # a plain dict, passed in or assigned later
+        super().__setattr__(name, value)
 
 
 @dataclass(frozen=True)
@@ -1140,8 +1124,12 @@ def materialize(
     results that are not registered in the network (for example, freshly
     executed inheritance plans).
     """
-    hosts = [*net.classes.hosts(name)]
-    hosts += [cls for cls in extra if isinstance(cls, HetClass) and name in cls.participants]
+    table = net.classes
+    hosts = [
+        cls
+        for cls in chain((table[key] for key in table.heterogeneous), extra)
+        if isinstance(cls, HetClass) and name in cls.participants
+    ]
     if len(hosts) > 1:
         raise UnknownEntityError(
             f"{name!r} participates in several heterogeneous classes; "

@@ -10,8 +10,8 @@ built from the modified entity as stale rather than silently rebuilding
 them.  The check is :func:`oodn.model.validate_edit` on the edited class
 or object, so an error elsewhere in the network does not block an edit,
 and :attr:`ModificationRejected.findings` holds the findings in the edit's
-scope, warnings included.  Marking stale reads the host index of the
-class table (:class:`oodn.model.ClassTable`) instead of scanning it.
+scope, warnings included.  Marking stale reads only the heterogeneous
+classes the class table (:class:`oodn.model.ClassTable`) keeps track of.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ def exploit_union(
     entries: list[DegreedMember] = []
     for name in names:
         entries.extend(materialize(net, name))
-    return HomClass(result_name, *dedupe_similar(entries).by_kind())
+    merged = dedupe_similar(entries)
+    spec, sig = merged.by_kind()
+    return HomClass(result_name, spec=spec, sig=sig)
 
 
 def exploit_intersection(
@@ -83,8 +85,11 @@ def exploit_intersection(
     sets = [materialize(net, name) for name in names]
     keysets = [{_entry_key(entry) for entry in member_set} for member_set in sets]
     shared = set.intersection(*keysets)
-    kept = dedupe_similar(entry for entry in sets[0] if _entry_key(entry) in shared)
-    return HomClass(result_name, *kept.by_kind())
+    kept = dedupe_similar(
+        entry for entry in sets[0] if _entry_key(entry) in shared
+    )
+    spec, sig = kept.by_kind()
+    return HomClass(result_name, spec=spec, sig=sig)
 
 
 def exploit_instance_check(
@@ -113,7 +118,10 @@ def exploit_instance_check(
     for entry in required:
         if offered.get(entry.member.name) != entry.member.value_type:
             return False
-    return min((entry.degree for entry in required if entry.degree.is_weak), default=True)
+    weak = [entry.degree for entry in required if entry.degree.is_weak]
+    if weak:
+        return min(weak)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +146,15 @@ def _commit_or_rollback(
 
 
 def _mark_stale(net: Network, changed: str) -> None:
-    """Flag heterogeneous classes whose inputs include the changed entity:
-    its indexed hosts, and each registered heir of a plan that names it."""
-    net.stale.update(cls.name for cls in net.classes.hosts(changed))
-    heirs = net.classes.heterogeneous
-    if heirs:  # else no plan's heir can be one
-        net.stale.update(
-            plan.heir for plan in net.plans if plan.heir in heirs and changed in plan.class_names()
-        )
+    """Flag heterogeneous classes whose inputs include the changed entity."""
+    table = net.classes
+    for key in table.heterogeneous:
+        if changed in table[key].participants:
+            net.stale.add(table[key].name)
+    if table.heterogeneous:  # else no plan's heir can be one
+        for plan in net.plans:
+            if plan.heir in table.heterogeneous and changed in plan.class_names():
+                net.stale.add(plan.heir)
 
 
 def _require_hom(net: Network, class_name: str) -> HomClass:
@@ -254,8 +263,13 @@ def _set_object_value(
         raise UnknownEntityError(
             f"class {obj.class_ref!r} has no property {member_name!r}"
         )
-    overrides = obj.values() | {member_name: value}  # a new name goes last
-    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides.items()))
+    overrides = [
+        (name, value if name == member_name else existing)
+        for name, existing in obj.member_values
+    ]
+    if member_name not in {name for name, _ in obj.member_values}:
+        overrides.append((member_name, value))
+    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides))
     action = f"setting {member_name!r} on object {object_name!r}"
     _commit_or_rollback(net, net.objects, object_name, replacement, action)
 

@@ -7,6 +7,7 @@ import pytest
 
 from oodn.model import (
     DEGREE_ONE,
+    ClassTable,
     Degree,
     DegreedMember,
     FuzzySet,
@@ -685,4 +686,11 @@ class TestMaterialize:
         )
         net = Network(classes={"A": _hom("A", prop("p", ValueType.INT, 1, "A")), "H": het})
         assert names(materialize(net, "A")) == ["q"]
-        assert list(net.classes.hosts("A")) == [het]
+        assert net.classes.heterogeneous == {"H"}
+        net.classes = {"H": het}
+        assert names(materialize(net, "A")) == ["q"]
+
+    def test_a_class_table_passed_to_the_network_is_shared(self):
+        table = ClassTable()
+        net = Network(classes=table)
+        assert net.classes is table

@@ -360,6 +360,14 @@ class TestStaleness:
         modify_add_member(net, "A", prop("np", ValueType.INT, 3, "A"))
         assert net.stale == {"H"}
 
+    def test_a_plain_dict_assigned_as_the_class_table_still_marks_hosts(self):
+        net = sample_net()
+        net.classes["H"] = HetClass("H", participants={"A": ()})
+        net.classes = dict(net.classes)
+        modify_add_member(net, "A", prop("np", ValueType.INT, 3, "A"))
+        assert net.stale == {"H"}
+        assert "np" in names(net.classes["A"].members())
+
     def test_a_host_is_marked_by_the_name_it_carries(self):
         net = sample_net()
         net.classes["K"] = HetClass("H", participants={"A": ()})

@@ -951,14 +951,14 @@ class TestModifierScope:
 
 
 # ---------------------------------------------------------------------------
-# The class table's host index
+# The class table's index of heterogeneous classes
 # ---------------------------------------------------------------------------
 
 INDEX_NAMES = ("A", "B", "H", "K")  # registry keys, class names and participants
 
 
 def materialize_by_scan(net: Network, name: str, extra=()) -> MemberSet:
-    """``materialize`` as it was before the class table kept a host index:
+    """``materialize`` as it was before the class table kept an index:
     it scanned every registered class, and ``extra``, for hosts."""
     hosts = [
         cls
@@ -982,7 +982,7 @@ def materialize_by_scan(net: Network, name: str, extra=()) -> MemberSet:
 
 
 def stale_by_scan(net: Network, changed: str) -> set[str]:
-    """The names ``_mark_stale`` flagged before the host index, by its two
+    """The names ``_mark_stale`` flagged before the index, by its two
     scans: every registered class, then every plan."""
     stale = set()
     for cls in net.classes.values():
@@ -1032,9 +1032,10 @@ H inherits A, B;
 
 class HostIndexMachine(RuleBasedStateMachine):
     """Writes through every mutator of the class table, modifier calls,
-    parsing, import and copies of the network; after each step the host
-    index must be what a scan of the table finds, and ``materialize`` and
-    marking stale must give what their scans gave."""
+    parsing, import, copies of the network and plain dicts assigned to it;
+    after each step the table's ``heterogeneous`` keys must be what a scan
+    finds, and ``materialize`` and marking stale must give what their scans
+    gave."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -1125,6 +1126,13 @@ class HostIndexMachine(RuleBasedStateMachine):
     def export_and_import(self) -> None:
         self.net = import_structured(export_structured(self.net))
 
+    @rule(how=st.sampled_from(("dict", "copy")))
+    def reassigned(self, how) -> None:
+        # A plain dict assigned to the network is wrapped, so the modifiers
+        # that follow still find what they must mark stale.
+        table = self.net.classes
+        self.net.classes = dict(table) if how == "dict" else table.copy()
+
     @rule(how=st.sampled_from(("copy", "deepcopy", "pickle")))
     def copied(self, how) -> None:
         if how == "copy":
@@ -1142,16 +1150,6 @@ class HostIndexMachine(RuleBasedStateMachine):
     def index_is_what_a_scan_finds(self) -> None:
         table = self.net.classes
         assert isinstance(table, ClassTable)
-        scanned: dict[str, dict[str, int]] = {}
-        for key, cls in table.items():
-            if isinstance(cls, HetClass):
-                for participant in cls.participants:
-                    scanned.setdefault(participant, {})[key] = id(cls)
-        indexed = {
-            participant: {key: id(cls) for key, cls in hosts.items()}
-            for participant, hosts in table._hosts.items()
-        }
-        assert indexed == scanned
         assert table.heterogeneous == {
             key for key, cls in table.items() if isinstance(cls, HetClass)
         }
