@@ -198,6 +198,20 @@ _RELATION_KINDS = {k.value: k for k in RelationKind}
 _KEYWORDS = {"class", "hetclass", "object", "relation"}
 
 
+def _check_new_name(net: Network, kind: str, name: str) -> None:
+    """Refuse a class or object (``kind``) named ``name`` when the network
+    already has one by that name: a name stands for one class or object."""
+    same, other, other_kind = (
+        (net.classes, net.objects, "an object")
+        if kind == "class"
+        else (net.objects, net.classes, "a class")
+    )
+    if name in same:
+        raise OodnError(f"{kind} {name!r} declared twice")
+    if name in other:
+        raise OodnError(f"{name!r} already names {other_kind}")
+
+
 class _Parser:
     """Recursive descent over the token texts.
 
@@ -220,21 +234,23 @@ class _Parser:
         return ParseError(message, *_position(self.text, self.pos if at is None else at))
 
     def _expected(self, wanted: str) -> ParseError:
+        """A parse error at the next token: ``wanted`` was expected, and the
+        token is shown as found, the end of input by name."""
         shown = self.tokens[self.pos] or "end of input"
-        return self.fail(f"expected {wanted!r}, found {shown!r}")
+        return self.fail(f"expected {wanted}, found {shown!r}")
 
     def expect(self, text: str, name: str | None = None) -> None:
         """Consume the punctuation mark, arrow or keyword ``text``; an error
         calls it ``name``, by default ``text`` itself."""
         if self.tokens[self.pos] != text:
-            raise self._expected(name or text)
+            raise self._expected(repr(name or text))
         self.pos += 1
 
     def ident(self) -> str:
         """Consume an identifier and return it."""
         token = self.tokens[self.pos]
         if token[:1] not in _IDENT_START:
-            raise self._expected("ident")
+            raise self._expected("'ident'")
         self.pos += 1
         return token
 
@@ -242,7 +258,7 @@ class _Parser:
         """Consume a quoted string and return its unescaped text."""
         token = self.tokens[self.pos]
         if token[:1] != '"':
-            raise self._expected("string")
+            raise self._expected("'string'")
         self.pos += 1
         return _unescape(token)
 
@@ -287,7 +303,7 @@ class _Parser:
         fails saying ``what`` was expected if none is."""
         token = self.tokens[self.pos]
         if _kind(token) not in _NUMBER_KINDS:
-            raise self.fail(f"expected {what}, found {token!r}")
+            raise self._expected(what)
         return self.pos, self.number()
 
     # -- document ----------------------------------------------------------
@@ -302,15 +318,9 @@ class _Parser:
         }
         while token := self.tokens[self.pos]:
             if token[:1] not in _IDENT_START:
-                raise self.fail(f"expected a declaration, found {token!r}")
+                raise self._expected("a declaration")
             declarations.get(token, self._parse_plan)(net)
         return net
-
-    def _declare_class(self, net: Network, name: str, at: int) -> None:
-        if name in net.classes:
-            raise self.fail(f"class {name!r} declared twice", at)
-        if name in net.objects:
-            raise self.fail(f"{name!r} already names an object", at)
 
     # -- homogeneous classes -----------------------------------------------
 
@@ -320,7 +330,7 @@ class _Parser:
         name = self.ident()
         if name in _KEYWORDS:
             raise self.fail(f"{name!r} cannot name a class", at)
-        self._declare_class(net, name, at)
+        self.build(at, _check_new_name, net, "class", name)
         entries = self._parse_members(name)
         net.classes[name] = self.build(
             at, lambda: HomClass(name, *MemberSet(entries).by_kind())
@@ -340,7 +350,7 @@ class _Parser:
             return self._parse_prop(default_owner)
         if text == "method":
             return self._parse_method(default_owner)
-        raise self.fail(f"expected 'prop' or 'method', found {text!r}")
+        raise self._expected("'prop' or 'method'")
 
     def _parse_member_name(self, default_owner: str) -> tuple[str, str]:
         first = self.ident()
@@ -405,7 +415,7 @@ class _Parser:
         token = self.tokens[self.pos]
         if value_type is ValueType.INT:
             if _kind(token) != "INT":
-                raise self.fail(f"expected an integer, found {token!r}")
+                raise self._expected("an integer")
             self.pos += 1
             return int(token)
         if value_type is ValueType.REAL:
@@ -414,10 +424,10 @@ class _Parser:
             if token in ("true", "false"):
                 self.pos += 1
                 return token == "true"
-            raise self.fail(f"expected 'true' or 'false', found {token!r}")
+            raise self._expected("'true' or 'false'")
         if value_type is ValueType.TEXT:
             if token[:1] != '"':
-                raise self.fail(f"expected a quoted string, found {token!r}")
+                raise self._expected("a quoted string")
             return self.string()
         return self._parse_fuzzy_set()
 
@@ -444,7 +454,7 @@ class _Parser:
         elif kind in _NUMBER_KINDS:
             element = self.number()
         else:
-            raise self.fail(f"expected a fuzzy element, found {token!r}")
+            raise self._expected("a fuzzy element")
         self.expect(":")
         return element, self.numeral("a membership")[1]
 
@@ -454,10 +464,7 @@ class _Parser:
         self.expect("object")
         at = self.pos
         name = self.ident()
-        if name in net.objects:
-            raise self.fail(f"object {name!r} declared twice", at)
-        if name in net.classes:
-            raise self.fail(f"{name!r} already names a class", at)
+        self.build(at, _check_new_name, net, "object", name)
         self.expect(":")
         class_ref = self.ident()
         overrides: list[tuple[str, Value]] = []
@@ -487,7 +494,7 @@ class _Parser:
             return token == "true"
         if token == "{":
             return self._parse_fuzzy_set()
-        raise self.fail(f"expected a value, found {token!r}")
+        raise self._expected("a value")
 
     # -- relations -----------------------------------------------------------
 
@@ -561,7 +568,7 @@ class _Parser:
         self.expect("hetclass")
         at = self.pos
         name = self.ident()
-        self._declare_class(net, name, at)
+        self.build(at, _check_new_name, net, "class", name)
         self.expect("{")
         core: list[DegreedMember] = []
         projections: list[Projection] = []
@@ -588,10 +595,7 @@ class _Parser:
                     )
                 participants[participant] = tuple(labels)
             else:
-                raise self.fail(
-                    "expected 'core', 'projection', or 'participant', "
-                    f"found {token!r}"
-                )
+                raise self._expected("'core', 'projection', or 'participant'")
         net.classes[name] = self.build(
             at,
             lambda: HetClass(name, MemberSet(core), tuple(projections), participants),
@@ -911,6 +915,7 @@ def import_structured(text: str) -> Network:
 def _decode_network(document: dict) -> Network:
     net = make_network()
     for entry in document["classes"]:
+        _check_new_name(net, "class", entry["name"])
         if entry["form"] == "homogeneous":
             net.classes[entry["name"]] = HomClass(
                 entry["name"],
@@ -935,6 +940,7 @@ def _decode_network(document: dict) -> Network:
                 },
             )
     for entry in document["objects"]:
+        _check_new_name(net, "object", entry["name"])
         net.objects[entry["name"]] = ObjectInstance(
             entry["name"],
             entry["class"],

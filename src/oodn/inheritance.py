@@ -7,13 +7,13 @@ source) into a heterogeneous class.  The construction works in four steps:
    holding: a source's view is its declared members; an heir's view is its
    own members plus whatever the selections let through, with degrees
    composed multiplicatively along chains;
-2. the *core* collects members held crisply (degree 1) by every
-   participant — exactly the knowledge the whole family shares;
-3. what remains of each view is grouped by *audience*, the set of
-   participants holding that exact member at that exact degree; each
-   audience becomes one projection, so a member kept crisply by its owner
-   but passed on weakly shows up twice, at different degrees, in two
-   different projections;
+2. each entry of a view (a member at a degree) has an *audience*, the set
+   of participants holding that exact member at that exact degree; the
+   *core* is the entries every participant holds at degree 1, read off
+   those audiences — exactly the knowledge the whole family shares;
+3. every other entry is grouped by audience; each audience becomes one
+   projection, so a member kept crisply by its owner but passed on weakly
+   shows up twice, at different degrees, in two different projections;
 4. a projection whose audience is strictly contained in another's depends
    on it, which is how a chain's nesting (each level building on the one
    below) is recorded; only the smallest such audiences are named, so the
@@ -146,12 +146,6 @@ class InheritancePlan:
             return [name for name, _ in reversed(self.sources)] + [self.heir]
         return [name for name, _ in self.sources] + [self.heir]
 
-    def selection_for(self, source: str) -> Selection:
-        for name, selection in self.sources:
-            if name == source:
-                return selection
-        raise UnknownEntityError(f"plan has no source {source!r}")
-
     def describe(self) -> str:
         """The plan as written in a file, without the closing ``;``."""
         return self.written(_source_text(name, sel) for name, sel in self.sources)
@@ -234,18 +228,16 @@ def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
 
 
 def _offered_names(plan: InheritancePlan, net: Network) -> dict[str, set[str]]:
-    """Bare names each source offers at its link, chains folded bottom-up."""
+    """Bare names each source offers at its link, chains folded bottom-up.
+    Of a chain, only the sources with a listed selection are given: only
+    those are read."""
     offered: dict[str, set[str]] = {}
     if plan.chain:
-        order = plan.participants_root_first()
         current: set[str] = set()
-        for index, name in enumerate(order[:-1]):
-            current = current | {
-                entry.member.name for entry in _declared_entries(net, name)
-            }
-            selection = plan.selection_for(name)
-            offered[name] = set(current)
+        for name, selection in reversed(plan.sources):
+            current.update(entry.member.name for entry in _declared_entries(net, name))
             if selection.mode is SelectionMode.LISTED:
+                offered[name] = current  # no longer grown: a listing starts anew
                 current = {n for n, _ in selection.entries}
     else:
         for name, _ in plan.sources:
@@ -494,11 +486,8 @@ class _Runs:
     as that level's view lists them.
     """
 
-    def __init__(self, root: list[DegreedMember]) -> None:
-        self.root = root
+    def __init__(self) -> None:
         self.runs: list[list] = []
-        # Identities held crisply at every level so far: the core candidates.
-        self.crisp = {e.identity for e in root if not e.degree.is_weak}
 
     def open(self, entry: DegreedMember, level: int, slot: int) -> list:
         run = [entry, level, None, slot]
@@ -530,12 +519,12 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
     selection, the members it drops, so the walk is linear in members plus
     selection entries."""
     order = plan.participants_root_first()
-    runs = _Runs(_declared_entries(net, order[0]))
+    runs = _Runs()
     # identity -> open run, in view order; name -> those identities
     current: dict[Identity, list] = {}
     named: dict[str, list[Identity]] = {}
     slots = count()
-    for entry in runs.root:
+    for entry in _declared_entries(net, order[0]):
         current[entry.identity] = runs.open(entry, 0, next(slots))
         named.setdefault(entry.member.name, []).append(entry.identity)
     links: list[Link] = []
@@ -543,7 +532,6 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
         zip(reversed(plan.sources), order[1:])
     ):
         _check_offered(named, selection, parent)
-        changed: list[Identity] = []  # dropped or weakened on the way up
         if selection.mode is SelectionMode.LISTED:
             chosen = dict(selection.entries)
             kept = {}
@@ -552,7 +540,6 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
                     kept[identity] = run
                 else:
                     run[2] = level
-                    changed.append(identity)
             current = kept
             named = {name: named[name] for name in chosen}
         for name, factor in selection.entries:
@@ -560,7 +547,6 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
                 for identity in named[name]:
                     run = current[identity]
                     run[2] = level
-                    changed.append(identity)
                     weakened = DegreedMember(run[0].member, run[0].degree * factor)
                     current[identity] = runs.open(weakened, level + 1, run[3])
         own = (
@@ -583,13 +569,7 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
             else:
                 run[2] = level  # empty when the run began at this link
                 slot = run[3]
-            changed.append(identity)
             current[identity] = runs.open(entry, level + 1, slot)
-        # A core member is held crisply at every level, however it got there.
-        for identity in changed:
-            run = current.get(identity)
-            if run is None or run[0].degree.is_weak:
-                runs.crisp.discard(identity)
         links.append(
             Link(parent, child, selection, own, partial(runs.view, level), conflicts)
         )
@@ -757,43 +737,41 @@ def inherit(
 
     Each audience (the participants holding one member at one degree) is
     a bitmask of participant indices, root first; on a chain it is a run's
-    range of levels.  A projection depends on the smallest audiences
-    strictly containing its own, the transitive reduction of the subset
-    order over the non-empty groups.  A participant holds one entry per
-    identity, so no group holds two: its member set needs no check.
+    range of levels.  The core is the entries whose audience is every
+    participant, at degree 1, and every other entry goes to its audience's
+    group: one rule for chains and parallel plans alike.  A projection
+    depends on the smallest audiences strictly containing its own, the
+    transitive reduction of the subset order over the non-empty groups.
+    A participant holds one entry per identity, so no group holds two: its
+    member set needs no check.  Two participants holding one identity in
+    different contents at one degree put it in two groups, which the
+    heterogeneous class refuses.
     """
     order = plan.participants_root_first()
     holdings: Iterable[tuple[DegreedMember, int]]
     if plan.chain:
-        runs = _checked_chain(plan, net)
-        core_entries = [e for e in runs.root if e.identity in runs.crisp]
-        holdings = runs.holdings()
+        holdings = _checked_chain(plan, net).holdings()
     else:
         links, heir_view = _checked_parallel(plan, net, policy)
         views = [link.parent_view for link in links] + [heir_view]
-        core_entries = [
-            entry
-            for identity, entry in views[0].items()
-            if all(
-                identity in view and not view[identity].degree.is_weak
-                for view in views
-            )
-        ]
         holdings = (
             (entry, 1 << index)
             for index, view in enumerate(views)
             for entry in view.values()
         )
-    core_ids = {entry.identity for entry in core_entries}
 
     audience: dict[DegreedMember, int] = {}
     for entry, mask in holdings:
-        if entry.identity not in core_ids:
-            held = audience.get(entry)
-            audience[entry] = mask if held is None else held | mask
+        held = audience.get(entry)
+        audience[entry] = mask if held is None else held | mask
+    everyone = (1 << len(order)) - 1
+    core_entries: list[DegreedMember] = []
     groups: dict[int, list[DegreedMember]] = {}
     for entry, mask in audience.items():
-        groups.setdefault(mask, []).append(entry)
+        if mask == everyone and not entry.degree.is_weak:
+            core_entries.append(entry)
+        else:
+            groups.setdefault(mask, []).append(entry)
     heir_mask = 1 << (len(order) - 1)
     groups.setdefault(heir_mask, [])
 

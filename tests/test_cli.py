@@ -224,6 +224,30 @@ class TestDiagnose:
         applied = run_cli(["diagnose", str(path), "--apply-suggestions"], capsys)
         assert applied == (0, "H inherits A (q);\nH inherits A (q);\n", "")
 
+    def test_apply_suggestions_reports_findings_no_repair_removes(
+        self, tmp_path, capsys
+    ):
+        # Excluding 'p' leaves A nothing to pass on, and a chain cannot
+        # lose a level: the plan is printed as it was, its finding after it.
+        path = tmp_path / "no_repair.oodn"
+        path.write_text(
+            "class A { prop p: int = 1; }\n"
+            "class B { prop p: int = 2; }\n"
+            "B inherits A;\n",
+            encoding="utf-8",
+        )
+        applied = run_cli(["diagnose", str(path), "--apply-suggestions"], capsys)
+        assert applied == (
+            1,
+            "B inherits A;\n",
+            "1 finding\n"
+            "exception in plan [B inherits A]\n"
+            "  members: p\n"
+            "  'B' contradicts members inherited crisply from 'A': "
+            "p: own p(B)=2 against arriving p(A)=1\n"
+            "  suggestion: none\n",
+        )
+
     def test_required_surplus(self, fixture_path, capsys):
         code, _, err = run_cli(
             [
@@ -251,6 +275,14 @@ class TestDiagnose:
         assert code == 3
         assert out == ""
         assert "requirement error" in err
+
+    def test_a_requirement_naming_nothing_is_usage_error(self, fixture_path, capsys):
+        path = str(fixture_path("redundancy_chain.oodn"))
+        assert run_cli(["diagnose", path, "--required", " , "], capsys) == (
+            3,
+            "",
+            "--required needs at least one member name\n",
+        )
 
     @pytest.mark.parametrize("flags", [[], ["--apply-suggestions"]])
     def test_requirement_on_a_file_without_plans_is_usage_error(
@@ -451,7 +483,9 @@ def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
 # Streams and exit codes of `oodn parse` on malformed sources, recorded before
 # the tokenizer and parser were reworked for speed; every message, line and
 # column must survive the rework unchanged.  The two non-ASCII digit cases were
-# recorded again once numbers were read from ASCII digits only.
+# recorded again once numbers were read from ASCII digits only, and the four
+# "end of input inside …" cases once every "expected …, found …" error named
+# the end of input as 'end of input' instead of showing it as ''.
 PARSE_ERRORS = json.loads(
     (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
 )

@@ -370,6 +370,11 @@ class TestDiagnoseAll:
         net.plans.extend(nix.plans)
         findings = diagnose_all(net)
         assert [f.kind for f in findings] == ["exception", "ambiguity"]
+        # A second sweep builds its repairs anew; equal plans make them equal.
+        again = diagnose_all(net)
+        assert all(a.repair is not f.repair for a, f in zip(again, findings))
+        assert again == findings
+        assert [hash(f) for f in again] == [hash(f) for f in findings]
 
     def test_clean_network(self):
         net = net_of(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DATA
 from oodn.dsl import (
     ParseError,
     StructuredImportError,
@@ -27,6 +28,7 @@ from oodn.model import (
     DEGREE_ONE,
     FuzzySet,
     HetClass,
+    OodnError,
     RelationKind,
     ValueType,
 )
@@ -346,6 +348,23 @@ FIXTURES = [
 ]
 
 
+def inheriting_plans() -> list[tuple[str, int]]:
+    """(fixture, plan index) of every fixture plan that inherits."""
+    cases = []
+    for path in sorted(DATA.glob("*.oodn")):
+        net = parse_network(path.read_text())
+        for index, plan in enumerate(net.plans):
+            try:
+                inherit(plan, net)
+            except OodnError:
+                continue
+            cases.append((path.name, index))
+    return cases
+
+
+INHERITING_PLANS = inheriting_plans()
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_parse_serialize_reparse_is_stable(self, fixture, fixture_path):
@@ -385,14 +404,16 @@ class TestRoundTrip:
         )
         assert serialize_plan(net.plans[0]) == "A2 inherits A1 (p1/0.5);"
 
-    def test_hetclass_round_trip(self, fixture_path):
-        net = parse_network(fixture_path("weak_take.oodn").read_text())
-        het = inherit(net.plans[0], net)
+    @pytest.mark.parametrize("fixture, index", INHERITING_PLANS)
+    def test_hetclass_round_trip(self, fixture, index, fixture_path):
+        net = parse_network(fixture_path(fixture).read_text())
+        het = inherit(net.plans[index], net)
         block = serialize_hetclass(het)
         reparsed = parse_network(block)
         rebuilt = reparsed.classes[het.name]
         assert isinstance(rebuilt, HetClass)
         assert rebuilt == het
+        assert serialize(reparsed) == block + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +564,14 @@ class TestStructuredImportErrors:
         "heir as its own source": (
             lambda doc: doc["plans"][0]["sources"][0].update({"class": "B"}),
             "heir 'B' cannot be its own source",
+        ),
+        "class twice": (
+            lambda doc: (items := doc["classes"]).append(items[0]),
+            "class 'A' declared twice",
+        ),
+        "object named like a class": (
+            lambda doc: doc["objects"].append({"name": "B", "class": "A", "values": []}),
+            "'B' already names a class",
         ),
         "selection naming a member twice": (
             lambda doc: doc["plans"][0]["sources"][0]["selection"].update(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chain_text
+from conftest import chain_text, run_cli
 from oodn.dsl import parse_network, serialize_hetclass
 from oodn.inheritance import (
     Arity,
@@ -698,6 +698,43 @@ class TestRuns:
             "C2": [("C0", "x"), ("C1", "y"), ("C0", "p"), ("C2", "z")],
         }
         assert views["C2"][("C0", "x")].degree.value == Fraction(1, 2)
+
+
+class TestCrossOwnerRedeclaration:
+    """B declares A's 'p' itself, and C already holds it as A does.  In A's
+    content it is knowledge every participant shares, so it stays in the
+    core; in another content two copies of one member sit at one degree in
+    two audiences, which the heterogeneous class refuses, chain and
+    parallel plan alike."""
+
+    CLASSES = (
+        "class A { prop p: int = 1; }\n"
+        "class C { prop A.p: int = 1; prop q: int = 2; }\n"
+    )
+    PLANS = {"chain": "B inherits C inherits A;\n", "parallel": "B inherits A, C;\n"}
+
+    @pytest.mark.parametrize("shape", sorted(PLANS))
+    def test_another_content_is_refused(self, shape, capsys, tmp_path):
+        path = tmp_path / "cross_owner.oodn"
+        path.write_text(
+            self.CLASSES + 'class B { prop A.p: text = "x"; }\n' + self.PLANS[shape],
+            encoding="utf-8",
+        )
+        assert run_cli(["inherit", str(path)], capsys) == (
+            2,
+            "",
+            "error: class 'B': member 'p' of 'A' repeats at the same degree "
+            "across projections\n",
+        )
+
+    @pytest.mark.parametrize("shape", sorted(PLANS))
+    def test_the_same_content_stays_in_the_core(self, shape):
+        net = parse_network(
+            self.CLASSES + "class B { prop A.p: int = 1; }\n" + self.PLANS[shape]
+        )
+        het = inherit(net.plans[0], net)
+        assert list(het.core) == [DegreedMember(prop("p", ValueType.INT, 1, "A"))]
+        assert decompose(het, "B").get("A", "p") == het.core.get("A", "p")
 
 
 class TestScaling:

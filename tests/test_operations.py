@@ -229,6 +229,21 @@ class TestSetValue:
         entry = net.classes["A"].members().get("A", "left")
         assert entry is not None and entry.member.value == 10
 
+    def test_a_property_carried_for_another_owner_is_found_by_name(self):
+        net = sample_net()
+        net.classes["C"] = hom(
+            "C",
+            prop("q", ValueType.INT, 1, "A"),
+            prop("two", ValueType.INT, 1, "A"),
+            prop("two", ValueType.INT, 1, "B"),
+        )
+        modify_set_value(net, "C", "q", 3)
+        entry = net.classes["C"].members().get("A", "q")
+        assert entry is not None and entry.member.value == 3
+        # Two owners' copies under one name: the name alone finds neither.
+        with pytest.raises(UnknownEntityError):
+            modify_set_value(net, "C", "two", 3)
+
     def test_wrong_type_rejected_without_side_effects(self):
         net = sample_net()
         before = net.classes["A"].members()
