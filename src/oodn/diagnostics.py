@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .inheritance import (
+    Identity,
     InheritancePlan,
     Link,
     Policy,
@@ -210,25 +211,37 @@ def _redundancy_findings(
     for entry in arrivals.values():
         groups.setdefault(entry.member.similarity_key(), []).append(entry)
     position = {name: index for index, (name, _) in enumerate(plan.sources)}
-    link_of = {link.parent: link for link in links}
     written = plan.describe()
     diagnostics = []
     flagged = [key for key, entries in groups.items() if len(entries) > 1]
+    # Where each copy enters the flow, by link index: on a chain, the link out
+    # of the class nearest the heir declaring it (a level's own entries are its
+    # incoming link's, the root's the rest); in parallel, each source taking it.
+    enters: dict[Identity, list[int]] = {}
+    if flagged and plan.chain:
+        enters = {e.identity: [at] for at, link in enumerate(links[:-1], 1) for e in link.own}
+    elif flagged:
+        copies = {entry.identity for key in flagged for entry in groups[key]}
+        for at, link in enumerate(links):
+            for identity in copies.intersection(link.taken):
+                enters.setdefault(identity, []).append(at)
     for key in sorted(flagged, key=lambda k: (k[1], str(k))):
-        entries = groups[key]
+        entries = sorted(groups[key], key=lambda e: position.get(e.member.owner, -1))
         name = entries[0].member.name
-        degrees = {entry.member.owner: entry.degree for entry in entries}
-        owners = sorted(degrees, key=lambda owner: position.get(owner, -1))
+        owners = [entry.member.owner for entry in entries]
         # The copy arriving at the highest degree stays, the earliest on a
         # tie, so the repair never weakens what the heir holds.
-        keep = max(owners, key=degrees.__getitem__)
-        surplus = [owner for owner in owners if owner != keep]
-        # Each surplus owner's outgoing selection is narrowed over all it
-        # holds: on a chain that includes what its ancestors pass through.
+        kept = max(entries, key=lambda entry: entry.degree)
+        # Every other copy is stopped where it enters, unless the kept copy
+        # passes there too: narrowing drops a name, so it would drop both.
+        # On a chain the kept copy passes every link from the one it enters at.
+        stops = {at for e in entries if e is not kept for at in enters.get(e.identity, [0])}
+        passed = enters.get(kept.identity, [0])
+        blocked = max(stops) >= passed[0] if plan.chain else not stops.isdisjoint(passed)
         repair = None
-        if all(owner in link_of for owner in surplus):
+        if not blocked:
             excluded = frozenset({name})
-            repair = Repair(plan, tuple((link_of[o], excluded) for o in surplus))
+            repair = Repair(plan, tuple((links[at], excluded) for at in stops))
         diagnostics.append(
             Diagnostic(
                 kind="redundancy",
@@ -238,7 +251,7 @@ def _redundancy_findings(
                 message=(
                     f"{name!r} arrives {len(entries)} times with the same content "
                     f"(declared by {', '.join(owners)}); the copies beyond "
-                    f"{keep!r}'s add nothing"
+                    f"{kept.member.owner!r}'s add nothing"
                 ),
                 repair=repair,
             )

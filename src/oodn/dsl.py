@@ -57,6 +57,7 @@ from .model import (
     FuzzySet,
     HetClass,
     HomClass,
+    IDENTIFIER,
     MemberKind,
     MemberSet,
     Network,
@@ -73,6 +74,7 @@ from .model import (
     decode_value,
     format_rational,
     format_untyped,
+    is_identifier,
     member_text,
     method,
     prop,
@@ -104,13 +106,13 @@ class ParseError(OodnError):
 # Branches that can start with the same character keep their order (a comment
 # before ``/``, an arrow before a negative number, a ratio before a decimal
 # before an integer); the commonest tokens come first, and the last branch
-# takes a character no other branch accepts.
+# takes a character no other branch accepts.  Braces double in this f-string.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s+
   | //[^\n]*
-  | ( [A-Za-z_][A-Za-z0-9_]*    # identifier
-    | [{}():;,=./]              # punctuation
+  | ( {IDENTIFIER.pattern}      # identifier
+    | [{{}}():;,=./]            # punctuation
     | ->
     | -?[0-9]+/[0-9]+(?![.0-9]) # ratio
     | -?[0-9]+\.[0-9]+          # decimal
@@ -122,7 +124,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# The characters an identifier starts with: the one-letter identifiers.
+_IDENT_START = frozenset(filter(IDENTIFIER.fullmatch, map(chr, range(128))))
 _PUNCTUATION = frozenset("{}():;,=./")
 _SINGLES = _IDENT_START | _PUNCTUATION | frozenset("0123456789")
 _NUMBER_KINDS = ("INT", "DECIMAL", "RATIO")
@@ -195,6 +198,16 @@ def _unescape(raw: str) -> str:
 
 _VALUE_TYPES = {t.value: t for t in ValueType}
 _RELATION_KINDS = {k.value: k for k in RelationKind}
+# The type a literal names: ``true``, ``false`` and ``{`` by their text,
+# every other literal by its token kind.  The two are looked up apart, so an
+# identifier spelled like a kind, such as ``INT``, names no type.
+_LITERAL_TEXTS = {"true": ValueType.BOOL, "false": ValueType.BOOL, "{": ValueType.FUZZY}
+_LITERAL_KINDS = {
+    "INT": ValueType.INT,
+    "DECIMAL": ValueType.REAL,
+    "RATIO": ValueType.REAL,
+    "STRING": ValueType.TEXT,
+}
 _KEYWORDS = {"class", "hetclass", "object", "relation"}
 
 
@@ -284,8 +297,9 @@ class _Parser:
             items.append(read())
         return items
 
-    def number(self) -> Fraction:
-        """Consume the number token that is next."""
+    def number(self, what: str) -> Fraction:
+        """Consume the number token that is next and return its value;
+        fails saying ``what`` was expected if none is."""
         token = self.tokens[self.pos]
         kind = _kind(token)
         if kind == "RATIO":
@@ -293,18 +307,12 @@ class _Parser:
             if not int(denominator):
                 raise self.fail(f"zero denominator in {token!r}")
             value = Fraction(int(numerator), int(denominator))
-        else:
+        elif kind in _NUMBER_KINDS:
             value = Fraction(int(token) if kind == "INT" else token)
+        else:
+            raise self._expected(what)
         self.pos += 1
         return value
-
-    def numeral(self, what: str) -> tuple[int, Fraction]:
-        """The index and value of the number token that is next, consumed;
-        fails saying ``what`` was expected if none is."""
-        token = self.tokens[self.pos]
-        if _kind(token) not in _NUMBER_KINDS:
-            raise self._expected(what)
-        return self.pos, self.number()
 
     # -- document ----------------------------------------------------------
 
@@ -345,47 +353,35 @@ class _Parser:
         return members
 
     def _parse_member(self, default_owner: str) -> DegreedMember:
-        text = self.tokens[self.pos]
-        if text == "prop":
-            return self._parse_prop(default_owner)
-        if text == "method":
-            return self._parse_method(default_owner)
-        raise self._expected("'prop' or 'method'")
-
-    def _parse_member_name(self, default_owner: str) -> tuple[str, str]:
-        first = self.ident()
+        """A property or method, its owner ``default_owner`` unless named.
+        Its degree and ``;`` are read before the member is built, so a
+        syntax error is reported before a broken invariant."""
+        keyword = self.tokens[self.pos]
+        if keyword != "prop" and keyword != "method":
+            raise self._expected("'prop' or 'method'")
+        self.pos += 1
+        at = self.pos
+        owner, name = default_owner, self.ident()
         if self.accept("."):
-            return first, self.ident()
-        return default_owner, first
-
-    def _parse_prop(self, default_owner: str) -> DegreedMember:
-        self.expect("prop")
-        at = self.pos
-        owner, name = self._parse_member_name(default_owner)
-        self.expect(":")
-        value_type = self._parse_type()
-        self.expect("=")
-        value = self._parse_value(value_type)
-        degree = self._parse_degree_suffix()
-        self.expect(";")
-        member = self.build(at, prop, name, value_type, value, owner)
-        return DegreedMember(member, degree)
-
-    def _parse_method(self, default_owner: str) -> DegreedMember:
-        self.expect("method")
-        at = self.pos
-        owner, name = self._parse_member_name(default_owner)
-        self.expect("(")
-        params: list[tuple[str, ValueType]] = []
-        if not self.accept(")"):
-            params = self.separated(self._parse_param)
-            self.expect(")")
-        returns = None
-        if self.accept("->"):
-            returns = self._parse_type()
-        degree = self._parse_degree_suffix()
-        self.expect(";")
-        member = self.build(at, method, name, owner, params, returns)
+            owner, name = name, self.ident()
+        if keyword == "prop":
+            self.expect(":")
+            value_type = self._parse_type()
+            self.expect("=")
+            value = self._parse_value(value_type)
+            degree = self._parse_degree() or DEGREE_ONE
+            self.expect(";")
+            member = self.build(at, prop, name, value_type, value, owner)
+        else:
+            self.expect("(")
+            params: list[tuple[str, ValueType]] = []
+            if not self.accept(")"):
+                params = self.separated(self._parse_param)
+                self.expect(")")
+            returns = self._parse_type() if self.accept("->") else None
+            degree = self._parse_degree() or DEGREE_ONE
+            self.expect(";")
+            member = self.build(at, method, name, owner, params, returns)
         return DegreedMember(member, degree)
 
     def _parse_param(self) -> tuple[str, ValueType]:
@@ -400,18 +396,17 @@ class _Parser:
             raise self.fail(f"unknown type {self.tokens[at]!r}", at)
         return value_type
 
-    def _parse_degree_suffix(self) -> Degree:
+    def _parse_degree(self) -> Degree | None:
+        """The degree after a ``/``, or None when no ``/`` is next."""
         if not self.accept("/"):
-            return DEGREE_ONE
-        return self._parse_degree_number()
-
-    def _parse_degree_number(self) -> Degree:
-        at, value = self.numeral("a degree")
-        return self.build(at, as_degree, value)
+            return None
+        at = self.pos
+        return self.build(at, as_degree, self.number("a degree"))
 
     # -- values --------------------------------------------------------------
 
     def _parse_value(self, value_type: ValueType) -> Value:
+        """A value of ``value_type``, declared or named by its literal (``_LITERAL_KINDS``)."""
         token = self.tokens[self.pos]
         if value_type is ValueType.INT:
             if _kind(token) != "INT":
@@ -419,7 +414,7 @@ class _Parser:
             self.pos += 1
             return int(token)
         if value_type is ValueType.REAL:
-            return self.numeral("a number")[1]
+            return self.number("a number")
         if value_type is ValueType.BOOL:
             if token in ("true", "false"):
                 self.pos += 1
@@ -441,22 +436,16 @@ class _Parser:
         return self.build(at, FuzzySet, tuple(entries))
 
     def _parse_fuzzy_entry(self) -> tuple[str | int | Fraction, Fraction]:
-        token = self.tokens[self.pos]
-        kind = _kind(token)
-        element: str | int | Fraction
+        kind = _kind(self.tokens[self.pos])
+        element: Value
         if kind == "IDENT":
             element = self.ident()
-        elif kind == "STRING":
-            element = self.string()
-        elif kind == "INT":
-            element = int(token)
-            self.pos += 1
-        elif kind in _NUMBER_KINDS:
-            element = self.number()
+        elif kind in _LITERAL_KINDS:
+            element = self._parse_value(_LITERAL_KINDS[kind])
         else:
             raise self._expected("a fuzzy element")
         self.expect(":")
-        return element, self.numeral("a membership")[1]
+        return element, self.number("a membership")
 
     # -- objects -------------------------------------------------------------
 
@@ -472,29 +461,19 @@ class _Parser:
         while not self.accept("}"):
             member_name = self.ident()
             self.expect("=")
-            overrides.append((member_name, self._parse_raw_value()))
+            overrides.append((member_name, self._parse_value(self._literal_type())))
             self.expect(";")
         net.objects[name] = self.build(
             at, ObjectInstance, name, class_ref, tuple(overrides)
         )
 
-    def _parse_raw_value(self) -> Value:
-        """Object override value, typed by its literal form alone."""
+    def _literal_type(self) -> ValueType:
+        """The type the next literal names, for an override (see ``_LITERAL_TEXTS``)."""
         token = self.tokens[self.pos]
-        kind = _kind(token)
-        if kind == "INT":
-            self.pos += 1
-            return int(token)
-        if kind in _NUMBER_KINDS:
-            return self.number()
-        if kind == "STRING":
-            return self.string()
-        if token in ("true", "false"):
-            self.pos += 1
-            return token == "true"
-        if token == "{":
-            return self._parse_fuzzy_set()
-        raise self._expected("a value")
+        value_type = _LITERAL_TEXTS.get(token) or _LITERAL_KINDS.get(_kind(token))
+        if value_type is None:
+            raise self._expected("a value")
+        return value_type
 
     # -- relations -----------------------------------------------------------
 
@@ -510,13 +489,9 @@ class _Parser:
         source = self.ident()
         self.expect("->", "arrow")
         target = self.ident()
-        degree = None
-        if self.accept("/"):
-            degree = self._parse_degree_number()
+        degree = self._parse_degree()
         self.expect(";")
-        net.relations.append(
-            self.build(at, Relation, kind, source, target, label, degree)
-        )
+        net.relations.append(self.build(at, Relation, kind, source, target, label, degree))
 
     # -- plans -----------------------------------------------------------------
 
@@ -530,9 +505,7 @@ class _Parser:
         while self.accept(link):
             sources.append(self._parse_source())
         self.expect(";")
-        net.plans.append(
-            self.build(at, InheritancePlan, heir, tuple(sources), chain)
-        )
+        net.plans.append(self.build(at, InheritancePlan, heir, tuple(sources), chain))
 
     def _parse_source(self) -> tuple[str, Selection]:
         name = self.ident()
@@ -544,7 +517,7 @@ class _Parser:
         )
         if forced_listed:
             self.pos += 1
-        items = self.separated(self._parse_selection_item)
+        items = self.separated(lambda: (self.ident(), self._parse_degree()))
         at = self.pos
         self.expect(")")
         mode = (
@@ -552,15 +525,8 @@ class _Parser:
             if not forced_listed and all(degree is not None for _, degree in items)
             else SelectionMode.LISTED
         )
-        entries = tuple(
-            (item, DEGREE_ONE if degree is None else degree) for item, degree in items
-        )
+        entries = tuple((item, degree or DEGREE_ONE) for item, degree in items)
         return name, self.build(at, Selection, mode, entries)
-
-    def _parse_selection_item(self) -> tuple[str, Degree | None]:
-        """A selected name and its degree, None when it carries none."""
-        item = self.ident()
-        return item, self._parse_degree_number() if self.accept("/") else None
 
     # -- heterogeneous classes --------------------------------------------------
 
@@ -690,14 +656,11 @@ def _serialize_relation(relation: Relation) -> str:
 
 def serialize(net: Network) -> str:
     """Canonical text for the whole network; parse(serialize(n)) == n."""
-    blocks: list[str] = []
-    for cls in net.classes.values():
-        if isinstance(cls, HomClass):
-            blocks.append(serialize_homclass(cls))
-        else:
-            blocks.append(serialize_hetclass(cls))
-    for obj in net.objects.values():
-        blocks.append(_serialize_object(obj))
+    blocks = [
+        serialize_homclass(cls) if isinstance(cls, HomClass) else serialize_hetclass(cls)
+        for cls in net.classes.values()
+    ]
+    blocks += map(_serialize_object, net.objects.values())
     if net.relations:
         blocks.append("\n".join(_serialize_relation(r) for r in net.relations))
     if net.plans:
@@ -773,17 +736,32 @@ def _encode_member(entry: DegreedMember) -> dict:
     }
 
 
+def _identifier(name: str) -> str:
+    """``name`` if it is one identifier, as ``serialize`` writes it bare."""
+    if not is_identifier(name):
+        raise StructuredImportError(f"{name!r} is not an identifier")
+    return name
+
+
+def _class_name(name: str) -> str:
+    """``name`` if it is an identifier and, as the parser requires, no keyword."""
+    if _identifier(name) in _KEYWORDS:
+        raise StructuredImportError(f"{name!r} cannot name a class")
+    return name
+
+
 def _decode_member(raw: dict) -> DegreedMember:
     degree = as_degree(decode_rational(raw["degree"]))
+    name, owner = _identifier(raw["name"]), _identifier(raw["owner"])
     if raw["kind"] == "prop":
         value_type = _VALUE_TYPES[raw["type"]]
         value = decode_value(value_type, raw["value"])
-        member = prop(raw["name"], value_type, value, raw["owner"])
+        member = prop(name, value_type, value, owner)
     else:
         member = method(
-            raw["name"],
-            raw["owner"],
-            [(p["name"], _VALUE_TYPES[p["type"]]) for p in raw["params"]],
+            name,
+            owner,
+            [(_identifier(p["name"]), _VALUE_TYPES[p["type"]]) for p in raw["params"]],
             _VALUE_TYPES[raw["returns"]] if raw["returns"] else None,
         )
     return DegreedMember(member, degree)
@@ -803,7 +781,7 @@ def _decode_selection(raw: dict) -> Selection:
     return Selection(
         SelectionMode(raw["mode"]),
         tuple(
-            (item["name"], as_degree(decode_rational(item["degree"])))
+            (_identifier(item["name"]), as_degree(decode_rational(item["degree"])))
             for item in raw["entries"]
         ),
     )
@@ -846,18 +824,17 @@ def export_structured(net: Network) -> str:
             classes.append(
                 {"name": cls.name, "form": "heterogeneous"} | encode_hetclass(cls)
             )
-    objects = []
-    for obj in net.objects.values():
-        objects.append(
-            {
-                "name": obj.name,
-                "class": obj.class_ref,
-                "values": [
-                    {"name": name, "value": _encode_untyped(value)}
-                    for name, value in obj.member_values
-                ],
-            }
-        )
+    objects = [
+        {
+            "name": obj.name,
+            "class": obj.class_ref,
+            "values": [
+                {"name": name, "value": _encode_untyped(value)}
+                for name, value in obj.member_values
+            ],
+        }
+        for obj in net.objects.values()
+    ]
     relations = [
         {
             "kind": r.kind.value,
@@ -915,16 +892,18 @@ def import_structured(text: str) -> Network:
 def _decode_network(document: dict) -> Network:
     net = make_network()
     for entry in document["classes"]:
-        _check_new_name(net, "class", entry["name"])
+        name = _identifier(entry["name"])
+        _check_new_name(net, "class", name)
         if entry["form"] == "homogeneous":
-            net.classes[entry["name"]] = HomClass(
-                entry["name"],
+            _class_name(name)
+            net.classes[name] = HomClass(
+                name,
                 spec=MemberSet(_decode_member(e) for e in entry["spec"]),
                 sig=MemberSet(_decode_member(e) for e in entry["sig"]),
             )
         else:
-            net.classes[entry["name"]] = HetClass(
-                entry["name"],
+            net.classes[name] = HetClass(
+                name,
                 core=MemberSet(_decode_member(e) for e in entry["core"]),
                 projections=tuple(
                     Projection(
@@ -935,18 +914,19 @@ def _decode_network(document: dict) -> Network:
                     for p in entry["projections"]
                 ),
                 participants={
-                    name: tuple(labels)
-                    for name, labels in entry["participants"].items()
+                    _identifier(participant): tuple(labels)
+                    for participant, labels in entry["participants"].items()
                 },
             )
     for entry in document["objects"]:
-        _check_new_name(net, "object", entry["name"])
-        net.objects[entry["name"]] = ObjectInstance(
-            entry["name"],
-            entry["class"],
+        name = _identifier(entry["name"])
+        _check_new_name(net, "object", name)
+        net.objects[name] = ObjectInstance(
+            name,
+            _identifier(entry["class"]),
             tuple(
                 (
-                    v["name"],
+                    _identifier(v["name"]),
                     decode_value(_VALUE_TYPES[v["value"]["type"]], v["value"]["value"]),
                 )
                 for v in entry["values"]
@@ -956,18 +936,18 @@ def _decode_network(document: dict) -> Network:
         net.relations.append(
             Relation(
                 RelationKind(entry["kind"]),
-                entry["source"],
-                entry["target"],
-                entry["label"],
+                _identifier(entry["source"]),
+                _identifier(entry["target"]),
+                None if entry["label"] is None else _identifier(entry["label"]),
                 as_degree(decode_rational(entry["degree"])) if entry["degree"] else None,
             )
         )
     for entry in document["plans"]:
         net.plans.append(
             InheritancePlan(
-                heir=entry["heir"],
+                heir=_class_name(entry["heir"]),
                 sources=tuple(
-                    (s["class"], _decode_selection(s["selection"]))
+                    (_identifier(s["class"]), _decode_selection(s["selection"]))
                     for s in entry["sources"]
                 ),
                 chain=entry["chain"],

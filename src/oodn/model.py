@@ -24,6 +24,7 @@ supposed to change through the modifier operations in
 
 from __future__ import annotations
 
+import re
 from collections.abc import MutableMapping
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
@@ -156,10 +157,14 @@ def quote_text(text: str) -> str:
     return f'"{escaped}"'
 
 
+# The text format's one identifier rule, by which the lexer reads names and
+# the writer tells which fuzzy elements it may write bare.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def is_identifier(text: str) -> bool:
-    if not text or not (text[0].isalpha() or text[0] == "_"):
-        return False
-    return all(ch.isalnum() or ch == "_" for ch in text)
+    """Whether ``text`` reads back as one identifier."""
+    return IDENTIFIER.fullmatch(text) is not None
 
 
 def decode_rational(raw: object) -> Fraction:

@@ -413,6 +413,51 @@ def test_redundancy_repair_keeps_the_strongest_copy(capsys, tmp_path):
     assert "  suggestion: H inherits A (a), B\n" in err
 
 
+# A redundancy repair narrows the links that carry each surplus copy.  In
+# both files such a link also carries the kept copy, so no repair is offered:
+# on the chain, B passes A's crisp 'm' on with its own weak one; in the
+# parallel plan, C0 declares both C2's and C1's 'm0'.
+UNREPAIRABLE_REDUNDANCY = {
+    "chain": (
+        "class A { method m(); }\n"
+        "class B { method m() /0.5; prop q: int = 1; }\n"
+        "class C { }\n"
+        "C inherits B inherits A;\n",
+        "warning: C: empty-class: class declares no properties and no methods\n"
+        "1 finding\n"
+        "redundancy in plan [C inherits B inherits A]\n"
+        "  members: m\n"
+        "  'm' arrives 2 times with the same content (declared by B, A); "
+        "the copies beyond 'A''s add nothing\n"
+        "  suggestion: none\n",
+    ),
+    "parallel": (
+        "class C0 { method C2.m0(); method C1.m0(); }\n"
+        "class C1 { method m0(); }\n"
+        "class C2 { method m0(); }\n"
+        "C2 inherits C0, C1;\n",
+        "1 finding\n"
+        "redundancy in plan [C2 inherits C0, C1]\n"
+        "  members: m0\n"
+        "  'm0' arrives 2 times with the same content (declared by C2, C1); "
+        "the copies beyond 'C2''s add nothing\n"
+        "  suggestion: none\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNREPAIRABLE_REDUNDANCY))
+def test_redundancy_repair_never_drops_the_kept_copy(shape, capsys, tmp_path):
+    text, report = UNREPAIRABLE_REDUNDANCY[shape]
+    path = tmp_path / f"{shape}.oodn"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["diagnose", str(path)], capsys) == (1, "", report)
+    # Nothing to apply: the plan is printed as it stands, and the finding stays.
+    plan = text.splitlines()[-1] + "\n"
+    applied = run_cli(["diagnose", str(path), "--apply-suggestions"], capsys)
+    assert applied == (1, plan, report)
+
+
 def test_fuzzy_values_written_in_another_order_do_not_conflict(capsys, tmp_path):
     path = tmp_path / "reordered.oodn"
     path.write_text(
@@ -485,7 +530,11 @@ def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
 # column must survive the rework unchanged.  The two non-ASCII digit cases were
 # recorded again once numbers were read from ASCII digits only, and the four
 # "end of input inside …" cases once every "expected …, found …" error named
-# the end of input as 'end of input' instead of showing it as ''.
+# the end of input as 'end of input' instead of showing it as ''.  The
+# entries for the member, value, number and degree readers' own messages
+# (a missing degree, number, '{', ':', string, arrow, '(' or 'inherits', an
+# override spelling a kind name, and the order in which a member's degree
+# and its build fail) were recorded before those readers were merged.
 PARSE_ERRORS = json.loads(
     (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
 )

@@ -579,19 +579,99 @@ class TestStructuredImportErrors:
             ),
             "selection names a member twice",
         ),
+        # ``serialize`` writes these names bare, so each must read back as
+        # one identifier, and a class that may be an heir must not be a
+        # keyword: the text would not parse back.
+        "class name with a space": (
+            lambda doc: doc["classes"][1].update(name="a b"),
+            "'a b' is not an identifier",
+        ),
+        "keyword as a class name": (
+            lambda doc: doc["classes"][1].update(name="class"),
+            "'class' cannot name a class",
+        ),
+        "non-ASCII member name": (
+            lambda doc: doc["classes"][0]["spec"][0].update(name="\u00e9t\u00e9"),
+            "'\u00e9t\u00e9' is not an identifier",
+        ),
+        "empty member owner": (
+            lambda doc: doc["classes"][0]["spec"][1].update(owner=""),
+            "'' is not an identifier",
+        ),
+        "parameter name with a space": (
+            lambda doc: doc["classes"][0]["sig"][0]["params"][0].update(name="x y"),
+            "'x y' is not an identifier",
+        ),
+        "participant starting with a digit": (
+            lambda doc: doc["classes"][2].update(participants={"1A": []}),
+            "'1A' is not an identifier",
+        ),
+        "object name with a dash": (
+            lambda doc: doc["objects"][0].update(name="o-1"),
+            "'o-1' is not an identifier",
+        ),
+        "object class with a space": (
+            lambda doc: doc["objects"][0].update({"class": "A B"}),
+            "'A B' is not an identifier",
+        ),
+        "override name with a mark": (
+            lambda doc: doc["objects"][0]["values"][0].update(name="r!"),
+            "'r!' is not an identifier",
+        ),
+        "relation source with a space": (
+            lambda doc: doc["relations"][0].update(source="o o"),
+            "'o o' is not an identifier",
+        ),
+        "relation target with a dot": (
+            lambda doc: doc["relations"][0].update(target="A.f"),
+            "'A.f' is not an identifier",
+        ),
+        "relation label with a space": (
+            lambda doc: doc["relations"][0].update(label="owns all"),
+            "'owns all' is not an identifier",
+        ),
+        "heir with a space": (
+            lambda doc: doc["plans"][0].update(heir="B C"),
+            "'B C' is not an identifier",
+        ),
+        "keyword as an heir": (
+            lambda doc: doc["plans"][0].update(heir="object"),
+            "'object' cannot name a class",
+        ),
+        "plan source with a quote": (
+            lambda doc: doc["plans"][0]["sources"][0].update({"class": 'A"'}),
+            "'A\"' is not an identifier",
+        ),
+        "selection entry with a space": (
+            lambda doc: doc["plans"][0]["sources"][0]["selection"].update(
+                entries=[{"name": "f r", "degree": "1"}]
+            ),
+            "'f r' is not an identifier",
+        ),
     }
+
+    NETWORK = (
+        "class A { prop f: fuzzy = {a: 1}; prop r: real = 1/2 /0.5; method m(x: int); }\n"
+        "class B { }\n"
+        "hetclass H { core { } participant A -> core; }\n"
+        "object o : A { r = 1/4; }\n"
+        "relation association owns o -> A;\n"
+        "B inherits A;\n"
+    )
 
     @pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
     def test_broken_invariant_is_a_typed_error(self, case):
-        net = parse_network(
-            "class A { prop f: fuzzy = {a: 1}; prop r: real = 1/2 /0.5; }\n"
-            "class B { }\n"
-            "B inherits A;\n"
-        )
-        doc = json.loads(export_structured(net))
+        doc = json.loads(export_structured(parse_network(self.NETWORK)))
         edit, message = self.BROKEN_INVARIANTS[case]
         edit(doc)
         assert str(self.rejects(doc)) == message
+
+    def test_keyword_names_a_heterogeneous_class(self):
+        # As in the text format, where no plan can start with it.
+        doc = json.loads(export_structured(parse_network(self.NETWORK)))
+        doc["classes"][2]["name"] = "object"
+        net = import_structured(json.dumps(doc))
+        assert parse_network(serialize(net)) == net
 
     def test_type_checks_survive_optimized_mode(self):
         doc = self.document()

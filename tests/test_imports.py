@@ -24,3 +24,40 @@ def test_no_private_name_is_imported_from_a_sibling(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_private_helper_has_a_use():
+    """Each private function, class or constant, each private method and
+    each method of a private class is read somewhere in the package: a
+    helper that a merge leaves without a caller goes with the merge."""
+    used: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                used.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                continue
+            defined += [(f"{path.name}:{name}", name) for name in names if _private(name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.name}:{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.endswith("__")
+                    and (_private(item.name) or _private(node.name))
+                ]
+    assert [where for where, name in defined if name not in used] == []

@@ -99,10 +99,18 @@ weak_degrees = st.fractions(
     min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64
 ).map(Degree)
 
+# Any character but a lone surrogate, and the ones JSON escapes or widens.
+wide_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ('"', "\\", "\n", 'a"b\\c\nd', "é", "\u2028", "\x7f", "\U0001f600")
+)
+
 # Every element kind: bare and quoted strings, ints, and rationals, the
 # whole-number ones included; ``unique`` keeps the elements distinct by ==.
+# A text is written bare only if it is an ASCII identifier, so letters and
+# digits of other scripts are drawn too.
 fuzzy_elements = st.one_of(
-    st.sampled_from(ELEMENT_NAMES + ("3", "a b", "true")),
+    st.sampled_from(ELEMENT_NAMES + ("3", "a b", "true", "été", "a٣")),
+    wide_texts,
     st.integers(-9, 9),
     st.integers(-9, 9).map(Fraction),
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -538,10 +546,13 @@ class TestLayering:
             assert decompose(het, name).similar_eq(dedupe_similar(view.values()))
 
 
+def arrivals_at_heir(plan: InheritancePlan, net: Network) -> dict:
+    links = walk(plan, net)
+    return links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+
+
 class TestRepairs:
-    # Without borrowed members: a redundancy repair narrows the link of each
-    # surplus copy's owner, and a copy another class carries reaches the
-    # heir past that link; nor does diagnosis report two participants
+    # Without borrowed members: diagnosis does not report two participants
     # holding one member in different contents, which ``inherit`` refuses.
     @WHOLE_NETWORK
     @given(data=layered_plans(borrowing=False))
@@ -565,6 +576,36 @@ class TestRepairs:
             }
             if exceptions == (finding.kind == "exception"):
                 inherit(repaired, net, Policy.MIN)  # no other conflict is left
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_redundancy_repair_keeps_the_kept_copy_alone(self, data):
+        """With borrowed members, a copy may reach the heir through a class
+        other than its owner.  Once a redundancy suggestion is applied, the
+        heir still receives the copy the finding keeps (the strongest, the
+        first reported on a tie) at its degree, and no other copy."""
+        net, plan = data
+        net.plans.append(plan)
+        try:
+            findings = diagnose_all(net)
+        except OodnError:
+            assume(False)
+        arrived = arrivals_at_heir(plan, net)
+        for finding in findings:
+            if finding.kind != "redundancy" or finding.suggestion is None:
+                continue
+            (name,) = finding.members
+            copies = {
+                entry.member.owner: entry
+                for entry in arrived.values()
+                if entry.member.name == name and entry.member.owner in finding.subjects
+            }
+            kept = max((copies[owner] for owner in finding.subjects), key=lambda e: e.degree)
+            key = kept.member.similarity_key()
+            repaired = arrivals_at_heir(finding.suggestion, net)
+            assert [
+                entry for entry in repaired.values() if entry.member.similarity_key() == key
+            ] == [kept]
 
     @WHOLE_NETWORK
     @given(data=layered_plans(), choice=st.data())
@@ -788,12 +829,6 @@ class TestRoundTrips:
         )
         with pytest.raises(ParseError, match="unexpected character"):
             parse_network(text[:at] + char + text[at:])
-
-
-# Any character but a lone surrogate, and the ones JSON escapes or widens.
-wide_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
-    ('"', "\\", "\n", 'a"b\\c\nd', "é", "\u2028", "\x7f", "\U0001f600")
-)
 
 
 @st.composite
