@@ -68,12 +68,13 @@ net = parse_network(TEXT)
 
 # -- Construction refuses to bake in a contradiction --------------------------
 
+# The refusal carries the very finding the diagnostic sweep below reports.
 try:
     inherit(net.plans[0], net)
 except InheritanceConflictError as trouble:
     show("building the penguin plan fails", str(trouble))
-    print(f"offending members: {', '.join(trouble.members)}")
-    print(f"repair on offer:   {trouble.suggestion.describe()}")
+    print(f"offending members: {', '.join(trouble.finding.members)}")
+    print(f"repair on offer:   {trouble.finding.suggestion.describe()}")
 
 # -- The diagnostic sweep reports every plan's troubles as data ---------------
 

@@ -101,10 +101,6 @@ def _run_plans(net: Network, policy: Policy) -> list[HetClass]:
     return [inherit(plan, net, policy) for plan in net.plans]
 
 
-def _policy(value: str) -> Policy:
-    return Policy(value)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -125,7 +121,7 @@ def _cmd_parse(args: argparse.Namespace) -> ExitStatus:
 
 def _cmd_materialize(args: argparse.Namespace) -> ExitStatus:
     net = _load(args.file)
-    results = _run_plans(net, _policy(args.policy))
+    results = _run_plans(net, Policy(args.policy))
     member_set = materialize(net, args.name, extra=results)
     for entry in member_set:
         print(member_line(entry))
@@ -134,7 +130,7 @@ def _cmd_materialize(args: argparse.Namespace) -> ExitStatus:
 
 def _cmd_inherit(args: argparse.Namespace) -> ExitStatus:
     net = _load(args.file)
-    results = _run_plans(net, _policy(args.policy))
+    results = _run_plans(net, Policy(args.policy))
     if args.format == "json":
         document = [encode_hetclass(het) for het in results]
         print(json_text(document))
@@ -290,9 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"requirement error: {exc}", file=sys.stderr)
         return int(ExitStatus.USAGE)
     except InheritanceConflictError as exc:
-        print(f"conflict ({exc.kind}): {exc}", file=sys.stderr)
-        if exc.suggestion is not None:
-            print(f"suggestion: {serialize_plan(exc.suggestion)}", file=sys.stderr)
+        print(f"conflict ({exc.finding.kind}): {exc}", file=sys.stderr)
+        if exc.finding.suggestion is not None:
+            print(f"suggestion: {serialize_plan(exc.finding.suggestion)}", file=sys.stderr)
         return int(ExitStatus.ERROR)
     except OodnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,19 @@
 """Detection of inheritance pathologies, with machine-applicable repairs.
 
-Three pathologies are detected, none of which requires executing a plan:
+Three pathologies are detected, none of which requires executing a plan;
+``inherit`` refuses a plan with the first that blocks it (:func:`refusal`).
 
-* **exception** — an heir's own property contradicts one arriving crisply
-  (same name, same type, different value).  Construction would abort on
-  this; detection reports it and suggests the narrowed selection that
-  avoids it.
+* **exception** — a class's own property contradicts one arriving crisply
+  at its link (same name, same type, different value).  It blocks under
+  every policy; the suggestion narrows the selection that lets it through.
 * **ambiguity** — two parallel sources each pass down a same-named
   property carrying different knowledge, so which copy the heir should
   trust is undecided.  Construction succeeds (both copies are kept,
   identity-distinct), but flattening would silently prefer one; the
   suggestion keeps the first source's copy explicitly, with one
-  alternative per other contributor.
+  alternative per other contributor.  A member of that name arriving at
+  two degrees blocks under ``Policy.REJECT``; a member held in two contents
+  at one degree, shown as ``p(A)``, cannot be layered: it blocks, unrepaired.
 * **redundancy** — the same knowledge reaches the heir more than once
   (similar members from several levels or sources), or, when the caller
   states which inherited names are actually required, everything arriving
@@ -27,6 +29,8 @@ members.  The executable plans are built only when ``suggestion`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .inheritance import (
@@ -36,10 +40,11 @@ from .inheritance import (
     Policy,
     Repair,
     View,
+    audiences,
     merge,
     walk,
 )
-from .model import DegreedMember, Network, OodnError, value_text
+from .model import DegreedMember, Member, Network, OodnError, member_line, value_text
 
 
 class RequirementError(OodnError):
@@ -48,7 +53,8 @@ class RequirementError(OodnError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One detected pathology on one plan, with its repair if it has one."""
+    """One detected pathology on one plan, with its repair if it has one,
+    and the policies under which it stops ``inherit``."""
 
     kind: str
     plan: str
@@ -56,6 +62,7 @@ class Diagnostic:
     members: tuple[str, ...]
     message: str
     repair: Repair | None = None
+    blocks: tuple[Policy, ...] = ()
 
     @property
     def suggestion(self) -> InheritancePlan | None:
@@ -120,24 +127,34 @@ def _exception_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagno
                     f"{link.parent!r}: {detail}"
                 ),
                 repair=Repair(plan, ((link, frozenset(names)),)),
+                blocks=tuple(Policy),
             )
         )
     return diagnostics
 
 
 def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
-    """Same-named, differently-valued members arriving from parallel sources.
+    """Same-named members arriving from parallel sources in different
+    contents or at two degrees, then members held in two contents at one degree.
 
     Each involved source is narrowed by the ambiguous name; the suggestion
     keeps the first whole and each alternative another, so the finding
     holds one repair whatever the number of alternatives.
     """
-    if plan.chain:
-        return []
-    return _ambiguity_findings(plan, walk(plan, net))
+    links, borrows = walk(plan, net), _borrows(plan, net)
+    return _ambiguity_findings(plan, links, borrows) + _clash_findings(plan, links, borrows)
 
 
-def _ambiguity_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagnostic]:
+def _borrows(plan: InheritancePlan, net: Network) -> bool:
+    """Whether a participant declares a member another class owns, which
+    alone lets one member arrive at two degrees or be held in two contents."""
+    classes = (net.classes.get(name) for name in plan.class_names())
+    return any(e.member.owner != cls.name for cls in classes if cls for e in cls.entries)
+
+
+def _ambiguity_findings(
+    plan: InheritancePlan, links: list[Link], borrows: bool
+) -> list[Diagnostic]:
     if plan.chain:
         return []
     by_name: dict[str, list[tuple[str, DegreedMember]]] = {}
@@ -153,7 +170,18 @@ def _ambiguity_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagno
         if len(involved) < 2:
             continue
         keys = {entry.member.similarity_key() for _, entry in contributions}
-        if len(keys) < 2:
+        # The first member of the name arriving at a second degree, if any.
+        split = ""
+        first: dict[Identity, tuple[str, DegreedMember]] = {}
+        for source, entry in contributions if borrows else ():
+            earlier, present = first.setdefault(entry.identity, (source, entry))
+            if present.degree != entry.degree and not split:
+                split = (
+                    f"member {entry.member.display()} arrives from {earlier!r} at "
+                    f"degree {present.degree} and from {source!r} at degree "
+                    f"{entry.degree}; pass a min or max policy to resolve"
+                )
+        if len(keys) < 2 and not split:
             continue
         excluded = frozenset({name})
         repair = Repair(
@@ -165,18 +193,47 @@ def _ambiguity_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagno
             f"{source} passes {entry.member.display()}={value_text(entry.member)}"
             for source, entry in contributions
         )
+        content = f"{name!r} arrives from {len(involved)} sources with conflicting content: {detail}"
+        message = "; ".join(filter(None, (len(keys) > 1 and content, split)))
+        blocks = (Policy.REJECT,) if split else ()
         diagnostics.append(
-            Diagnostic(
-                kind="ambiguity",
-                plan=written,
-                subjects=tuple(involved),
-                members=(name,),
-                message=(
-                    f"{name!r} arrives from {len(involved)} sources with "
-                    f"conflicting content: {detail}"
-                ),
-                repair=repair,
-            )
+            Diagnostic("ambiguity", written, tuple(involved), (name,), message, repair, blocks)
+        )
+    return diagnostics
+
+
+def _clash_findings(
+    plan: InheritancePlan, links: list[Link], borrows: bool
+) -> list[Diagnostic]:
+    """Members two participants hold in two contents at one degree, which
+    layering cannot place, read off its audiences under each policy (a
+    parallel heir holds a member arriving at two degrees at the degree its
+    policy keeps).  No repair is offered."""
+    # (identity, degree) -> each content held there -> policy -> audience
+    held: dict[tuple, dict[Member, dict[Policy, int]]] = {}
+    for policy in Policy if borrows else ():
+        for entry, mask in audiences(plan, links, policy).items():
+            contents = held.setdefault((entry.identity, entry.degree), {})
+            contents.setdefault(entry.member, {})[policy] = mask
+    order = plan.participants_root_first()
+    diagnostics = []
+    for (_, degree), contents in held.items():
+        blocks = tuple(p for p in Policy if sum(p in by for by in contents.values()) > 1)
+        if not blocks:  # each content is held under other policies only
+            continue
+        holders = {}
+        for member, by in contents.items():
+            audience = reduce(or_, by.values())
+            holders[member] = [name for at, name in enumerate(order) if audience >> at & 1]
+        detail = "; ".join(
+            f"{member_line(DegreedMember(member, degree))} by {', '.join(names)}"
+            for member, names in holders.items()
+        )
+        subjects = tuple(name for name in order if any(name in h for h in holders.values()))
+        shown = next(iter(contents)).display()
+        message = f"member {shown} is held in {len(contents)} contents at one degree: {detail}"
+        diagnostics.append(
+            Diagnostic("ambiguity", plan.describe(), subjects, (shown,), message, blocks=blocks)
         )
     return diagnostics
 
@@ -203,7 +260,7 @@ def _redundancy_findings(
 ) -> list[Diagnostic]:
     # Everything reaching the heir; a member arriving from several parallel
     # sources keeps its lowest degree.
-    arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+    arrivals = links[-1].taken if plan.chain else merge(links, Policy.MIN)
     if required is not None:
         return _surplus_against_required(plan, links, arrivals, list(required))
 
@@ -311,8 +368,22 @@ def diagnose_all(
         )
     findings: list[Diagnostic] = []
     for plan in net.plans:
-        links = walk(plan, net)
+        links, borrows = walk(plan, net), _borrows(plan, net)
         findings.extend(_exception_findings(plan, links))
         findings.extend(_redundancy_findings(plan, links, required))
-        findings.extend(_ambiguity_findings(plan, links))
+        findings.extend(_ambiguity_findings(plan, links, borrows))
+        findings.extend(_clash_findings(plan, links, borrows))
     return findings
+
+
+def refusal(
+    plan: InheritancePlan, links: list[Link], net: Network, policy: Policy
+) -> Diagnostic | None:
+    """The first finding ``diagnose_all`` lists for a walked plan that blocks
+    it under ``policy``, or None.  Only the finders that can block run."""
+    findings = _exception_findings(plan, links)
+    if not findings and _borrows(plan, net):
+        if policy is Policy.REJECT:
+            findings = _ambiguity_findings(plan, links, True)
+        findings += _clash_findings(plan, links, True)
+    return next((f for f in findings if policy in f.blocks), None)

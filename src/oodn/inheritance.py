@@ -38,7 +38,7 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .model import (
     DEGREE_ONE,
@@ -52,7 +52,6 @@ from .model import (
     OodnError,
     Projection,
     UnknownEntityError,
-    value_text,
 )
 
 Identity = tuple[str, str]
@@ -253,7 +252,7 @@ def _offered_names(plan: InheritancePlan, net: Network) -> dict[str, set[str]]:
 
 
 class Policy(Enum):
-    """How to resolve one member arriving weakly from two sources."""
+    """How to resolve one member arriving from two sources at two degrees."""
 
     REJECT = "reject"
     MIN = "min"
@@ -261,27 +260,11 @@ class Policy(Enum):
 
 
 class InheritanceConflictError(OodnError):
-    """Construction aborted; carries a machine-applicable repair when one exists."""
+    """Construction refused, carrying the finding of diagnosis that blocks it."""
 
-    def __init__(
-        self,
-        kind: str,
-        message: str,
-        *,
-        subjects: tuple[str, ...] = (),
-        members: tuple[str, ...] = (),
-        repair: Repair | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.kind = kind
-        self.subjects = subjects
-        self.members = members
-        self.repair = repair
-
-    @property
-    def suggestion(self) -> InheritancePlan | None:
-        """The repaired plan, built on first use."""
-        return None if self.repair is None else self.repair.plans[0]
+    def __init__(self, finding: diagnostics.Diagnostic) -> None:
+        super().__init__(finding.message)
+        self.finding = finding
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +281,17 @@ class Link:
 
     ``parent_view`` is everything the parent holds, and ``taken`` what
     flows out of it through its selection, degrees composed.  Both are
-    built on first use: layering a chain reads neither, and diagnosis
-    reads them only for the links it reports.
+    built on first use: layering a chain reads neither (its links share
+    its ``runs``), and diagnosis reads them only for the links it reports.
     """
 
     parent: str
     child: str
     selection: Selection
-    own: list[DegreedMember]
+    own: Sequence[DegreedMember]
     _parent_view: Callable[[], View]
     _conflicts: list[Conflict] | None = None
+    runs: _Runs | None = None
 
     @cached_property
     def parent_view(self) -> View:
@@ -315,7 +299,22 @@ class Link:
 
     @cached_property
     def taken(self) -> View:
-        return _apply_selection(self.parent_view, self.selection)
+        """Members flowing through the selection, degrees composed by
+        product; a member passed at a crisp factor arrives as the very entry
+        it left as."""
+        factors = dict(self.selection.entries)
+        listed = self.selection.mode is SelectionMode.LISTED
+        taken: View = {}
+        for identity, entry in self.parent_view.items():
+            factor = factors.get(entry.member.name)
+            if factor is None:
+                if not listed:
+                    taken[identity] = entry
+            elif factor.is_weak:
+                taken[identity] = DegreedMember(entry.member, entry.degree * factor)
+            else:
+                taken[identity] = entry
+        return taken
 
     def conflicts(self) -> list[Conflict]:
         """Crisp arrivals contradicting one of the child's own properties,
@@ -395,7 +394,7 @@ class Repair:
         return hash(self.plans)
 
 
-def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
+def _declared_entries(net: Network, name: str) -> Sequence[DegreedMember]:
     cls = net.classes.get(name)
     if cls is None:
         raise UnknownEntityError(f"class {name!r} is not declared")
@@ -404,14 +403,14 @@ def _declared_entries(net: Network, name: str) -> list[DegreedMember]:
             f"class {name!r} is heterogeneous and cannot join a plan directly"
         )
     assert isinstance(cls, HomClass)
-    return list(cls.members())
+    return cls.entries
 
 
-def _heir_entries(net: Network, name: str) -> list[DegreedMember]:
+def _heir_entries(net: Network, name: str) -> Sequence[DegreedMember]:
     """An heir may be a declared class or a brand-new name with no members."""
     if name in net.classes:
         return _declared_entries(net, name)
-    return []
+    return ()
 
 
 def _check_offered(offered: Container[str], selection: Selection, source: str) -> None:
@@ -420,24 +419,6 @@ def _check_offered(offered: Container[str], selection: Selection, source: str) -
             raise UnknownEntityError(
                 f"selection names {name!r}, which {source!r} does not offer"
             )
-
-
-def _apply_selection(parent_view: View, selection: Selection) -> View:
-    """Members flowing through a selection, degrees composed by product; a
-    member passed at a crisp factor arrives as the very entry it left as."""
-    factors = dict(selection.entries)
-    listed = selection.mode is SelectionMode.LISTED
-    taken: View = {}
-    for identity, entry in parent_view.items():
-        factor = factors.get(entry.member.name)
-        if factor is None:
-            if not listed:
-                taken[identity] = entry
-        elif factor.is_weak:
-            taken[identity] = DegreedMember(entry.member, entry.degree * factor)
-        else:
-            taken[identity] = entry
-    return taken
 
 
 def _exception_conflicts(
@@ -513,8 +494,8 @@ class _Runs:
                 yield entry, mask
 
 
-def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]:
-    """A chain's runs and links.  A link touches only the members its
+def _walk_chain(plan: InheritancePlan, net: Network) -> list[Link]:
+    """A chain's links, sharing its runs.  A link touches only the members its
     selection or its child's declarations name, or, for a listed
     selection, the members it drops, so the walk is linear in members plus
     selection entries."""
@@ -570,12 +551,11 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> tuple[_Runs, list[Link]]
                 run[2] = level  # empty when the run began at this link
                 slot = run[3]
             current[identity] = runs.open(entry, level + 1, slot)
-        links.append(
-            Link(parent, child, selection, own, partial(runs.view, level), conflicts)
-        )
+        view = partial(runs.view, level)
+        links.append(Link(parent, child, selection, own, view, conflicts, runs=runs))
     for run in current.values():
         run[2] = len(order) - 1
-    return runs, links
+    return links
 
 
 def walk(plan: InheritancePlan, net: Network) -> list[Link]:
@@ -589,7 +569,7 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     every link can be inspected.
     """
     if plan.chain:
-        return _walk_chain(plan, net)[1]
+        return _walk_chain(plan, net)
     views = []
     for source, selection in plan.sources:
         view = {e.identity: e for e in _declared_entries(net, source)}
@@ -602,12 +582,12 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     ]
 
 
-def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
+def merge(links: Sequence[Link], policy: Policy) -> View:
     """What a parallel plan's links deliver to the heir, in arrival order.
 
     A member arriving again at another degree keeps the lower degree under
     ``Policy.MIN`` and the higher under ``Policy.MAX``, the first arrival
-    winning ties; under ``Policy.REJECT`` it is an ambiguity error.
+    winning ties; ``Policy.REJECT`` keeps the first (``inherit`` refuses).
     """
     merged: View = {}
     for link in links:
@@ -616,101 +596,59 @@ def merge(plan: InheritancePlan, links: Sequence[Link], policy: Policy) -> View:
                 merged[identity] = entry
                 continue
             present = merged[identity]
-            if present.degree == entry.degree:
-                continue
-            if policy is Policy.REJECT:
-                first = next(other.parent for other in links if identity in other.taken)
-                raise InheritanceConflictError(
-                    "ambiguity",
-                    f"member {entry.member.display()} arrives from "
-                    f"{first!r} at degree {present.degree} and from "
-                    f"{link.parent!r} at degree {entry.degree}; pass a min or max "
-                    f"policy to resolve",
-                    subjects=(first, link.parent, plan.heir),
-                    members=(entry.member.name,),
-                )
-            if (
-                entry.degree < present.degree
-                if policy is Policy.MIN
-                else entry.degree > present.degree
+            if (policy is Policy.MIN and entry.degree < present.degree) or (
+                policy is Policy.MAX and entry.degree > present.degree
             ):
                 merged[identity] = entry
     return merged
 
 
-def _raise_exception_conflict(
-    plan: InheritancePlan, link: Link, conflicts: list[Conflict]
-) -> None:
-    names = tuple(sorted({name for name, _, _ in conflicts}))
-    detail = "; ".join(
-        f"{name}: {local.member.display()}={value_text(local.member)} vs "
-        f"{arriving.member.display()}={value_text(arriving.member)}"
-        for name, local, arriving in conflicts
-    )
-    raise InheritanceConflictError(
-        "exception",
-        f"{link.child!r} contradicts members inherited crisply from "
-        f"{link.parent!r} ({detail}); exclude or weaken the inherited copy",
-        subjects=(link.parent, link.child),
-        members=names,
-        repair=Repair(plan, ((link, frozenset(names)),)),
-    )
+def _parallel_views(links: Sequence[Link], policy: Policy) -> list[View]:
+    """Each source's view, then the heir's: what arrives, merged under
+    ``policy``, with the heir's own members on top."""
+    heir = merge(links, policy)
+    heir.update((entry.identity, entry) for entry in links[0].own)
+    return [link.parent_view for link in links] + [heir]
 
 
-def _checked_chain(plan: InheritancePlan, net: Network) -> _Runs:
-    """A chain's runs, once its first crisp contradiction, if any, is raised."""
-    runs, links = _walk_chain(plan, net)
-    for link in links:
-        conflicts = link.conflicts()
-        if conflicts:
-            _raise_exception_conflict(plan, link, conflicts)
-    return runs
+def audiences(
+    plan: InheritancePlan, links: list[Link], policy: Policy
+) -> dict[DegreedMember, int]:
+    """Every entry a participant holds, with its audience: the bitmask of
+    the participants holding it, root first, in order of first holding."""
+    holdings: Iterable[tuple[DegreedMember, int]]
+    if plan.chain:
+        holdings = links[0].runs.holdings()
+    else:
+        views = enumerate(_parallel_views(links, policy))
+        holdings = ((entry, 1 << at) for at, view in views for entry in view.values())
+    audience: dict[DegreedMember, int] = {}
+    for entry, mask in holdings:
+        held = audience.get(entry)
+        audience[entry] = mask if held is None else held | mask
+    return audience
 
 
-def _checked_parallel(
-    plan: InheritancePlan, net: Network, policy: Policy
-) -> tuple[list[Link], View]:
-    """A parallel plan's links and the heir's view, conflicts raised."""
+def _walked(plan: InheritancePlan, net: Network, policy: Policy) -> list[Link]:
+    """A plan's links, once the first finding of diagnosis that blocks the
+    plan under ``policy``, if any, is raised as :class:`InheritanceConflictError`."""
     links = walk(plan, net)
-    own = links[-1].own
-    arrived = merge(plan, links, policy)
-    conflicts = _exception_conflicts(own, arrived.values())
-    if conflicts:
-        # Each surviving arrival is blamed on the first source delivering
-        # it as it survived; the first such source by name is reported.
-        blamed: dict[str, tuple[Link, list[Conflict]]] = {}
-        for conflict in conflicts:
-            arriving = conflict[2]
-            link = next(
-                link for link in links
-                if link.taken.get(arriving.identity) == arriving
-            )
-            blamed.setdefault(link.parent, (link, []))[1].append(conflict)
-        _raise_exception_conflict(plan, *blamed[min(blamed)])
-    arrived.update((entry.identity, entry) for entry in own)  # own members on top
-    return links, arrived
+    finding = diagnostics.refusal(plan, links, net, policy)
+    if finding is not None:
+        raise InheritanceConflictError(finding)
+    return links
 
 
 def build_views(
     plan: InheritancePlan, net: Network, policy: Policy = Policy.REJECT
 ) -> dict[str, View]:
-    """Effective member set of every participant, conflicts checked.
-
-    Walks the plan, then raises :class:`InheritanceConflictError` for the
-    first crisp contradiction (with a partial-plan repair attached) and,
-    on a parallel plan under ``Policy.REJECT``, for one member arriving
-    weakly from two sources at different degrees.
-    """
+    """Effective member set of every participant, root first, refused as
+    ``inherit`` refuses."""
+    links = _walked(plan, net, policy)
+    order = plan.participants_root_first()
     if plan.chain:
-        runs = _checked_chain(plan, net)
-        return {
-            name: runs.view(level)
-            for level, name in enumerate(plan.participants_root_first())
-        }
-    links, heir_view = _checked_parallel(plan, net, policy)
-    views = {link.parent: link.parent_view for link in links}
-    views[plan.heir] = heir_view
-    return views
+        return {name: links[0].runs.view(level) for level, name in enumerate(order)}
+    return dict(zip(order, _parallel_views(links, policy)))
 
 
 # ---------------------------------------------------------------------------
@@ -743,27 +681,11 @@ def inherit(
     depends on the smallest audiences strictly containing its own, the
     transitive reduction of the subset order over the non-empty groups.
     A participant holds one entry per identity, so no group holds two: its
-    member set needs no check.  Two participants holding one identity in
-    different contents at one degree put it in two groups, which the
-    heterogeneous class refuses.
+    member set needs no check.  Diagnosis refuses a plan that would put
+    one identity at one degree in two groups (see ``diagnostics.refusal``).
     """
     order = plan.participants_root_first()
-    holdings: Iterable[tuple[DegreedMember, int]]
-    if plan.chain:
-        holdings = _checked_chain(plan, net).holdings()
-    else:
-        links, heir_view = _checked_parallel(plan, net, policy)
-        views = [link.parent_view for link in links] + [heir_view]
-        holdings = (
-            (entry, 1 << index)
-            for index, view in enumerate(views)
-            for entry in view.values()
-        )
-
-    audience: dict[DegreedMember, int] = {}
-    for entry, mask in holdings:
-        held = audience.get(entry)
-        audience[entry] = mask if held is None else held | mask
+    audience = audiences(plan, _walked(plan, net, policy), policy)
     everyone = (1 << len(order)) - 1
     core_entries: list[DegreedMember] = []
     groups: dict[int, list[DegreedMember]] = {}
@@ -821,3 +743,8 @@ def inherit(
 def decompose(het: HetClass, name: str) -> MemberSet:
     """Rebuild one participant's member set from core and projections."""
     return het.member_view(name)
+
+
+# Diagnosis is built on this module and decides its refusals.  Imported last,
+# so that either module can be imported first.
+from . import diagnostics  # noqa: E402

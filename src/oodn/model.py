@@ -640,7 +640,11 @@ def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
 
 @dataclass(frozen=True)
 class HomClass:
-    """Homogeneous class: a specification of properties and a signature of methods."""
+    """Homogeneous class: a specification of properties and a signature of methods.
+
+    Construction also keeps ``entries``, the members in declaration order,
+    for every plan walk to read.
+    """
 
     name: str
     spec: MemberSet = field(default_factory=MemberSet)
@@ -664,11 +668,12 @@ class HomClass:
                     raise ModelInvariantError(
                         f"class {self.name!r}: duplicate member {entry.member.name!r}"
                     )
+        object.__setattr__(self, "entries", (*self.spec, *self.sig))
 
     def members(self) -> MemberSet:
         """Specification and signature in declaration order (their
         identities are distinct, as construction checked)."""
-        return MemberSet._subset([*self.spec, *self.sig])
+        return MemberSet._subset(self.entries)
 
 
 @dataclass(frozen=True)
@@ -833,7 +838,7 @@ class Relation:
     def __post_init__(self) -> None:
         if self.kind is RelationKind.ASSOCIATION and not self.label:
             raise ModelInvariantError("association relations require a label")
-        if self.kind is not RelationKind.ASSOCIATION and self.label:
+        if self.kind is not RelationKind.ASSOCIATION and self.label is not None:
             raise ModelInvariantError(
                 f"{self.kind.value} relations do not carry a label"
             )

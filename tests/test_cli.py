@@ -136,6 +136,22 @@ class TestInherit:
         assert "conflict (exception)" in err
         assert "suggestion: Penguin inherits Bird (feathers);" in err
 
+    def test_a_policy_does_not_resolve_a_contradiction(self, capsys, tmp_path):
+        # A passes p crisply and B weakly: min keeps B's weak copy, but the
+        # crisp one still contradicts H's own p at the link from A.
+        path = tmp_path / "min_exception.oodn"
+        path.write_text(
+            "class A { prop p: int = 1; } class B { prop A.p: int = 1 /0.5; } "
+            "class H { prop p: int = 5; } H inherits A, B;\n",
+            encoding="utf-8",
+        )
+        assert run_cli(["inherit", str(path), "--policy", "min"], capsys) == (
+            2,
+            "",
+            "conflict (exception): 'H' contradicts members inherited crisply from 'A': "
+            "p: own p(H)=5 against arriving p(A)=1\nsuggestion: H inherits B;\n",
+        )
+
 
 # ---------------------------------------------------------------------------
 # classify
@@ -302,7 +318,8 @@ class TestDiagnose:
 # Streams and exit codes of `oodn diagnose` on every fixture, recorded
 # before diagnosis was reworked for speed; the rework must not change a byte.
 # redundancy_deep_chain.oodn was recorded later, once redundancy repairs on
-# chains narrowed each selection over everything its owner holds.
+# chains narrowed each selection over everything its owner holds, and the
+# cross_owner_*.oodn fixtures once diagnosis found degree splits and clashes.
 GOLDEN = json.loads(
     (DATA / "expected" / "diagnose.json").read_text(encoding="utf-8")
 )
@@ -311,7 +328,8 @@ GOLDEN = json.loads(
 # Streams and exit codes of `oodn diagnose --required R`, with and without
 # --apply-suggestions, on every fixture, recorded before every repair was made
 # to narrow through one method.  R makes each fixture with a plan report a
-# surplus; no required name reaches both of pathology_both.oodn's heirs.  The
+# surplus; no required name reaches both of pathology_both.oodn's heirs, and
+# each cross_owner_*.oodn plan delivers one name only, so reports none.  The
 # four fixtures without a plan were recorded again once a requirement on them
 # exited 3, as no plan can deliver it, instead of 0 with "no findings".
 REQUIRED_GOLDEN = json.loads(
@@ -481,7 +499,9 @@ def test_golden_covers_every_fixture():
 
 # Streams and exit codes of `oodn inherit` under every policy and format on
 # every fixture, recorded before layering was reworked for speed; the rework
-# must not change a byte.
+# must not change a byte.  The pathology_penguin.oodn and pathology_both.oodn
+# entries were recorded again once an exception had one text, the finding's,
+# and the cross_owner_*.oodn entries once diagnosis decided every refusal.
 INHERIT_GOLDEN = json.loads(
     (DATA / "expected" / "inherit.json").read_text(encoding="utf-8")
 )

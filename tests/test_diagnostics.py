@@ -438,8 +438,9 @@ class TestClassicPathologies:
         net = parse_network(fixture_path("pathology_penguin.oodn").read_text(encoding="utf-8"))
         with pytest.raises(InheritanceConflictError) as raised:
             inherit(net.plans[0], net)
-        assert raised.value.kind == "exception"
-        assert raised.value.suggestion.describe() == "Penguin inherits Bird (feathers)"
+        assert raised.value.finding == diagnose_all(net)[0]
+        assert raised.value.finding.kind == "exception"
+        assert raised.value.finding.suggestion.describe() == "Penguin inherits Bird (feathers)"
 
     def test_penguin_is_diagnosed_as_an_exception(self, fixture_path):
         net = parse_network(fixture_path("pathology_penguin.oodn").read_text(encoding="utf-8"))

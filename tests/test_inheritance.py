@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import chain_text, run_cli
+from oodn.diagnostics import diagnose_all
 from oodn.dsl import parse_network, serialize_hetclass
 from oodn.inheritance import (
     Arity,
@@ -507,15 +508,16 @@ class TestExceptionConflict:
     def test_contradiction_aborts(self):
         with pytest.raises(InheritanceConflictError) as info:
             inherit(self.plan(), self.penguin_net())
-        assert info.value.kind == "exception"
-        assert info.value.members == ("fly",)
-        assert info.value.subjects == ("Bird", "Penguin")
+        finding = info.value.finding
+        assert finding.kind == "exception"
+        assert finding.members == ("fly",)
+        assert finding.subjects == ("Bird", "Penguin")
 
     def test_suggestion_is_executable(self):
         net = self.penguin_net()
         with pytest.raises(InheritanceConflictError) as info:
             inherit(self.plan(), net)
-        suggestion = info.value.suggestion
+        suggestion = info.value.finding.suggestion
         assert suggestion is not None
         het = inherit(suggestion, net)
         heir_view = decompose(het, "Penguin")
@@ -581,7 +583,7 @@ class TestDegreePolicy:
     def test_reject_policy_raises(self):
         with pytest.raises(InheritanceConflictError) as info:
             inherit(self.plan(), self.diamond_net(), Policy.REJECT)
-        assert info.value.kind == "ambiguity"
+        assert info.value.finding.kind == "ambiguity"
 
     def test_min_and_max_policies_pick_a_degree(self):
         low = inherit(self.plan(), self.diamond_net(), Policy.MIN)
@@ -631,12 +633,25 @@ class TestWalk:
             ("B1", "D"),
             ("B2", "D"),
         ]
-        low = merge(plan, links, Policy.MIN)[("A", "p")]
-        high = merge(plan, links, Policy.MAX)[("A", "p")]
+        low = merge(links, Policy.MIN)[("A", "p")]
+        high = merge(links, Policy.MAX)[("A", "p")]
         assert (low.degree.value, high.degree.value) == (Fraction(1, 4), Fraction(1, 2))
+
+    def test_reject_refuses_a_degree_split_with_its_finding(self):
+        # Refused by inherit, not by merge: the finding names both sources.
+        net = TestDegreePolicy().diamond_net()
+        plan = TestDegreePolicy().plan()
         with pytest.raises(InheritanceConflictError) as info:
-            merge(plan, links, Policy.REJECT)
-        assert info.value.subjects == ("B1", "B2", "D")
+            inherit(plan, net, Policy.REJECT)
+        finding = info.value.finding
+        assert (finding.subjects, finding.members) == (("B1", "B2"), ("p",))
+        assert finding.blocks == (Policy.REJECT,)
+        assert str(info.value) == (
+            "member p(A) arrives from 'B1' at degree 0.5 and from 'B2' at degree "
+            "0.25; pass a min or max policy to resolve"
+        )
+        net.plans.append(plan)
+        assert finding in diagnose_all(net)
 
 
 class TestRuns:
@@ -704,8 +719,9 @@ class TestCrossOwnerRedeclaration:
     """B declares A's 'p' itself, and C already holds it as A does.  In A's
     content it is knowledge every participant shares, so it stays in the
     core; in another content two copies of one member sit at one degree in
-    two audiences, which the heterogeneous class refuses, chain and
-    parallel plan alike."""
+    two audiences, which no layering can place: diagnosis finds the clash,
+    and ``inherit`` refuses the plan with it, chain and parallel plan
+    alike."""
 
     CLASSES = (
         "class A { prop p: int = 1; }\n"
@@ -723,8 +739,8 @@ class TestCrossOwnerRedeclaration:
         assert run_cli(["inherit", str(path)], capsys) == (
             2,
             "",
-            "error: class 'B': member 'p' of 'A' repeats at the same degree "
-            "across projections\n",
+            "conflict (ambiguity): member p(A) is held in 2 contents at one degree: "
+            'prop p(A): int = 1 by A, C; prop p(A): text = "x" by B\n',
         )
 
     @pytest.mark.parametrize("shape", sorted(PLANS))

@@ -428,6 +428,12 @@ class TestObjectsAndRelations:
         with pytest.raises(ModelInvariantError):
             Relation(RelationKind.GENERALIZATION, "a", "b", label="x")
 
+    def test_an_empty_label_is_a_label(self):
+        # Written as "relation generalization  a -> b;", it would read back
+        # without one: a different relation.
+        with pytest.raises(ModelInvariantError, match="do not carry a label"):
+            Relation(RelationKind.GENERALIZATION, "a", "b", "")
+
     def test_crisp_degree_normalized_away(self):
         rel = Relation(
             RelationKind.ASSOCIATION, "a", "b", label="knows", degree=DEGREE_ONE

@@ -548,14 +548,120 @@ class TestLayering:
 
 def arrivals_at_heir(plan: InheritancePlan, net: Network) -> dict:
     links = walk(plan, net)
-    return links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+    return links[-1].taken if plan.chain else merge(links, Policy.MIN)
+
+
+def blocking(findings: list, policy: Policy) -> list:
+    return [finding for finding in findings if policy in finding.blocks]
+
+
+def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
+    """What ``inherit`` may refuse a plan for under ``policy``, read off the
+    declarations without the walk: the names of crisp contradictions at a
+    link; under ``Policy.REJECT``, the names of members arriving at two
+    degrees; and, shown as ``p(A)``, each member that two participants hold
+    in two contents at one degree."""
+    order = plan.participants_root_first()
+    declared = {
+        name: {e.identity: e for e in net.classes[name].members()} if name in net.classes else {}
+        for name in order
+    }
+
+    def take(view: dict, selection: Selection) -> dict:
+        factors = dict(selection.entries)
+        if selection.mode is SelectionMode.ALL:
+            factors = {e.member.name: factors.get(e.member.name, DEGREE_ONE) for e in view.values()}
+        return {
+            identity: DegreedMember(entry.member, entry.degree * factors[entry.member.name])
+            for identity, entry in view.items()
+            if entry.member.name in factors
+        }
+
+    refused: set[str] = set()
+
+    def arrive(own: dict, arrivals: dict) -> None:
+        # Of two own properties of one name, the one declared last is compared.
+        props = {e.member.name: e.member for e in own.values() if e.member.kind is MemberKind.PROPERTY}
+        for entry in arrivals.values():
+            member, local = entry.member, props.get(entry.member.name)
+            if (
+                not entry.degree.is_weak
+                and member.kind is MemberKind.PROPERTY
+                and local is not None
+                and local.value_type == member.value_type
+                and local.value != member.value
+            ):
+                refused.add(member.name)
+
+    if plan.chain:
+        views = [declared[order[0]]]
+        for (_, selection), child in zip(reversed(plan.sources), order[1:]):
+            arrivals = take(views[-1], selection)
+            arrive(declared[child], arrivals)
+            views.append({**arrivals, **declared[child]})
+    else:
+        views = [declared[name] for name, _ in plan.sources]
+        merged: dict = {}
+        for (_, selection), view in zip(plan.sources, views):
+            arrivals = take(view, selection)
+            arrive(declared[plan.heir], arrivals)
+            for identity, entry in arrivals.items():
+                present = merged.setdefault(identity, entry)
+                if present.degree != entry.degree and policy is Policy.REJECT:
+                    refused.add(entry.member.name)
+                if (policy is Policy.MIN and entry.degree < present.degree) or (
+                    policy is Policy.MAX and entry.degree > present.degree
+                ):
+                    merged[identity] = entry
+        views.append({**merged, **declared[plan.heir]})
+    contents: dict = {}
+    for view in views:
+        for entry in view.values():
+            contents.setdefault((entry.identity, entry.degree), set()).add(entry.member)
+    refused.update(next(iter(held)).display() for held in contents.values() if len(held) > 1)
+    return refused
+
+
+class TestRefusals:
+    """``inherit`` refuses a plan only with a finding of diagnosis: the
+    first one ``diagnose_all`` lists for the plan that blocks under the
+    policy, naming a member the plan may be refused for."""
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans(), policy=st.sampled_from(Policy))
+    def test_every_refusal_is_the_first_blocking_finding(self, data, policy):
+        net, plan = data
+        net.plans.append(plan)
+        try:
+            findings = diagnose_all(net)
+        except OodnError:
+            assume(False)
+        try:
+            inherit(plan, net, policy)
+        except InheritanceConflictError as refusal:
+            assert refusal.finding == blocking(findings, policy)[0]
+            assert set(refusal.finding.members) & refusable(plan, net, policy)
+        else:
+            assert blocking(findings, policy) == []
+            assert refusable(plan, net, policy) == set()
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_no_two_findings_share_kind_subjects_and_members(self, data):
+        net, plan = data
+        for shape in (plan, replace(plan, chain=not plan.chain)):
+            net.plans[:] = [shape]
+            try:
+                findings = diagnose_all(net)
+            except OodnError:
+                continue
+            keys = [(f.kind, f.subjects, f.members) for f in findings]
+            assert len(keys) == len(set(keys))
 
 
 class TestRepairs:
-    # Without borrowed members: diagnosis does not report two participants
-    # holding one member in different contents, which ``inherit`` refuses.
     @WHOLE_NETWORK
-    @given(data=layered_plans(borrowing=False))
+    @given(data=layered_plans())
     def test_each_suggestion_removes_its_own_finding(self, data):
         net, plan = data
         net.plans.append(plan)
@@ -563,19 +669,19 @@ class TestRepairs:
             findings = diagnose_all(net)
         except OodnError:
             assume(False)
-        exceptions = sum(f.kind == "exception" for f in findings)
         for finding in findings:
             repaired = finding.suggestion
             if repaired is None:
                 continue
             assert parse_network(repaired.describe() + ";").plans[0] == repaired
             net.plans[:] = [repaired]
+            after = diagnose_all(net)
             # same kind, same owners: one name can form two similarity groups
             assert (finding.kind, finding.subjects, finding.members) not in {
-                (f.kind, f.subjects, f.members) for f in diagnose_all(net)
+                (f.kind, f.subjects, f.members) for f in after
             }
-            if exceptions == (finding.kind == "exception"):
-                inherit(repaired, net, Policy.MIN)  # no other conflict is left
+            if blocking(findings, Policy.MIN) in ([], [finding]):
+                assert blocking(after, Policy.MIN) == []  # no other conflict is left
 
     @WHOLE_NETWORK
     @given(data=layered_plans())
@@ -616,7 +722,7 @@ class TestRepairs:
             links = walk(plan, net)
         except OodnError:
             assume(False)
-        arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+        arrivals = links[-1].taken if plan.chain else merge(links, Policy.MIN)
         arrived = sorted({entry.member.name for entry in arrivals.values()})
         assume(arrived)
         required = choice.draw(
@@ -651,7 +757,7 @@ class TestRepairs:
             links = walk(plan, net)
         except OodnError:
             assume(False)
-        arrivals = links[-1].taken if plan.chain else merge(plan, links, Policy.MIN)
+        arrivals = links[-1].taken if plan.chain else merge(links, Policy.MIN)
         arrived = sorted({entry.member.name for entry in arrivals.values()})
         if arrived:
             findings += diagnose_all(net, required=arrived[: len(arrived) // 2 + 1])
