@@ -58,7 +58,6 @@ from .model import (
     HetClass,
     HomClass,
     IDENTIFIER,
-    MemberKind,
     MemberSet,
     Network,
     ObjectInstance,
@@ -74,7 +73,6 @@ from .model import (
     decode_value,
     format_rational,
     format_untyped,
-    is_identifier,
     member_text,
     method,
     prop,
@@ -208,7 +206,6 @@ _LITERAL_KINDS = {
     "RATIO": ValueType.REAL,
     "STRING": ValueType.TEXT,
 }
-_KEYWORDS = {"class", "hetclass", "object", "relation"}
 
 
 def _check_new_name(net: Network, kind: str, name: str) -> None:
@@ -336,8 +333,6 @@ class _Parser:
         self.expect("class")
         at = self.pos
         name = self.ident()
-        if name in _KEYWORDS:
-            raise self.fail(f"{name!r} cannot name a class", at)
         self.build(at, _check_new_name, net, "class", name)
         entries = self._parse_members(name)
         net.classes[name] = self.build(
@@ -716,52 +711,28 @@ def _json_text(value: object, newline: str) -> str:
 
 def _encode_member(entry: DegreedMember) -> dict:
     member = entry.member
-    if member.kind is MemberKind.PROPERTY:
-        assert member.value_type is not None
-        return {
-            "kind": "prop",
-            "name": member.name,
-            "owner": member.owner,
-            "type": member.value_type.value,
-            "value": member.value_type.codec.encode(member.value),
-            "degree": format_rational(entry.degree.value),
-        }
-    return {
-        "kind": "method",
-        "name": member.name,
-        "owner": member.owner,
-        "params": [{"name": n, "type": t.value} for n, t in member.params],
-        "returns": member.returns.value if member.returns else None,
-        "degree": format_rational(entry.degree.value),
-    }
-
-
-def _identifier(name: str) -> str:
-    """``name`` if it is one identifier, as ``serialize`` writes it bare."""
-    if not is_identifier(name):
-        raise StructuredImportError(f"{name!r} is not an identifier")
-    return name
-
-
-def _class_name(name: str) -> str:
-    """``name`` if it is an identifier and, as the parser requires, no keyword."""
-    if _identifier(name) in _KEYWORDS:
-        raise StructuredImportError(f"{name!r} cannot name a class")
-    return name
+    encoded = {"kind": member.kind.value, "name": member.name, "owner": member.owner}
+    if member.value_type is not None:
+        encoded["type"] = member.value_type.value
+        encoded["value"] = member.value_type.codec.encode(member.value)
+    else:
+        encoded["params"] = [{"name": n, "type": t.value} for n, t in member.params]
+        encoded["returns"] = member.returns.value if member.returns else None
+    encoded["degree"] = format_rational(entry.degree.value)
+    return encoded
 
 
 def _decode_member(raw: dict) -> DegreedMember:
     degree = as_degree(decode_rational(raw["degree"]))
-    name, owner = _identifier(raw["name"]), _identifier(raw["owner"])
     if raw["kind"] == "prop":
         value_type = _VALUE_TYPES[raw["type"]]
         value = decode_value(value_type, raw["value"])
-        member = prop(name, value_type, value, owner)
+        member = prop(raw["name"], value_type, value, raw["owner"])
     else:
         member = method(
-            name,
-            owner,
-            [(_identifier(p["name"]), _VALUE_TYPES[p["type"]]) for p in raw["params"]],
+            raw["name"],
+            raw["owner"],
+            [(p["name"], _VALUE_TYPES[p["type"]]) for p in raw["params"]],
             _VALUE_TYPES[raw["returns"]] if raw["returns"] else None,
         )
     return DegreedMember(member, degree)
@@ -781,7 +752,7 @@ def _decode_selection(raw: dict) -> Selection:
     return Selection(
         SelectionMode(raw["mode"]),
         tuple(
-            (_identifier(item["name"]), as_degree(decode_rational(item["degree"])))
+            (item["name"], as_degree(decode_rational(item["degree"])))
             for item in raw["entries"]
         ),
     )
@@ -892,10 +863,9 @@ def import_structured(text: str) -> Network:
 def _decode_network(document: dict) -> Network:
     net = make_network()
     for entry in document["classes"]:
-        name = _identifier(entry["name"])
+        name = entry["name"]
         _check_new_name(net, "class", name)
         if entry["form"] == "homogeneous":
-            _class_name(name)
             net.classes[name] = HomClass(
                 name,
                 spec=MemberSet(_decode_member(e) for e in entry["spec"]),
@@ -913,20 +883,17 @@ def _decode_network(document: dict) -> Network:
                     )
                     for p in entry["projections"]
                 ),
-                participants={
-                    _identifier(participant): tuple(labels)
-                    for participant, labels in entry["participants"].items()
-                },
+                participants={p: tuple(labels) for p, labels in entry["participants"].items()},
             )
     for entry in document["objects"]:
-        name = _identifier(entry["name"])
+        name = entry["name"]
         _check_new_name(net, "object", name)
         net.objects[name] = ObjectInstance(
             name,
-            _identifier(entry["class"]),
+            entry["class"],
             tuple(
                 (
-                    _identifier(v["name"]),
+                    v["name"],
                     decode_value(_VALUE_TYPES[v["value"]["type"]], v["value"]["value"]),
                 )
                 for v in entry["values"]
@@ -936,18 +903,18 @@ def _decode_network(document: dict) -> Network:
         net.relations.append(
             Relation(
                 RelationKind(entry["kind"]),
-                _identifier(entry["source"]),
-                _identifier(entry["target"]),
-                None if entry["label"] is None else _identifier(entry["label"]),
+                entry["source"],
+                entry["target"],
+                entry["label"],
                 as_degree(decode_rational(entry["degree"])) if entry["degree"] else None,
             )
         )
     for entry in document["plans"]:
         net.plans.append(
             InheritancePlan(
-                heir=_class_name(entry["heir"]),
+                heir=entry["heir"],
                 sources=tuple(
-                    (_identifier(s["class"]), _decode_selection(s["selection"]))
+                    (s["class"], _decode_selection(s["selection"]))
                     for s in entry["sources"]
                 ),
                 chain=entry["chain"],

@@ -46,12 +46,14 @@ from .model import (
     DegreedMember,
     HetClass,
     HomClass,
+    KEYWORDS,
     MemberKind,
     MemberSet,
     Network,
     OodnError,
     Projection,
     UnknownEntityError,
+    check_names,
 )
 
 Identity = tuple[str, str]
@@ -82,6 +84,7 @@ class Selection:
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.entries]
+        check_names(*names)
         if len(names) != len(set(names)):
             raise OodnError("selection names a member twice")
         if self.mode is SelectionMode.LISTED and not self.entries:
@@ -128,6 +131,8 @@ class InheritancePlan:
         if not self.sources:
             raise OodnError("an inheritance plan needs at least one source")
         names = [name for name, _ in self.sources]
+        check_names(*names)
+        check_names(self.heir, keywords=KEYWORDS)
         if len(names) != len(set(names)):
             raise OodnError("an inheritance plan names a source twice")
         if self.heir in names:
@@ -426,32 +431,27 @@ def _exception_conflicts(
 ) -> list[Conflict]:
     """Crisp arrivals contradicting an own property of the same name and type.
 
-    Only a member arriving at degree 1 can contradict: a weak arrival and a
-    restricted selection are precisely the two ways such a clash is
-    legitimately avoided.  A same-named property of a different value type
-    is a different assertion, not a contradiction.
+    An arrival is compared with every own property of its name, whichever
+    order they are declared in: a class may hold its own ``p`` and another
+    owner's.  Only a member arriving at degree 1 can contradict: a weak
+    arrival and a restricted selection are precisely the two ways such a
+    clash is legitimately avoided.  A same-named property of a different
+    value type is a different assertion, not a contradiction.
     """
-    conflicts = []
-    own_props = {
-        entry.member.name: entry
-        for entry in own
-        if entry.member.kind is MemberKind.PROPERTY
-    }
+    conflicts: list[Conflict] = []
+    own_props: dict[str, list[DegreedMember]] = {}
+    for entry in own:
+        if entry.member.kind is MemberKind.PROPERTY:
+            own_props.setdefault(entry.member.name, []).append(entry)
     if not own_props:  # nothing to contradict
         return conflicts
     for arriving in arrivals:
-        if arriving.member.kind is not MemberKind.PROPERTY:
+        member = arriving.member
+        if member.kind is not MemberKind.PROPERTY or arriving.degree.is_weak:
             continue
-        if arriving.degree.is_weak:
-            continue
-        local = own_props.get(arriving.member.name)
-        if local is None:
-            continue
-        if (
-            local.member.value_type == arriving.member.value_type
-            and local.member.value != arriving.member.value
-        ):
-            conflicts.append((arriving.member.name, local, arriving))
+        for local in own_props.get(member.name, ()):
+            if local.member.value_type == member.value_type and local.member.value != member.value:
+                conflicts.append((member.name, local, arriving))
     return conflicts
 
 

@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Iterator, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .inheritance import InheritancePlan
@@ -157,14 +157,29 @@ def quote_text(text: str) -> str:
     return f'"{escaped}"'
 
 
-# The text format's one identifier rule, by which the lexer reads names and
-# the writer tells which fuzzy elements it may write bare.
+# The text format's one identifier rule: the lexer reads names by it, the
+# constructors hold every name the writer writes bare to it (``check_names``),
+# and the writer tells by it which fuzzy elements it may write bare.
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The words a declaration starts with, so no plan's heir, and no homogeneous
+# class, can be written with one of them as its name.
+KEYWORDS = frozenset({"class", "hetclass", "object", "relation"})
 
 
 def is_identifier(text: str) -> bool:
-    """Whether ``text`` reads back as one identifier."""
-    return IDENTIFIER.fullmatch(text) is not None
+    """Whether ``text`` reads back as one identifier: an ASCII string that
+    Python takes for an identifier is exactly one ``IDENTIFIER`` matches."""
+    return text.isascii() and text.isidentifier()
+
+
+def check_names(*names: object, keywords: Container[str] = ()) -> None:
+    """Refuse a name that is not an identifier, or that is one of
+    ``keywords``: every name the writer writes bare must read back."""
+    for name in names:
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+            raise ModelInvariantError(f"{name!r} is not an identifier")
+        if name in keywords:
+            raise ModelInvariantError(f"{name!r} cannot name a class")
 
 
 def decode_rational(raw: object) -> Fraction:
@@ -391,6 +406,7 @@ class Member(_MemberKeys):
     returns: ValueType | None = None
 
     def __post_init__(self) -> None:
+        check_names(self.name, self.owner)
         if self.kind is MemberKind.PROPERTY:
             if self.value_type is None:
                 raise ModelInvariantError(f"property {self.name!r} needs a value type")
@@ -408,6 +424,8 @@ class Member(_MemberKeys):
                 raise ModelInvariantError(
                     f"method {self.name!r} cannot carry a property value"
                 )
+            if self.params:
+                check_names(*[pname for pname, _ in self.params])
             seen = set()
             for pname, _ in self.params:
                 if pname in seen:
@@ -638,6 +656,9 @@ def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
 # ---------------------------------------------------------------------------
 
 
+_kind_of = attrgetter("member.kind")  # an entry's member's kind
+
+
 @dataclass(frozen=True)
 class HomClass:
     """Homogeneous class: a specification of properties and a signature of methods.
@@ -651,11 +672,13 @@ class HomClass:
     sig: MemberSet = field(default_factory=MemberSet)
 
     def __post_init__(self) -> None:
-        if any(e.member.kind is not MemberKind.PROPERTY for e in self.spec):
+        check_names(self.name, keywords=KEYWORDS)
+        # Each set looks, in C, for a member of the other kind.
+        if MemberKind.METHOD in map(_kind_of, self.spec):
             raise ModelInvariantError(
                 f"class {self.name!r}: specification holds properties only"
             )
-        if any(e.member.kind is not MemberKind.METHOD for e in self.sig):
+        if MemberKind.PROPERTY in map(_kind_of, self.sig):
             raise ModelInvariantError(
                 f"class {self.name!r}: signature holds methods only"
             )
@@ -704,6 +727,7 @@ class HetClass:
     participants: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_names(self.name, *self.participants)
         labels = [p.label for p in self.projections]
         if len(labels) != len(set(labels)):
             raise ModelInvariantError(f"class {self.name!r}: duplicate projection labels")
@@ -806,6 +830,7 @@ class ObjectInstance:
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.member_values]
+        check_names(self.name, self.class_ref, *names)
         if len(names) != len(set(names)):
             raise ModelInvariantError(f"object {self.name!r}: duplicate value overrides")
 
@@ -842,6 +867,9 @@ class Relation:
             raise ModelInvariantError(
                 f"{self.kind.value} relations do not carry a label"
             )
+        check_names(self.source, self.target)
+        if self.label is not None:
+            check_names(self.label)
         if self.degree is not None and not self.degree.is_weak:
             object.__setattr__(self, "degree", None)
 
@@ -930,8 +958,8 @@ def validate_network(net: Network) -> list[Violation]:
     """Check network-level invariants, returning findings as data.
 
     Errors mark real rule violations (dangling references, kind-mismatched
-    relation endpoints, generalization cycles, override mismatches);
-    a class with no members at all is reported as a warning only.
+    relation endpoints, generalization cycles, override mismatches, an
+    object named like a class); a class with no members is a warning only.
     """
     findings: list[Violation] = []
 
@@ -1031,6 +1059,8 @@ def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[V
         yield Violation(
             "error", name, "registry-name", f"registered as {name!r} but named {obj.name!r}"
         )
+    if name in net.classes:
+        yield Violation("error", name, "name-clash", f"{name!r} already names a class")
     cls = net.classes.get(obj.class_ref)
     if cls is None:
         yield Violation(

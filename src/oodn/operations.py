@@ -59,7 +59,7 @@ def _entry_key(entry: DegreedMember) -> tuple:
 
 
 def exploit_union(
-    net: Network, names: Sequence[str], result_name: str = ""
+    net: Network, names: Sequence[str], result_name: str = "union"
 ) -> HomClass:
     """Union of the named entities' member sets, similar members merged.
 
@@ -77,7 +77,7 @@ def exploit_union(
 
 
 def exploit_intersection(
-    net: Network, names: Sequence[str], result_name: str = ""
+    net: Network, names: Sequence[str], result_name: str = "intersection"
 ) -> HomClass:
     """Members that every named entity holds, matched by similarity and degree."""
     if len(names) < 2:

@@ -152,6 +152,25 @@ class TestInherit:
             "p: own p(H)=5 against arriving p(A)=1\nsuggestion: H inherits B;\n",
         )
 
+    @pytest.mark.parametrize(
+        "own",
+        ["prop p: int = 5; prop C0.p: int = 1;", "prop C0.p: int = 1; prop p: int = 5;"],
+        ids=["own-first", "copy-first"],
+    )
+    def test_a_contradiction_does_not_depend_on_declaration_order(self, own, capsys, tmp_path):
+        # C1 holds C0's p as C0 has it, and a p of its own that contradicts it.
+        path = tmp_path / "order.oodn"
+        path.write_text(
+            f"class C0 {{ prop p: int = 1; }}\nclass C1 {{ {own} }}\nC1 inherits C0;\n",
+            encoding="utf-8",
+        )
+        assert run_cli(["inherit", str(path)], capsys) == (
+            2,
+            "",
+            "conflict (exception): 'C1' contradicts members inherited crisply from 'C0': "
+            "p: own p(C1)=5 against arriving p(C0)=1\n",
+        )
+
 
 # ---------------------------------------------------------------------------
 # classify

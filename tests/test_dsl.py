@@ -674,21 +674,25 @@ class TestStructuredImportErrors:
         assert parse_network(serialize(net)) == net
 
     def test_type_checks_survive_optimized_mode(self):
-        doc = self.document()
-        self.members(doc)[0]["value"] = 5
+        # A mistyped value and a name that is no identifier: neither check
+        # may be an assert, which ``-O`` strips.
+        mistyped, misnamed = self.document(), self.document()
+        self.members(mistyped)[0]["value"] = 5
+        self.members(misnamed)[0]["name"] = "x y"
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "from oodn.dsl import StructuredImportError, import_structured\n"
-            "try:\n"
-            "    import_structured(sys.stdin.read())\n"
-            "except StructuredImportError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(1)\n"
+            "for doc in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        import_structured(json.dumps(doc))\n"
+            "    except StructuredImportError:\n"
+            "        continue\n"
+            "    sys.exit(1)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
             [sys.executable, "-O", "-c", script],
-            input=json.dumps(doc),
+            input=json.dumps([mistyped, misnamed]),
             text=True,
             env={**os.environ, "PYTHONPATH": src},
             timeout=60,

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from oodn.model import (
     DEGREE_ONE,
+    IDENTIFIER,
+    KEYWORDS,
     ClassTable,
     Degree,
     DegreedMember,
@@ -25,11 +28,13 @@ from oodn.model import (
     UnknownEntityError,
     ValueType,
     as_degree,
+    check_names,
     class_is_fuzzy,
     dedupe_similar,
     format_rational,
     format_value,
     is_fuzzy,
+    is_identifier,
     materialize,
     method,
     prop,
@@ -206,6 +211,56 @@ class TestMembers:
         h = method("f1", "A1", params=[("x", ValueType.INT)])
         assert similar(f, g)
         assert not similar(f, h)
+
+
+class TestNames:
+    """Every name the writer writes bare is checked where it enters the
+    model, by one rule: an ASCII identifier, and no keyword for a name a
+    declaration could not start with."""
+
+    def test_is_identifier_is_the_lexers_rule(self):
+        # Every string of up to two characters over ASCII, a letter and a
+        # digit of other scripts.
+        alphabet = [chr(code) for code in range(128)] + ["\u00e9", "\u0663"]
+        texts = ["", *alphabet, *map("".join, product(alphabet, repeat=2))]
+        for text in texts:
+            assert is_identifier(text) == (IDENTIFIER.fullmatch(text) is not None), text
+
+    @pytest.mark.parametrize("name", ["", "x y", "\u00e9t\u00e9", "1A", "A.p", 3, b"A"])
+    def test_every_bare_name_is_checked(self, name):
+        builds = [
+            lambda: prop(name, ValueType.INT, 1, "A"),
+            lambda: prop("p", ValueType.INT, 1, name),
+            lambda: method("m", "A", [(name, ValueType.INT)]),
+            lambda: HomClass(name),
+            lambda: HetClass(name),
+            lambda: HetClass("H", participants={name: ()}),
+            lambda: ObjectInstance(name, "A"),
+            lambda: ObjectInstance("o", name),
+            lambda: ObjectInstance("o", "A", ((name, 1),)),
+            lambda: Relation(RelationKind.GENERALIZATION, name, "A"),
+            lambda: Relation(RelationKind.GENERALIZATION, "A", name),
+        ]
+        if name != "":  # an empty label is refused as no label at all
+            builds.append(lambda: Relation(RelationKind.ASSOCIATION, "a", "b", name))
+        for build in builds:
+            with pytest.raises(ModelInvariantError, match=" is not an identifier"):
+                build()
+
+    @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+    def test_a_keyword_names_no_homogeneous_class(self, keyword):
+        with pytest.raises(ModelInvariantError, match=f"^'{keyword}' cannot name a class$"):
+            HomClass(keyword)
+        # A keyword may name anything a declaration need not start with.
+        assert HetClass(keyword).name == keyword
+        assert prop(keyword, ValueType.INT, 1, keyword).identity == (keyword, keyword)
+        check_names(keyword)
+
+    def test_the_messages(self):
+        with pytest.raises(ModelInvariantError, match="^'x y' is not an identifier$"):
+            check_names("A", "x y")
+        with pytest.raises(ModelInvariantError, match="^3 is not an identifier$"):
+            check_names(3)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +516,17 @@ class TestValidation:
         net.classes["B"] = _hom("A", prop("p", ValueType.INT, 1, "A"))
         rules = [v.rule for v in validate_network(net)]
         assert "registry-name" in rules
+
+    def test_a_class_and_an_object_share_no_name(self):
+        # The text of such a network does not parse back.
+        net = Network()
+        net.classes["A"] = _hom("A", prop("p", ValueType.INT, 1, "A"))
+        net.objects["A"] = ObjectInstance("A", "A")
+        findings = validate_network(net)
+        assert [v.render() for v in findings] == [
+            "error: A: name-clash: 'A' already names a class"
+        ]
+        assert validate_edit(net, "A") == findings
 
     def test_empty_class_is_warning_only(self):
         net = Network()

@@ -9,6 +9,7 @@ from oodn.model import (
     HetClass,
     HomClass,
     MemberSet,
+    ModelInvariantError,
     Network,
     ObjectInstance,
     OodnError,
@@ -89,6 +90,14 @@ class TestUnion:
     def test_requires_two_inputs(self):
         with pytest.raises(OodnError):
             exploit_union(sample_net(), ["A"])
+
+    def test_results_are_named_by_default(self):
+        # A class's name must read back from its text, so none is empty.
+        net = sample_net()
+        assert exploit_union(net, ["A", "B"]).name == "union"
+        assert exploit_intersection(net, ["A", "B"]).name == "intersection"
+        with pytest.raises(ModelInvariantError, match="^'' is not an identifier$"):
+            exploit_union(net, ["A", "B"], "")
 
     def test_unknown_input(self):
         with pytest.raises(UnknownEntityError):

@@ -68,6 +68,7 @@ from oodn.model import (
 from oodn.operations import (
     ModificationRejected,
     _mark_stale,
+    exploit_union,
     make_network,
     modify_add_member,
     modify_remove_member,
@@ -580,16 +581,17 @@ def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
     refused: set[str] = set()
 
     def arrive(own: dict, arrivals: dict) -> None:
-        # Of two own properties of one name, the one declared last is compared.
-        props = {e.member.name: e.member for e in own.values() if e.member.kind is MemberKind.PROPERTY}
+        # Every own property of the arrival's name is compared with it.
+        props = [e.member for e in own.values() if e.member.kind is MemberKind.PROPERTY]
         for entry in arrivals.values():
-            member, local = entry.member, props.get(entry.member.name)
-            if (
-                not entry.degree.is_weak
-                and member.kind is MemberKind.PROPERTY
-                and local is not None
+            member = entry.member
+            if entry.degree.is_weak or member.kind is not MemberKind.PROPERTY:
+                continue
+            if any(
+                local.name == member.name
                 and local.value_type == member.value_type
                 and local.value != member.value
+                for local in props
             ):
                 refused.add(member.name)
 
@@ -935,6 +937,72 @@ class TestRoundTrips:
         )
         with pytest.raises(ParseError, match="unexpected character"):
             parse_network(text[:at] + char + text[at:])
+
+
+# Identifiers, keywords, and names no text could read back; 3 is no string.
+ENTERED_NAMES = st.sampled_from(
+    ("Z", "q_1", "_u", "If", "class", "hetclass", "object", "relation")
+    + ("", "x y", "été", "1A", "A.p", 3)
+)
+NAMED_BASE = (
+    "class A { prop p: int = 1; method m(x: int); }\n"
+    "class B { }\n"
+    "object o : A { p = 2; }\n"
+    "relation association owns o -> A;\n"
+    "B inherits A (p);\n"
+)
+
+
+def name_entries(name) -> dict:
+    """Each way ``name`` enters a network: a constructor or modifier call
+    that puts what it builds into the network it is given."""
+    int_ = ValueType.INT
+    everything = Selection()
+    return {
+        "member": lambda net: modify_add_member(net, "A", prop(name, int_, 1, "A")),
+        "owner": lambda net: modify_add_member(net, "A", prop("q", int_, 1, name)),
+        "parameter": lambda net: modify_add_member(net, "A", method("f", "A", [(name, int_)])),
+        "override": lambda net: modify_set_value(net, "o", name, 3),
+        "class": lambda net: net.classes.update({name: HomClass(name)}),
+        "union": lambda net: net.classes.update({name: exploit_union(net, ["A", "B"], name)}),
+        "hetclass": lambda net: net.classes.update({name: HetClass(name)}),
+        "participant": lambda net: net.classes.update({"X": HetClass("X", participants={name: ()})}),
+        "object": lambda net: net.objects.update({name: ObjectInstance(name, "A")}),
+        "object class": lambda net: net.objects.update({"o2": ObjectInstance("o2", name)}),
+        "object override": lambda net: net.objects.update(
+            {"o2": ObjectInstance("o2", "A", ((name, 1),))}
+        ),
+        "relation source": lambda net: net.relations.append(
+            Relation(RelationKind.GENERALIZATION, name, "A")
+        ),
+        "relation target": lambda net: net.relations.append(
+            Relation(RelationKind.INSTANCE_OF, "o", name)
+        ),
+        "relation label": lambda net: net.relations.append(
+            Relation(RelationKind.ASSOCIATION, "o", "B", name)
+        ),
+        "heir": lambda net: net.plans.append(InheritancePlan(name, (("A", everything),))),
+        "source": lambda net: net.plans.append(InheritancePlan("H", ((name, everything),))),
+        "selection entry": lambda net: net.plans.append(
+            InheritancePlan(
+                "H", (("A", Selection(SelectionMode.LISTED, ((name, DEGREE_ONE),))),)
+            )
+        ),
+    }
+
+
+class TestNameRule:
+    @COMMON
+    @given(name=ENTERED_NAMES, entry=st.sampled_from(sorted(name_entries("Z"))))
+    def test_a_name_is_refused_or_reads_back(self, name, entry):
+        """Whichever way a name enters the model, it is refused with a typed
+        error, or the network's text reads back as the network."""
+        net = parse_network(NAMED_BASE)
+        try:
+            name_entries(name)[entry](net)
+        except OodnError:
+            return
+        assert parse_network(serialize(net)) == net
 
 
 @st.composite
