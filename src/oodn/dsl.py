@@ -99,17 +99,21 @@ class ParseError(OodnError):
 # ---------------------------------------------------------------------------
 
 
-# The one token definition.  Whitespace and comments match outside the group,
-# so ``findall`` gives "" for them; every other match gives its token's text.
-# Branches that can start with the same character keep their order (a comment
-# before ``/``, an arrow before a negative number, a ratio before a decimal
-# before an integer); the commonest tokens come first, and the last branch
-# takes a character no other branch accepts.  Braces double in this f-string.
+# The one token definition: a match is one token and the whitespace and
+# comments after it, so ``findall``, started past any leading ones, gives each
+# token's text and then "" from ``\Z`` for end of input.  (Skipped before the
+# token, trailing whitespace would give "" twice: ``findall`` takes an empty
+# match right after a non-empty one.)  Branches that can start with the same
+# character keep their order (an arrow before a negative number, a ratio
+# before a decimal before an integer); the commonest tokens come first, and
+# the last branch takes a character no other branch accepts.  CI's 3.10 job
+# keeps this free of 3.11-only syntax (atomic groups, possessive quantifiers).
+# Braces double in this f-string.
+_SKIP = r"(?:\s+|//[^\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(
     rf"""
-    \s+
-  | //[^\n]*
-  | ( {IDENTIFIER.pattern}      # identifier
+    ( {IDENTIFIER.pattern}      # identifier
     | [{{}}():;,=./]            # punctuation
     | ->
     | -?[0-9]+/[0-9]+(?![.0-9]) # ratio
@@ -117,7 +121,8 @@ _TOKEN_RE = re.compile(
     | -?[0-9]+                  # integer
     | "(?:[^"\\\n]|\\.)*"       # string
     | .                         # a bad character
-    )
+    ) {_SKIP}
+  | \Z
     """,
     re.VERBOSE,
 )
@@ -167,7 +172,8 @@ def _position(text: str, index: int) -> tuple[int, int]:
 
     Tokens carry no offsets, so an error finds its token's offset by
     scanning again up to that token."""
-    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    matches = _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())
+    starts = (m.start(1) for m in matches if m.lastindex)
     offset = next(islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
@@ -175,13 +181,12 @@ def _position(text: str, index: int) -> tuple[int, int]:
 
 def _tokenize(text: str) -> list[str]:
     """The text of every token of ``text``, ending in "" for end of input."""
-    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    tokens = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
     if any(map(_is_bad, set(tokens))):
         index = next(i for i, token in enumerate(tokens) if _is_bad(token))
         raise ParseError(
             f"unexpected character {tokens[index]!r}", *_position(text, index)
         )
-    tokens.append("")
     return tokens
 
 
@@ -194,18 +199,15 @@ def _unescape(raw: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-_VALUE_TYPES = {t.value: t for t in ValueType}
-_RELATION_KINDS = {k.value: k for k in RelationKind}
+_VALUE_TYPES = {t._value_: t for t in ValueType}
+_RELATION_KINDS = {k._value_: k for k in RelationKind}
+# The tags a value is read by, as module names (see ``model._PROPERTY``).
+_INT, _REAL, _BOOL, _TEXT = ValueType.INT, ValueType.REAL, ValueType.BOOL, ValueType.TEXT
 # The type a literal names: ``true``, ``false`` and ``{`` by their text,
 # every other literal by its token kind.  The two are looked up apart, so an
 # identifier spelled like a kind, such as ``INT``, names no type.
-_LITERAL_TEXTS = {"true": ValueType.BOOL, "false": ValueType.BOOL, "{": ValueType.FUZZY}
-_LITERAL_KINDS = {
-    "INT": ValueType.INT,
-    "DECIMAL": ValueType.REAL,
-    "RATIO": ValueType.REAL,
-    "STRING": ValueType.TEXT,
-}
+_LITERAL_TEXTS = {"true": _BOOL, "false": _BOOL, "{": ValueType.FUZZY}
+_LITERAL_KINDS = {"INT": _INT, "DECIMAL": _REAL, "RATIO": _REAL, "STRING": _TEXT}
 
 
 def _check_new_name(net: Network, kind: str, name: str) -> None:
@@ -229,13 +231,16 @@ class _Parser:
     alone, since no other kind of token can have that text.  A token is
     named by its index in the list, which an error turns into a line and
     column.  Nothing reads past the end-of-input token: only a token
-    already checked is consumed.
+    already checked is consumed.  ``fractions`` and ``degrees`` keep each
+    numeral's successful conversions, so a bad numeral fails where it occurs.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.fractions: dict[str, Fraction] = {}
+        self.degrees: dict[str, Degree] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -298,16 +303,19 @@ class _Parser:
         """Consume the number token that is next and return its value;
         fails saying ``what`` was expected if none is."""
         token = self.tokens[self.pos]
-        kind = _kind(token)
-        if kind == "RATIO":
-            numerator, denominator = token.split("/")
-            if not int(denominator):
-                raise self.fail(f"zero denominator in {token!r}")
-            value = Fraction(int(numerator), int(denominator))
-        elif kind in _NUMBER_KINDS:
-            value = Fraction(int(token) if kind == "INT" else token)
-        else:
-            raise self._expected(what)
+        value = self.fractions.get(token)
+        if value is None:
+            kind = _kind(token)
+            if kind == "RATIO":
+                numerator, denominator = token.split("/")
+                if not int(denominator):
+                    raise self.fail(f"zero denominator in {token!r}")
+                value = Fraction(int(numerator), int(denominator))
+            elif kind in _NUMBER_KINDS:
+                value = Fraction(int(token) if kind == "INT" else token)
+            else:
+                raise self._expected(what)
+            self.fractions[token] = value
         self.pos += 1
         return value
 
@@ -396,26 +404,31 @@ class _Parser:
         if not self.accept("/"):
             return None
         at = self.pos
-        return self.build(at, as_degree, self.number("a degree"))
+        token = self.tokens[at]
+        if token not in self.degrees:
+            self.degrees[token] = self.build(at, as_degree, self.number("a degree"))
+        else:
+            self.pos += 1
+        return self.degrees[token]
 
     # -- values --------------------------------------------------------------
 
     def _parse_value(self, value_type: ValueType) -> Value:
         """A value of ``value_type``, declared or named by its literal (``_LITERAL_KINDS``)."""
         token = self.tokens[self.pos]
-        if value_type is ValueType.INT:
+        if value_type is _INT:
             if _kind(token) != "INT":
                 raise self._expected("an integer")
             self.pos += 1
             return int(token)
-        if value_type is ValueType.REAL:
+        if value_type is _REAL:
             return self.number("a number")
-        if value_type is ValueType.BOOL:
+        if value_type is _BOOL:
             if token in ("true", "false"):
                 self.pos += 1
                 return token == "true"
             raise self._expected("'true' or 'false'")
-        if value_type is ValueType.TEXT:
+        if value_type is _TEXT:
             if token[:1] != '"':
                 raise self._expected("a quoted string")
             return self.string()
@@ -640,7 +653,7 @@ def _serialize_object(obj: ObjectInstance) -> str:
 
 
 def _serialize_relation(relation: Relation) -> str:
-    parts = ["relation", relation.kind.value]
+    parts = ["relation", relation.kind._value_]
     if relation.label is not None:
         parts.append(relation.label)
     body = f"{' '.join(parts)} {relation.source} -> {relation.target}"
@@ -711,13 +724,13 @@ def _json_text(value: object, newline: str) -> str:
 
 def _encode_member(entry: DegreedMember) -> dict:
     member = entry.member
-    encoded = {"kind": member.kind.value, "name": member.name, "owner": member.owner}
+    encoded = {"kind": member.kind._value_, "name": member.name, "owner": member.owner}
     if member.value_type is not None:
-        encoded["type"] = member.value_type.value
+        encoded["type"] = member.value_type._value_
         encoded["value"] = member.value_type.codec.encode(member.value)
     else:
-        encoded["params"] = [{"name": n, "type": t.value} for n, t in member.params]
-        encoded["returns"] = member.returns.value if member.returns else None
+        encoded["params"] = [{"name": n, "type": t._value_} for n, t in member.params]
+        encoded["returns"] = member.returns._value_ if member.returns else None
     encoded["degree"] = format_rational(entry.degree.value)
     return encoded
 
@@ -740,7 +753,7 @@ def _decode_member(raw: dict) -> DegreedMember:
 
 def _encode_selection(selection: Selection) -> dict:
     return {
-        "mode": selection.mode.value,
+        "mode": selection.mode._value_,
         "entries": [
             {"name": name, "degree": format_rational(degree.value)}
             for name, degree in selection.entries
@@ -808,7 +821,7 @@ def export_structured(net: Network) -> str:
     ]
     relations = [
         {
-            "kind": r.kind.value,
+            "kind": r.kind._value_,
             "source": r.source,
             "target": r.target,
             "label": r.label,
@@ -840,7 +853,7 @@ def export_structured(net: Network) -> str:
 
 def _encode_untyped(value: Value) -> dict:
     tag = untyped_type(value)
-    return {"type": tag.value, "value": tag.codec.encode(value)}
+    return {"type": tag._value_, "value": tag.codec.encode(value)}
 
 
 def import_structured(text: str) -> Network:
@@ -946,9 +959,9 @@ def export_graph(net: Network) -> str:
             f"  {_dot_name(name)} -> {_dot_name(obj.class_ref)} [label=\"of\"];"
         )
     for relation in net.relations:
-        label = relation.kind.value
+        label = relation.kind._value_
         if relation.label is not None:
-            label = f"{relation.kind.value} {relation.label}"
+            label = f"{relation.kind._value_} {relation.label}"
         if relation.degree is not None:
             label += f" /{relation.degree}"
         style = ", style=dashed" if relation.kind is RelationKind.ASSOCIATION else ""

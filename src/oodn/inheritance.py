@@ -70,6 +70,10 @@ class SelectionMode(Enum):
     LISTED = "listed"
 
 
+# Tags read per member as module names (see ``model._PROPERTY``).
+_ALL, _LISTED, _PROPERTY = SelectionMode.ALL, SelectionMode.LISTED, MemberKind.PROPERTY
+
+
 @dataclass(frozen=True)
 class Selection:
     """What an heir takes from one source.
@@ -87,7 +91,7 @@ class Selection:
         check_names(*names)
         if len(names) != len(set(names)):
             raise OodnError("selection names a member twice")
-        if self.mode is SelectionMode.LISTED and not self.entries:
+        if self.mode is _LISTED and not self.entries:
             raise OodnError("a listed selection must name at least one member")
 
     @property
@@ -99,7 +103,7 @@ class Selection:
         """The selection as written after its source in a file, such as
         ``(only p/0.5)``, or "" for a bare take-all; rendered once, however
         many plans share it."""
-        listed = self.mode is SelectionMode.LISTED
+        listed = self.mode is _LISTED
         if not listed and not self.entries:
             return ""
         weak = [degree.is_weak for _, degree in self.entries]
@@ -193,7 +197,7 @@ class Octant:
     strength: Strength
 
     def render(self) -> str:
-        return f"{self.arity.value}/{self.extent.value}/{self.strength.value}"
+        return f"{self.arity._value_}/{self.extent._value_}/{self.strength._value_}"
 
 
 def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
@@ -212,7 +216,7 @@ def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
     listed = [
         (name, selection)
         for name, selection in plan.sources
-        if selection.mode is SelectionMode.LISTED
+        if selection.mode is _LISTED
     ]
     if not listed:
         extent = Extent.FULL
@@ -240,7 +244,7 @@ def _offered_names(plan: InheritancePlan, net: Network) -> dict[str, set[str]]:
         current: set[str] = set()
         for name, selection in reversed(plan.sources):
             current.update(entry.member.name for entry in _declared_entries(net, name))
-            if selection.mode is SelectionMode.LISTED:
+            if selection.mode is _LISTED:
                 offered[name] = current  # no longer grown: a listing starts anew
                 current = {n for n, _ in selection.entries}
     else:
@@ -308,7 +312,7 @@ class Link:
         product; a member passed at a crisp factor arrives as the very entry
         it left as."""
         factors = dict(self.selection.entries)
-        listed = self.selection.mode is SelectionMode.LISTED
+        listed = self.selection.mode is _LISTED
         taken: View = {}
         for identity, entry in self.parent_view.items():
             factor = factors.get(entry.member.name)
@@ -334,14 +338,14 @@ class Link:
         through here, so a repaired take never exceeds the original one."""
         degrees = dict(self.selection.entries)
         candidates: Iterable[str] = degrees
-        if self.selection.mode is SelectionMode.ALL:
+        if self.selection.mode is _ALL:
             candidates = dict.fromkeys(e.member.name for e in self.parent_view.values())
         kept = tuple(
             (name, degrees.get(name, DEGREE_ONE))
             for name in candidates
             if name not in excluded
         )
-        return Selection(SelectionMode.LISTED, kept) if kept else None
+        return Selection(_LISTED, kept) if kept else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,13 +445,13 @@ def _exception_conflicts(
     conflicts: list[Conflict] = []
     own_props: dict[str, list[DegreedMember]] = {}
     for entry in own:
-        if entry.member.kind is MemberKind.PROPERTY:
+        if entry.member.kind is _PROPERTY:
             own_props.setdefault(entry.member.name, []).append(entry)
     if not own_props:  # nothing to contradict
         return conflicts
     for arriving in arrivals:
         member = arriving.member
-        if member.kind is not MemberKind.PROPERTY or arriving.degree.is_weak:
+        if member.kind is not _PROPERTY or arriving.degree.is_weak:
             continue
         for local in own_props.get(member.name, ()):
             if local.member.value_type == member.value_type and local.member.value != member.value:
@@ -513,7 +517,7 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> list[Link]:
         zip(reversed(plan.sources), order[1:])
     ):
         _check_offered(named, selection, parent)
-        if selection.mode is SelectionMode.LISTED:
+        if selection.mode is _LISTED:
             chosen = dict(selection.entries)
             kept = {}
             for identity, run in current.items():
@@ -535,7 +539,7 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> list[Link]:
             if child == plan.heir
             else _declared_entries(net, child)
         )
-        own_props = {e.member.name for e in own if e.member.kind is MemberKind.PROPERTY}
+        own_props = {e.member.name for e in own if e.member.kind is _PROPERTY}
         arriving = sorted(
             (current[i] for name in own_props for i in named.get(name, ())),
             key=itemgetter(3),

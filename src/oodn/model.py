@@ -224,7 +224,7 @@ def _encode_fuzzy(value: "FuzzySet") -> list:
     encoded = []
     for element, membership in value.entries:
         tag = untyped_type(element, _ELEMENT_KINDS.values())
-        shown, kind = tag.codec.encode(element), tag.value
+        shown, kind = tag.codec.encode(element), tag._value_
         encoded.append(
             {"element": shown, "element_kind": kind, "membership": format_rational(membership)}
         )
@@ -277,7 +277,7 @@ class ValueType(Enum):
 
 
 # The types a fuzzy element may take.
-_ELEMENT_KINDS = {tag.value: tag for tag in (ValueType.INT, ValueType.REAL, ValueType.TEXT)}
+_ELEMENT_KINDS = {tag._value_: tag for tag in (ValueType.INT, ValueType.REAL, ValueType.TEXT)}
 
 
 FuzzyElement = Union[str, int, Fraction]
@@ -342,7 +342,7 @@ def format_value(tag: ValueType, value: Value) -> str:
 def decode_value(tag: ValueType, raw: object) -> Value:
     """Read a value of type ``tag`` back from its JSON data."""
     if not (tag.codec.is_json or tag.codec.check)(raw):
-        raise StructuredImportError(f"{raw!r} is not a {tag.value} value")
+        raise StructuredImportError(f"{raw!r} is not a {tag._value_} value")
     return tag.codec.decode(raw)
 
 
@@ -353,7 +353,7 @@ def untyped_type(value: Value, tags: Iterable[ValueType] = ValueType) -> ValueTy
     for tag in tags:
         if tag.codec.check(value):
             return tag
-    names = ", ".join(tag.value for tag in tags)
+    names = ", ".join(tag._value_ for tag in tags)
     raise ModelInvariantError(f"{value!r} has none of the types {names}")
 
 
@@ -379,6 +379,11 @@ class MemberKind(Enum):
     METHOD = "method"
 
     __hash__ = object.__hash__  # as ValueType's
+
+
+# Tags are read as module names and their texts as ``_value_``: on Python
+# 3.11, ``MemberKind.PROPERTY`` and ``tag.value`` cost about ten times as much.
+_PROPERTY, _METHOD = MemberKind.PROPERTY, MemberKind.METHOD
 
 
 class _MemberKeys(_Held):
@@ -407,13 +412,13 @@ class Member(_MemberKeys):
 
     def __post_init__(self) -> None:
         check_names(self.name, self.owner)
-        if self.kind is MemberKind.PROPERTY:
+        if self.kind is _PROPERTY:
             if self.value_type is None:
                 raise ModelInvariantError(f"property {self.name!r} needs a value type")
             if not self.value_type.codec.check(self.value):
                 raise ModelInvariantError(
                     f"property {self.name!r}: value {self.value!r} does not match "
-                    f"type {self.value_type.value}"
+                    f"type {self.value_type._value_}"
                 )
             if self.params or self.returns is not None:
                 raise ModelInvariantError(
@@ -442,7 +447,7 @@ class Member(_MemberKeys):
 
     def similarity_key(self) -> tuple:
         """Owner-free content key; equal keys mean similar members."""
-        if self.kind is MemberKind.PROPERTY:
+        if self.kind is _PROPERTY:
             return (self.kind, self.name, self.value_type, self.value)
         return (self.kind, self.name, self.params, self.returns)
 
@@ -460,7 +465,7 @@ def value_text(member: Member) -> str:
 
 def prop(name: str, value_type: ValueType, value: Value, owner: str) -> Member:
     """Build a property member."""
-    return Member(MemberKind.PROPERTY, name, owner, value_type=value_type, value=value)
+    return Member(_PROPERTY, name, owner, value_type, value)
 
 
 def method(
@@ -470,7 +475,7 @@ def method(
     returns: ValueType | None = None,
 ) -> Member:
     """Build a method member."""
-    return Member(MemberKind.METHOD, name, owner, params=tuple(params), returns=returns)
+    return Member(_METHOD, name, owner, params=tuple(params), returns=returns)
 
 
 def similar(a: Member, b: Member) -> bool:
@@ -520,14 +525,14 @@ def member_text(entry: DegreedMember, head: str) -> str:
     """An entry's kind, typing, value and degree around ``head``, the
     member's name as the caller shows it."""
     member = entry.member
-    if member.kind is MemberKind.PROPERTY:
+    if member.kind is _PROPERTY:
         assert member.value_type is not None
-        text = f"prop {head}: {member.value_type.value} = {value_text(member)}"
+        text = f"prop {head}: {member.value_type._value_} = {value_text(member)}"
     else:
-        params = ", ".join(f"{n}: {t.value}" for n, t in member.params)
+        params = ", ".join(f"{n}: {t._value_}" for n, t in member.params)
         text = f"method {head}({params})"
         if member.returns is not None:
-            text += f" -> {member.returns.value}"
+            text += f" -> {member.returns._value_}"
     return f"{text} /{entry.degree}" if entry.degree.is_weak else text
 
 
@@ -617,7 +622,7 @@ class MemberSet:
         properties: list[DegreedMember] = []
         methods: list[DegreedMember] = []
         for entry in self._items:
-            if entry.member.kind is MemberKind.PROPERTY:
+            if entry.member.kind is _PROPERTY:
                 properties.append(entry)
             else:
                 methods.append(entry)
@@ -674,11 +679,11 @@ class HomClass:
     def __post_init__(self) -> None:
         check_names(self.name, keywords=KEYWORDS)
         # Each set looks, in C, for a member of the other kind.
-        if MemberKind.METHOD in map(_kind_of, self.spec):
+        if _METHOD in map(_kind_of, self.spec):
             raise ModelInvariantError(
                 f"class {self.name!r}: specification holds properties only"
             )
-        if MemberKind.PROPERTY in map(_kind_of, self.sig):
+        if _PROPERTY in map(_kind_of, self.sig):
             raise ModelInvariantError(
                 f"class {self.name!r}: signature holds methods only"
             )
@@ -706,6 +711,11 @@ class Projection:
     label: str
     members: MemberSet = field(default_factory=MemberSet)
     depends_on: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for label in (self.label, *self.depends_on):
+            if not isinstance(label, str):  # the writer quotes labels as text
+                raise ModelInvariantError(f"projection label {label!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -865,7 +875,7 @@ class Relation:
             raise ModelInvariantError("association relations require a label")
         if self.kind is not RelationKind.ASSOCIATION and self.label is not None:
             raise ModelInvariantError(
-                f"{self.kind.value} relations do not carry a label"
+                f"{self.kind._value_} relations do not carry a label"
             )
         check_names(self.source, self.target)
         if self.label is not None:
@@ -1082,7 +1092,7 @@ def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[V
                 name,
                 "override-type",
                 f"value for {value_name!r} does not match declared type "
-                f"{declared[value_name].value}",
+                f"{declared[value_name]._value_}",
             )
 
 
@@ -1196,7 +1206,7 @@ def _object_members(net: Network, obj: ObjectInstance) -> MemberSet:
     rebuilt: list[DegreedMember] = []
     for entry in cls.members():
         member = entry.member
-        if member.kind is MemberKind.PROPERTY and member.name in overrides:
+        if member.kind is _PROPERTY and member.name in overrides:
             member = prop(member.name, member.value_type, overrides[member.name], obj.name)
             rebuilt.append(DegreedMember(member, entry.degree))
         else:

@@ -573,7 +573,12 @@ def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
 # entries for the member, value, number and degree readers' own messages
 # (a missing degree, number, '{', ':', string, arrow, '(' or 'inherits', an
 # override spelling a kind name, and the order in which a member's degree
-# and its build fail) were recorded before those readers were merged.
+# and its build fail) were recorded before those readers were merged.  The
+# entries for a comment ending the file, CRLF and tab layouts, the end of
+# input after trailing whitespace, and a numeral read twice (a ratio as a
+# value and then as a degree, a zero denominator twice) were recorded before
+# the lexer consumed whitespace and comments inside each token's match and
+# the parser converted each numeral once per parse.
 PARSE_ERRORS = json.loads(
     (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
 )

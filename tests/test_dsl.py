@@ -26,6 +26,7 @@ from oodn.dsl import (
 from oodn.inheritance import SelectionMode, inherit
 from oodn.model import (
     DEGREE_ONE,
+    Degree,
     FuzzySet,
     HetClass,
     OodnError,
@@ -79,6 +80,16 @@ class TestValueAndDegreeLexing:
     def test_negative_ratio_value(self):
         net = parse_one("prop p: real = -3/2;")
         assert first_prop(net).member.value == Fraction(-3, 2)
+
+    def test_a_numeral_reads_alike_as_degree_and_value(self):
+        # Each numeral is converted once per parse, whichever it is read as.
+        net = parse_one(
+            "prop p: int = 1 /1/2; prop q: real = 1/2 /1/2; prop r: real = 1/2;"
+        )
+        p, q, r = (first_prop(net, name=name) for name in "pqr")
+        assert (q.member.value, r.member.value) == (Fraction(1, 2), Fraction(1, 2))
+        assert type(r.member.value) is Fraction
+        assert p.degree == q.degree == Degree(Fraction(1, 2))
 
     def test_comments_are_ignored(self):
         net = parse_network(
@@ -293,6 +304,13 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse_network('class A { prop p: text = "open\n; }')
         assert "unexpected character" in str(info.value)
+
+    def test_crlf_line_ends_count_one_line_each(self):
+        # The command line reads files with newlines translated; the library
+        # may be given CRLF text as it stands.
+        with pytest.raises(ParseError) as info:
+            parse_network("class A {\r\n  prop p: int = 1;\r\n  prop q: int = x;\r\n}\r\n")
+        assert (info.value.line, info.value.column) == (3, 17)
 
     def test_position_tracks_lines(self):
         with pytest.raises(ParseError) as info:
@@ -642,6 +660,18 @@ class TestStructuredImportErrors:
             lambda doc: doc["plans"][0]["sources"][0].update({"class": 'A"'}),
             "'A\"' is not an identifier",
         ),
+        # ``serialize`` quotes every projection label as text.
+        "projection label that is no string": (
+            lambda doc: (
+                doc["classes"][2]["projections"][0].update(label=3),
+                doc["classes"][2].update(participants={"A": [3]}),
+            ),
+            "projection label 3 is not a string",
+        ),
+        "projection dependency that is no string": (
+            lambda doc: doc["classes"][2]["projections"][0].update(depends_on=[3]),
+            "projection label 3 is not a string",
+        ),
         "selection entry with a space": (
             lambda doc: doc["plans"][0]["sources"][0]["selection"].update(
                 entries=[{"name": "f r", "degree": "1"}]
@@ -653,7 +683,7 @@ class TestStructuredImportErrors:
     NETWORK = (
         "class A { prop f: fuzzy = {a: 1}; prop r: real = 1/2 /0.5; method m(x: int); }\n"
         "class B { }\n"
-        "hetclass H { core { } participant A -> core; }\n"
+        'hetclass H { core { } projection "a" { } participant A -> "a"; }\n'
         "object o : A { r = 1/4; }\n"
         "relation association owns o -> A;\n"
         "B inherits A;\n"

@@ -1,18 +1,23 @@
 """The command line's contract under fuzzing: whatever the file holds,
 ``parse``, ``inherit``, ``diagnose`` and ``export --format json`` exit with
-0, 1, 2 or 3, raise nothing, and print the same stdout when run again; and
-every parse error points into the text."""
+0, 1, 2 or 3, raise nothing, and print the same stdout when run again;
+every parse error points into the text; and the lexer splits any text as
+the reference token definition does."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
+import string
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodn import dsl
 from oodn.cli import main
 from oodn.dsl import ParseError, parse_network
 
@@ -82,3 +87,71 @@ def test_arbitrary_text_keeps_the_cli_contract(text):
 def test_token_soup_keeps_the_cli_contract(text):
     check_contract(text)
     check_error_position(text)
+
+
+# The reference lexer: the token definition as it stood while whitespace and
+# comments were matches of their own, which ``findall`` gave as "".  The
+# lexer now consumes them inside each token's match; on any text it must give
+# the same tokens, or fail at the same character with the same message.
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    \s+
+  | //[^\n]*
+  | ( [A-Za-z_][A-Za-z0-9_]*    # identifier
+    | [{}():;,=./]              # punctuation
+    | ->
+    | -?[0-9]+/[0-9]+(?![.0-9]) # ratio
+    | -?[0-9]+\.[0-9]+          # decimal
+    | -?[0-9]+                  # integer
+    | "(?:[^"\\\n]|\\.)*"       # string
+    | .                         # a bad character
+    )
+    """,
+    re.VERBOSE,
+)
+# The lone characters that start a token; the last branch gives any other.
+TOKEN_CHARACTERS = frozenset(string.ascii_letters + string.digits + "_{}():;,=./")
+
+
+def reference_tokens(text: str) -> list[str]:
+    """The reference lexer's tokens, ending in "" for end of input; raises
+    the parse error for the first character that starts no token."""
+    tokens = list(filter(None, REFERENCE_TOKEN_RE.findall(text)))
+    starts = [m.start(1) for m in REFERENCE_TOKEN_RE.finditer(text) if m.lastindex]
+    for token, offset in zip(tokens, starts):
+        if len(token) == 1 and token not in TOKEN_CHARACTERS:
+            line = text.count("\n", 0, offset) + 1
+            column = offset - text.rfind("\n", 0, offset)
+            raise ParseError(f"unexpected character {token!r}", line, column)
+    return tokens + [""]
+
+
+def check_lexer_agrees(text: str) -> None:
+    try:
+        expected = reference_tokens(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            dsl._tokenize(text)
+        assert (str(info.value), info.value.line, info.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+    else:
+        assert dsl._tokenize(text) == expected
+
+
+# Characters where tokens, whitespace and comments meet: slashes, signs,
+# digits, dots, quotes, escapes, line breaks of both kinds, a tab, a
+# non-ASCII space and letter, and a bad character.
+LEXER_EDGES = st.text("/-> 09.\"\\\t\r\nab_{;}@\u00e9\u2003", max_size=60)
+
+
+@FUZZ
+@given(text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+def test_lexer_agrees_with_the_reference_on_arbitrary_text(text):
+    check_lexer_agrees(text)
+
+
+@FUZZ
+@given(text=token_soup | LEXER_EDGES)
+def test_lexer_agrees_with_the_reference_on_token_soup(text):
+    check_lexer_agrees(text)

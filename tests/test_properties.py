@@ -919,6 +919,22 @@ class TestRoundTrips:
         assert export_structured(parse_network(serialize(net))) == export_structured(net)
 
     @WHOLE_NETWORK
+    @given(net=networks(), choice=st.data())
+    def test_any_spacing_parses_back(self, net, choice):
+        """Spaces, tabs, CRLF line ends and comments separate tokens alike:
+        each whitespace run outside a string literal may become any mix of
+        them."""
+        gaps = st.lists(
+            st.sampled_from((" ", "\t", "\r\n", "// note\n")), min_size=1, max_size=4
+        ).map("".join)
+
+        def respace(match: re.Match) -> str:
+            return choice.draw(gaps) if match[0].isspace() else match[0]
+
+        text = re.sub(rf"{LITERAL_RE.pattern}|\s+", respace, serialize(net))
+        assert parse_network(text) == net
+
+    @WHOLE_NETWORK
     @given(net=networks(), char=non_ascii_marks, choice=st.data())
     def test_non_ascii_outside_literals_never_parses(self, net, char, choice):
         """Names, numbers and punctuation are ASCII, so a non-ASCII mark
