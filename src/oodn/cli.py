@@ -14,9 +14,10 @@ Six subcommands over knowledge files:
   canonical text.
 
 Exit codes: 0 success, 1 diagnose found findings, 2 the file is ill-formed
-(parse error, validation error, or an inheritance conflict), 3 the
-invocation itself is wrong (usage, missing file, unsatisfiable
-``--required`` list).  Findings and errors go to stderr; data to stdout.
+(text that is not UTF-8, parse error, validation error, or an inheritance
+conflict), 3 the invocation itself is wrong (usage, a file that cannot be
+read or written, unsatisfiable ``--required`` list).  Findings and errors
+go to stderr; data to stdout.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from enum import IntEnum
 from pathlib import Path
 
-from .diagnostics import RequirementError, diagnose_all, render_report
+from .diagnostics import Diagnostic, RequirementError, diagnose_all, report_lines
 from .dsl import (
     ParseError,
     encode_hetclass,
@@ -88,6 +89,9 @@ def _load(path: str) -> Network:
     except OSError as exc:
         print(f"cannot read {path!r}: {exc.strerror or exc}", file=sys.stderr)
         raise _CliFailure(ExitStatus.USAGE) from exc
+    except UnicodeDecodeError as exc:
+        print(f"error: {path!r} is not UTF-8 text (byte {exc.start}: {exc.reason})", file=sys.stderr)
+        raise _CliFailure(ExitStatus.ERROR) from exc
     net = parse_network(text)
     findings = validate_network(net)
     for finding in findings:
@@ -95,6 +99,14 @@ def _load(path: str) -> Network:
     if violations_are_fatal(findings):
         raise _CliFailure(ExitStatus.ERROR)
     return net
+
+
+def _write_report(findings: list[Diagnostic]) -> None:
+    """Write the report to stderr a line at a time, as it is rendered, so
+    memory does not grow with its length."""
+    stream = sys.stderr
+    for line in report_lines(findings):
+        stream.write(line + "\n")
 
 
 def _run_plans(net: Network, policy: Policy) -> list[HetClass]:
@@ -159,7 +171,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> ExitStatus:
     findings = diagnose_all(net, required=required)
     if not args.apply_suggestions:
         if findings:
-            print(render_report(findings), file=sys.stderr)
+            _write_report(findings)
             return ExitStatus.FINDINGS
         print("no findings")
         return ExitStatus.OK
@@ -176,7 +188,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> ExitStatus:
     for plan in net.plans:
         print(serialize_plan(plan))
     if findings:
-        print(render_report(findings), file=sys.stderr)
+        _write_report(findings)
         return ExitStatus.FINDINGS
     return ExitStatus.OK
 
@@ -189,10 +201,14 @@ def _cmd_export(args: argparse.Namespace) -> ExitStatus:
         text = serialize(net)
     else:
         text = export_structured(net)
-    if args.write is not None:
-        Path(args.write).write_text(text, encoding="utf-8")
-    else:
+    if args.write is None:
         sys.stdout.write(text)
+        return ExitStatus.OK
+    try:
+        Path(args.write).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {args.write!r}: {exc.strerror or exc}", file=sys.stderr)
+        return ExitStatus.USAGE
     return ExitStatus.OK
 
 

@@ -23,7 +23,8 @@ Three pathologies are detected, none of which requires executing a plan;
 A repair is held as what it removes (see :class:`Repair`), which costs
 one entry per source, so diagnosis grows about linearly with declared
 members.  The executable plans are built only when ``suggestion`` or
-``alternatives`` is read, and ``render`` writes them without building them.
+``alternatives`` is read, and ``lines`` writes them without building them,
+one at a time, so a report can be written as it is rendered.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .inheritance import (
     Identity,
@@ -72,25 +73,32 @@ class Diagnostic:
     def alternatives(self) -> tuple[InheritancePlan | None, ...]:
         return () if self.repair is None else self.repair.plans[1:]
 
+    def lines(self) -> Iterator[str]:
+        """The finding's report lines, each alternative's text built as it
+        is reached."""
+        texts = iter((None,) if self.repair is None else self.repair.texts())
+        yield f"{self.kind} in plan [{self.plan}]"
+        yield f"  members: {', '.join(self.members)}"
+        yield f"  {self.message}"
+        yield f"  suggestion: {next(texts) or 'none'}"
+        for text in texts:
+            yield f"  alternative: {text}"
+
     def render(self) -> str:
-        texts = [None] if self.repair is None else self.repair.texts()
-        lines = [
-            f"{self.kind} in plan [{self.plan}]",
-            f"  members: {', '.join(self.members)}",
-            f"  {self.message}",
-            f"  suggestion: {texts[0] or 'none'}",
-        ]
-        lines.extend(f"  alternative: {text}" for text in texts[1:])
-        return "\n".join(lines)
+        return "\n".join(self.lines())
+
+
+def report_lines(diagnostics: Sequence[Diagnostic]) -> Iterator[str]:
+    """The report's lines: a count of findings, then each finding's lines."""
+    count = len(diagnostics)
+    noun = "finding" if count == 1 else "findings"
+    yield f"{count} {noun}" if count else "no findings"
+    for diagnostic in diagnostics:
+        yield from diagnostic.lines()
 
 
 def render_report(diagnostics: Sequence[Diagnostic]) -> str:
-    if not diagnostics:
-        return "no findings"
-    count = len(diagnostics)
-    noun = "finding" if count == 1 else "findings"
-    body = "\n".join(d.render() for d in diagnostics)
-    return f"{count} {noun}\n{body}"
+    return "\n".join(report_lines(diagnostics))
 
 
 # ---------------------------------------------------------------------------

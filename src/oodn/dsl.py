@@ -71,7 +71,6 @@ from .model import (
     as_degree,
     decode_rational,
     decode_value,
-    format_rational,
     format_untyped,
     member_text,
     method,
@@ -731,7 +730,7 @@ def _encode_member(entry: DegreedMember) -> dict:
     else:
         encoded["params"] = [{"name": n, "type": t._value_} for n, t in member.params]
         encoded["returns"] = member.returns._value_ if member.returns else None
-    encoded["degree"] = format_rational(entry.degree.value)
+    encoded["degree"] = str(entry.degree)
     return encoded
 
 
@@ -755,7 +754,7 @@ def _encode_selection(selection: Selection) -> dict:
     return {
         "mode": selection.mode._value_,
         "entries": [
-            {"name": name, "degree": format_rational(degree.value)}
+            {"name": name, "degree": str(degree)}
             for name, degree in selection.entries
         ],
     }
@@ -825,7 +824,7 @@ def export_structured(net: Network) -> str:
             "source": r.source,
             "target": r.target,
             "label": r.label,
-            "degree": format_rational(r.degree.value) if r.degree else None,
+            "degree": str(r.degree) if r.degree else None,
         }
         for r in net.relations
     ]

@@ -391,10 +391,11 @@ class Repair:
             for sources in self._offered(lambda *source: source)
         )
 
-    def texts(self) -> list[str | None]:
-        """Each plan on offer as ``describe`` writes it, without building it."""
+    def texts(self) -> Iterator[str | None]:
+        """Each plan on offer as ``describe`` writes it, without building it,
+        each text made as it is reached."""
         offered = self._offered(_source_text)
-        return [parts and self.plan.written(parts) for parts in offered]
+        return (parts and self.plan.written(parts) for parts in offered)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Repair) and self.plans == other.plans

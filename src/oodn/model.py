@@ -78,7 +78,7 @@ class _Held:
 
 
 class _DegreeKeys(_Held):
-    __slots__ = ("_hash", "is_weak")
+    __slots__ = ("_hash", "_text", "is_weak")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -86,7 +86,8 @@ class Degree(_DegreeKeys):
     """Exact rational membership degree in the half-open interval (0, 1].
 
     ``is_weak`` (below 1) is computed once, at construction, and read
-    from a slot; the hash is computed on first use and held the same way.
+    from a slot; the hash and the text are computed on first use and held
+    the same way.
     """
 
     value: Fraction
@@ -114,7 +115,11 @@ class Degree(_DegreeKeys):
         return Degree(self.value * other.value)
 
     def __str__(self) -> str:
-        return format_rational(self.value)
+        try:
+            return self._text
+        except AttributeError:  # first use
+            object.__setattr__(self, "_text", format_rational(self.value))
+            return self._text
 
 
 DEGREE_ONE = Degree(Fraction(1))

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import gc
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from conftest import DATA, run_cli
+from oodn.cli import main
+from oodn.diagnostics import diagnose_all, render_report
+from oodn.dsl import parse_network
 
 # ---------------------------------------------------------------------------
 # parse
@@ -417,6 +424,53 @@ def test_inherit_and_diagnose_suggest_the_same_repair(capsys, tmp_path):
     assert "  suggestion: H inherits B\n" in diagnosed
 
 
+class _DigestSink:
+    """A stream that keeps only the SHA-256 and the length of what it is given."""
+
+    def __init__(self) -> None:
+        self.digest, self.length = hashlib.sha256(), 0
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode("utf-8"))
+        self.length += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_the_report_is_written_without_being_held(tmp_path):
+    # 60 sources of 25 members each pass on three names with clashing values,
+    # so each of 3 findings offers 60 plans each naming nearly every member.
+    sources = [f"S{i}" for i in range(60)]
+    path = tmp_path / "wide.oodn"
+    path.write_text(
+        "".join(
+            f"class {s} {{ "
+            + "".join(f"prop {s}_m{j}: int = {j}; " for j in range(25))
+            + "".join(f"prop {shared}: int = {i}; " for shared in "xyz")
+            + "}\n"
+            for i, s in enumerate(sources)
+        )
+        + f"class H {{ prop h: int = 0; }}\nH inherits {', '.join(sources)};\n",
+        encoding="utf-8",
+    )
+    sink = _DigestSink()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(sink):
+            code = main(["diagnose", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = render_report(diagnose_all(parse_network(path.read_text(encoding="utf-8"))))
+    assert code == 1 and sink.length > 1_000_000
+    assert sink.digest.hexdigest() == hashlib.sha256(f"{report}\n".encode()).hexdigest()
+    # Rendering the report whole before writing it peaked at about 2.5 times its length.
+    assert peak < sink.length, peak / sink.length
+
+
 def test_required_repair_only_narrows(capsys, tmp_path):
     # Widening X's take to the required 'b' would make 'b' ambiguous.
     path = tmp_path / "listed.oodn"
@@ -685,6 +739,19 @@ class TestExport:
         assert code2 == 0
         assert target.read_text() == out2
 
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/dump.json", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_a_target_that_cannot_be_written_is_usage(
+        self, fixture_path, capsys, tmp_path, target, reason
+    ):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(
+            ["export", str(fixture_path("crisp.oodn")), "--write", path], capsys
+        )
+        assert (code, out, err) == (3, "", f"cannot write {path!r}: {reason}\n")
+
 
 # ---------------------------------------------------------------------------
 # Exit codes and determinism
@@ -697,6 +764,14 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("command", ["parse", "inherit", "diagnose", "export"])
+    def test_text_that_is_not_utf8_exits_2(self, command, tmp_path, capsys):
+        bad = tmp_path / "latin1.oodn"
+        bad.write_bytes(b'class A { prop p: text = "caf\xe9"; }')
+        code, out, err = run_cli([command, str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {str(bad)!r} is not UTF-8 text (byte 29: invalid continuation byte)\n"
 
     def test_no_arguments_is_usage(self, capsys):
         code, _, err = run_cli([], capsys)

@@ -1,8 +1,8 @@
 """The command line's contract under fuzzing: whatever the file holds,
-``parse``, ``inherit``, ``diagnose`` and ``export --format json`` exit with
-0, 1, 2 or 3, raise nothing, and print the same stdout when run again;
-every parse error points into the text; and the lexer splits any text as
-the reference token definition does."""
+text or bytes, ``parse``, ``inherit``, ``diagnose`` and ``export --format
+json`` exit with 0, 1, 2 or 3, raise nothing, and print the same stdout
+when run again; every parse error points into the text; and the lexer
+splits any text as the reference token definition does."""
 
 from __future__ import annotations
 
@@ -48,10 +48,10 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(text: str) -> None:
+def check_contract(text: str | bytes) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.oodn"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         for command, *flags in COMMANDS:
             argv = [command, str(path), *flags]
             code, out, _ = run(argv)
@@ -87,6 +87,12 @@ def test_arbitrary_text_keeps_the_cli_contract(text):
 def test_token_soup_keeps_the_cli_contract(text):
     check_contract(text)
     check_error_position(text)
+
+
+@FUZZ
+@given(data=st.binary(max_size=200))
+def test_arbitrary_bytes_keep_the_cli_contract(data):
+    check_contract(data)
 
 
 # The reference lexer: the token definition as it stood while whitespace and
