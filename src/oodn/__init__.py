@@ -75,7 +75,6 @@ from .model import (
     member_line,
     method,
     prop,
-    similar,
     validate_edit,
     validate_network,
     violations_are_fatal,
@@ -148,7 +147,6 @@ __all__ = [
     "modify_set_value",
     "prop",
     "render_report",
-    "similar",
     "validate_edit",
     "validate_network",
     "violations_are_fatal",

@@ -223,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Knowledge networks: parse, inherit, diagnose, export.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    policies = [policy._value_ for policy in Policy]
 
     parse_cmd = commands.add_parser("parse", help="check a file and summarize it")
     parse_cmd.add_argument("file")
@@ -236,18 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mat_cmd.add_argument("file")
     mat_cmd.add_argument("name")
-    mat_cmd.add_argument(
-        "--policy", choices=("reject", "min", "max"), default="reject"
-    )
+    mat_cmd.add_argument("--policy", choices=policies, default="reject")
     mat_cmd.set_defaults(handler=_cmd_materialize)
 
     inh_cmd = commands.add_parser(
         "inherit", help="execute the declared plans and print the results"
     )
     inh_cmd.add_argument("file")
-    inh_cmd.add_argument(
-        "--policy", choices=("reject", "min", "max"), default="reject"
-    )
+    inh_cmd.add_argument("--policy", choices=policies, default="reject")
     inh_cmd.add_argument(
         "--format", choices=("canonical", "json"), default="canonical"
     )

@@ -114,7 +114,7 @@ def detect_exception(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
 def _exception_findings(plan: InheritancePlan, links: list[Link]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for link in links:
-        conflicts = link.conflicts()
+        conflicts = link.conflicts
         if not conflicts:
             continue
         names = tuple(sorted({name for name, _, _ in conflicts}))

@@ -745,7 +745,7 @@ def _decode_member(raw: dict) -> DegreedMember:
             raw["name"],
             raw["owner"],
             [(p["name"], _VALUE_TYPES[p["type"]]) for p in raw["params"]],
-            _VALUE_TYPES[raw["returns"]] if raw["returns"] else None,
+            None if raw["returns"] is None else _VALUE_TYPES[raw["returns"]],
         )
     return DegreedMember(member, degree)
 
@@ -872,6 +872,13 @@ def import_structured(text: str) -> Network:
         raise StructuredImportError(str(exc)) from exc
 
 
+def _array(raw: object) -> tuple:
+    """A JSON array as a tuple; ``tuple`` would split a string into letters."""
+    if not isinstance(raw, list):
+        raise StructuredImportError(f"{raw!r} is not an array")
+    return tuple(raw)
+
+
 def _decode_network(document: dict) -> Network:
     net = make_network()
     for entry in document["classes"]:
@@ -891,11 +898,11 @@ def _decode_network(document: dict) -> Network:
                     Projection(
                         p["label"],
                         MemberSet(_decode_member(e) for e in p["members"]),
-                        tuple(p["depends_on"]),
+                        _array(p["depends_on"]),
                     )
                     for p in entry["projections"]
                 ),
-                participants={p: tuple(labels) for p, labels in entry["participants"].items()},
+                participants={p: _array(labels) for p, labels in entry["participants"].items()},
             )
     for entry in document["objects"]:
         name = entry["name"]
@@ -918,7 +925,7 @@ def _decode_network(document: dict) -> Network:
                 entry["source"],
                 entry["target"],
                 entry["label"],
-                as_degree(decode_rational(entry["degree"])) if entry["degree"] else None,
+                None if entry["degree"] is None else as_degree(decode_rational(entry["degree"])),
             )
         )
     for entry in document["plans"]:

@@ -33,7 +33,7 @@ reads those axes off a plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 from itertools import count
@@ -141,6 +141,8 @@ class InheritancePlan:
             raise OodnError("an inheritance plan names a source twice")
         if self.heir in names:
             raise OodnError(f"heir {self.heir!r} cannot be its own source")
+        if not isinstance(self.chain, bool):  # the text and JSON writers test it
+            raise OodnError(f"a plan's chain flag is {self.chain!r}, not a bool")
         if len(names) == 1 and not self.chain:
             # A lone source is inherited the same either way, and plan text
             # cannot tell the two apart.
@@ -288,10 +290,12 @@ Conflict = tuple[str, DegreedMember, DegreedMember]
 class Link:
     """One step of a plan: what ``parent`` passes on to ``child``.
 
-    ``parent_view`` is everything the parent holds, and ``taken`` what
-    flows out of it through its selection, degrees composed.  Both are
-    built on first use: layering a chain reads neither (its links share
-    its ``runs``), and diagnosis reads them only for the links it reports.
+    ``parent_view`` is everything the parent holds, built at each read;
+    ``taken``, what flows out through the selection, degrees composed, is
+    built on first read and kept.  Layering a chain reads neither (its
+    links share its ``runs``).  ``conflicts``, filled by the walk, are the
+    crisp arrivals contradicting a child's own property, as (name, own
+    entry, arriving entry).
     """
 
     parent: str
@@ -299,10 +303,10 @@ class Link:
     selection: Selection
     own: Sequence[DegreedMember]
     _parent_view: Callable[[], View]
-    _conflicts: list[Conflict] | None = None
+    conflicts: list[Conflict] = field(default_factory=list)
     runs: _Runs | None = None
 
-    @cached_property
+    @property
     def parent_view(self) -> View:
         return self._parent_view()
 
@@ -325,13 +329,6 @@ class Link:
                 taken[identity] = entry
         return taken
 
-    def conflicts(self) -> list[Conflict]:
-        """Crisp arrivals contradicting one of the child's own properties,
-        as (name, own entry, arriving entry)."""
-        if self._conflicts is None:
-            self._conflicts = _exception_conflicts(self.own, self.taken.values())
-        return self._conflicts
-
     def narrowed(self, excluded: Container[str]) -> Selection | None:
         """This link's selection without the given bare names, over what
         the parent holds; None when nothing is left.  Every repair narrows
@@ -352,18 +349,15 @@ class Link:
 class Repair:
     """A repair held as what it removes: each narrowed source's link with
     the bare names it stops passing on, and per plan on offer, the source
-    that plan keeps whole (or None).  Sources are narrowed on first use,
-    once for every plan.  A source narrowed to nothing drops out of a
-    parallel plan; a chain cannot lose a level, so its plan is then None,
-    as is a plan left without sources.  Equal plans make equal repairs."""
+    that plan keeps whole (or None).  Sources are narrowed as the plans or
+    their texts are made; only ``plans`` is kept.  A source narrowed to
+    nothing drops out of a parallel plan; a chain cannot lose a level, so
+    its plan is then None, as is a plan left without sources.  Equal plans
+    make equal repairs."""
 
     plan: InheritancePlan
     excluded: tuple[tuple[Link, frozenset[str]], ...]
     kept: tuple[str | None, ...] = (None,)
-
-    @cached_property
-    def _narrowed(self) -> dict[str, Selection | None]:
-        return {link.parent: link.narrowed(names) for link, names in self.excluded}
 
     def _offered(self, item: Callable[[str, Selection], object]) -> list[list | None]:
         """Each plan on offer as ``item(source, selection)`` per source it
@@ -371,8 +365,9 @@ class Repair:
         position = {name: at for at, (name, _) in enumerate(self.plan.sources)}
         whole = [item(*source) for source in self.plan.sources]
         cut = whole.copy()
-        for name, selection in self._narrowed.items():
-            cut[position[name]] = selection and item(name, selection)
+        for link, names in self.excluded:
+            selection = link.narrowed(names)
+            cut[position[link.parent]] = selection and item(link.parent, selection)
         offered = []
         for kept in self.kept:
             items = cut
@@ -569,7 +564,7 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
 
     Lookup faults (an undeclared class, a heterogeneous participant, a
     selection naming a member its source does not offer) raise here.
-    Conflicts do not stop the walk (see :meth:`Link.conflicts`): a
+    Conflicts do not stop the walk (see :attr:`Link.conflicts`): a
     contradicted chain level still passes its members upward, so that
     every link can be inspected.
     """
@@ -581,10 +576,13 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
         _check_offered({e.member.name for e in view.values()}, selection, source)
         views.append(view)
     own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
-    return [
+    links = [
         Link(source, plan.heir, selection, own, view.copy)
         for (source, selection), view in zip(plan.sources, views)
     ]
+    for link in links:
+        link.conflicts = _exception_conflicts(own, link.taken.values())
+    return links
 
 
 def merge(links: Sequence[Link], policy: Policy) -> View:
@@ -685,9 +683,9 @@ def inherit(
     group: one rule for chains and parallel plans alike.  A projection
     depends on the smallest audiences strictly containing its own, the
     transitive reduction of the subset order over the non-empty groups.
-    A participant holds one entry per identity, so no group holds two: its
-    member set needs no check.  Diagnosis refuses a plan that would put
-    one identity at one degree in two groups (see ``diagnostics.refusal``).
+    A participant holds one entry per identity, so no group holds two.
+    Diagnosis refuses a plan that would put one identity at one degree in
+    two groups (see ``diagnostics.refusal``).
     """
     order = plan.participants_root_first()
     audience = audiences(plan, _walked(plan, net, policy), policy)
@@ -730,16 +728,14 @@ def inherit(
             if not any(inner & other == inner for inner in minimal):
                 minimal.append(other)
         deps = tuple(labels[other] for other in supersets if other in minimal)
-        projections.append(
-            Projection(labels[mask], MemberSet._subset(members), depends_on=deps)
-        )
+        projections.append(Projection(labels[mask], MemberSet(members), depends_on=deps))
     participants = {
         name: tuple(labels[mask] for mask in groups if mask >> index & 1)
         for index, name in enumerate(order)
     }
     return HetClass(
         name=plan.heir,
-        core=MemberSet._subset(core_entries),
+        core=MemberSet(core_entries),
         projections=tuple(projections),
         participants=participants,
     )

@@ -7,7 +7,6 @@ modifiers change existing knowledge).  Classes come in two shapes:
 * a homogeneous class describes one kind of object as a flat member set
   (a specification of properties plus a signature of methods);
 * a heterogeneous class describes a family of related kinds as a shared
-
   core plus per-participant projections, where a projection holds the
   members typical of one participant and may depend on other projections.
 
@@ -308,7 +307,7 @@ class FuzzySet:
         return hash(frozenset(self.entries))
 
     def __post_init__(self) -> None:
-        seen: list[FuzzyElement] = []
+        seen: set[FuzzyElement] = set()
         for element, membership in self.entries:
             untyped_type(element, _ELEMENT_KINDS.values())  # raises unless int, real or text
             if not isinstance(membership, Fraction):
@@ -317,9 +316,9 @@ class FuzzySet:
                 raise ModelInvariantError(
                     f"fuzzy membership must lie in [0, 1], got {membership}"
                 )
-            if any(element == other for other in seen):
+            if element in seen:  # int, Fraction and str hash as they compare
                 raise ModelInvariantError(f"duplicate fuzzy element {element!r}")
-            seen.append(element)
+            seen.add(element)
 
     @property
     def genuinely_fuzzy(self) -> bool:
@@ -332,16 +331,6 @@ class FuzzySet:
 
 
 Value = Union[int, Fraction, str, bool, FuzzySet]
-
-
-def value_matches_type(tag: ValueType, value: Value) -> bool:
-    """Check that a raw value is consistent with a type tag."""
-    return tag.codec.check(value)
-
-
-def format_value(tag: ValueType, value: Value) -> str:
-    """Render a property value canonically for reports and serialization."""
-    return tag.codec.text(value)
 
 
 def decode_value(tag: ValueType, raw: object) -> Value:
@@ -401,9 +390,9 @@ class Member(_MemberKeys):
 
     Identity within a member set is the (owner, name) pair: two classes may
     each declare a member called ``p1`` and both survive side by side in a
-    heterogeneous structure.  Similarity (see :func:`similar`) deliberately
-    ignores the owner so that equal knowledge declared twice can be
-    recognized and merged where merging is wanted.  The identity is
+    heterogeneous structure.  Similarity (equal :meth:`similarity_key`)
+    deliberately ignores the owner so that equal knowledge declared twice
+    can be recognized and merged where merging is wanted.  The identity is
     computed once, at construction, and read from a slot after that.
     """
 
@@ -465,7 +454,7 @@ def value_text(member: Member) -> str:
     """A member's value as reports show it; a method has none."""
     if member.value_type is None:
         return "<method>"
-    return format_value(member.value_type, member.value)
+    return member.value_type.codec.text(member.value)
 
 
 def prop(name: str, value_type: ValueType, value: Value, owner: str) -> Member:
@@ -481,17 +470,6 @@ def method(
 ) -> Member:
     """Build a method member."""
     return Member(_METHOD, name, owner, params=tuple(params), returns=returns)
-
-
-def similar(a: Member, b: Member) -> bool:
-    """Owner-free similarity.
-
-    Properties are similar when name, value type, and value all coincide;
-    methods are similar when name and the full symbolic signature coincide.
-    Same-named members of different value types are dissimilar: they are
-    different assertions that merely share a label.
-    """
-    return a.similarity_key() == b.similarity_key()
 
 
 class _EntryKeys(_Held):
@@ -584,9 +562,6 @@ class MemberSet:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemberSet):
@@ -1091,7 +1066,7 @@ def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[V
                 "unknown-override",
                 f"object sets {value_name!r} which class {obj.class_ref!r} lacks",
             )
-        elif not value_matches_type(declared[value_name], value):
+        elif not declared[value_name].codec.check(value):
             yield Violation(
                 "error",
                 name,

@@ -279,27 +279,19 @@ def _set_object_value(
 # ---------------------------------------------------------------------------
 
 
-def default_exploiters() -> dict:
-    return {
-        "union": exploit_union,
-        "intersection": exploit_intersection,
-        "instance_check": exploit_instance_check,
-        "materialize": materialize,
-        "decompose": decompose,
-    }
-
-
-def default_modifiers() -> dict:
-    return {
-        "add_member": modify_add_member,
-        "remove_member": modify_remove_member,
-        "set_value": modify_set_value,
-    }
-
-
 def make_network() -> Network:
     """A fresh network with the built-in operation registries installed."""
     return Network(
-        exploiters=default_exploiters(),
-        modifiers=default_modifiers(),
+        exploiters={
+            "union": exploit_union,
+            "intersection": exploit_intersection,
+            "instance_check": exploit_instance_check,
+            "materialize": materialize,
+            "decompose": decompose,
+        },
+        modifiers={
+            "add_member": modify_add_member,
+            "remove_member": modify_remove_member,
+            "set_value": modify_set_value,
+        },
     )

@@ -14,6 +14,7 @@ from oodn.diagnostics import (
     detect_redundancy,
     diagnose_all,
     render_report,
+    report_lines,
 )
 from oodn.dsl import parse_network
 from oodn.inheritance import (
@@ -465,6 +466,21 @@ class TestScaling:
         # Narrowing every redundant level's selection over all it held, for
         # each finding as it was found, made this 3.9.
         assert self.diagnose_peak(100) <= 2.5 * self.diagnose_peak(50)
+
+    def test_a_rendered_finding_keeps_nothing_it_rendered(self):
+        # Findings that kept each narrowed selection and each view they
+        # reported held about 13 times the report's length here.
+        net = parse_network(chain_text(60))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            findings = diagnose_all(net)
+            length = sum(len(line) + 1 for line in report_lines(findings))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert findings and held < length
 
 
 class TestReportRendering:

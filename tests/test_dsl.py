@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,12 +24,13 @@ from oodn.dsl import (
     serialize_homclass,
     serialize_plan,
 )
-from oodn.inheritance import SelectionMode, inherit
+from oodn.inheritance import InheritancePlan, Selection, SelectionMode, inherit
 from oodn.model import (
     DEGREE_ONE,
     Degree,
     FuzzySet,
     HetClass,
+    ModelInvariantError,
     OodnError,
     RelationKind,
     ValueType,
@@ -140,6 +142,19 @@ class TestClassParsing:
             "tall": Fraction(1),
             "short": Fraction(3, 10),
         }
+
+    def test_large_fuzzy_set_is_built_and_parsed_in_linear_time(self):
+        # A duplicate check comparing each element with every earlier one
+        # made this quadratic.
+        entries = tuple((f"e{i}", Fraction(1, 2)) for i in range(20_000))
+        start = time.perf_counter()
+        value = FuzzySet(entries)
+        parsed = first_prop(parse_one(f"prop p: fuzzy = {ValueType.FUZZY.codec.text(value)};"))
+        assert time.perf_counter() - start < 2
+        assert parsed.member.value == value
+        with pytest.raises(ModelInvariantError, match="duplicate fuzzy element Fraction"):
+            FuzzySet(((1, Fraction(1)), (Fraction(1), Fraction(1, 2))))
+        FuzzySet((("1", Fraction(1)), (1, Fraction(1))))  # a text is no number
 
     def test_bool_values(self):
         net = parse_network(
@@ -678,6 +693,47 @@ class TestStructuredImportErrors:
             ),
             "'f r' is not an identifier",
         ),
+        # Shapes ``export_structured`` never writes, each of which used to
+        # import as something else: a string as the tuple of its letters, a
+        # false-like value as an absent one, a string as a plan's chain flag.
+        "dependencies given as a string": (
+            lambda doc: doc["classes"][2]["projections"].append(
+                {"label": "b", "depends_on": "a", "members": []}
+            ),
+            "'a' is not an array",
+        ),
+        "participant mapped to a string": (
+            lambda doc: doc["classes"][2].update(participants={"A": "a"}),
+            "'a' is not an array",
+        ),
+        "chain flag given as a string": (
+            lambda doc: doc["plans"][0].update(chain="false"),
+            "a plan's chain flag is 'false', not a bool",
+        ),
+        "relation degree 0": (
+            lambda doc: doc["relations"][0].update(degree=0),
+            "0 is not a ratio",
+        ),
+        "empty relation degree": (
+            lambda doc: doc["relations"][0].update(degree=""),
+            "'' is not a ratio",
+        ),
+        "relation degree false": (
+            lambda doc: doc["relations"][0].update(degree=False),
+            "False is not a ratio",
+        ),
+        "method returning 0": (
+            lambda doc: doc["classes"][0]["sig"][0].update(returns=0),
+            "missing or unknown key 0",
+        ),
+        "method returning the empty type": (
+            lambda doc: doc["classes"][0]["sig"][0].update(returns=""),
+            "missing or unknown key ''",
+        ),
+        "method returning false": (
+            lambda doc: doc["classes"][0]["sig"][0].update(returns=False),
+            "missing or unknown key False",
+        ),
     }
 
     NETWORK = (
@@ -695,6 +751,12 @@ class TestStructuredImportErrors:
         edit, message = self.BROKEN_INVARIANTS[case]
         edit(doc)
         assert str(self.rejects(doc)) == message
+
+    def test_plan_refuses_a_chain_flag_that_is_no_bool(self):
+        # A string flag would turn a parallel plan into a chain.
+        for flag in ("false", 0):
+            with pytest.raises(OodnError, match=f"chain flag is {flag!r}, not a bool"):
+                InheritancePlan("C", (("A", Selection()), ("B", Selection())), chain=flag)
 
     def test_keyword_names_a_heterogeneous_class(self):
         # As in the text format, where no plan can start with it.

@@ -10,20 +10,46 @@ import pytest
 PACKAGE = Path(__file__).parent.parent / "src" / "oodn"
 
 
-@pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
-)
-def test_no_private_name_is_imported_from_a_sibling(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    private = [
-        f"{node.module}.{alias.name}"
+def sibling_imports(tree: ast.Module) -> list[ast.alias]:
+    """Every name a module imports from another module of the package."""
+    return [
+        alias
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "oodn")
         for alias in node.names
-        if alias.name.startswith("_")
     ]
+
+
+MODULES = pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+
+
+@MODULES
+def test_no_private_name_is_imported_from_a_sibling(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [alias.name for alias in sibling_imports(tree) if alias.name.startswith("_")]
     assert private == []
+
+
+@MODULES
+def test_no_private_attribute_of_a_sibling_is_read(path):
+    """``Name._attr``, where ``Name`` comes from another module, reads that
+    module's private helper.  Sunder and dunder names, such as an enum
+    member's ``_value_``, belong to Python, not to a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for alias in sibling_imports(tree)}
+    reads = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in imported
+        and node.attr.startswith("_")
+        and not node.attr.endswith("_")
+    ]
+    assert reads == []
 
 
 def _private(name: str) -> bool:

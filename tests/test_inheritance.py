@@ -612,8 +612,8 @@ class TestWalk:
             ("A", "B"),
             ("B", "C"),
         ]
-        assert [name for name, _, _ in links[0].conflicts()] == ["p"]
-        assert links[1].conflicts() == []
+        assert [name for name, _, _ in links[0].conflicts] == ["p"]
+        assert links[1].conflicts == []
         # the contradicted level still passes everything on
         assert ids(links[1].taken.values()) == [("A", "p"), ("A", "q"), ("B", "p")]
 

@@ -32,16 +32,13 @@ from oodn.model import (
     class_is_fuzzy,
     dedupe_similar,
     format_rational,
-    format_value,
     is_fuzzy,
     is_identifier,
     materialize,
     method,
     prop,
-    similar,
     validate_edit,
     validate_network,
-    value_matches_type,
     violations_are_fatal,
 )
 
@@ -100,15 +97,15 @@ class TestDegree:
 
 class TestValues:
     def test_bool_is_not_int(self):
-        assert value_matches_type(ValueType.BOOL, True)
-        assert not value_matches_type(ValueType.INT, True)
-        assert value_matches_type(ValueType.INT, 3)
-        assert not value_matches_type(ValueType.BOOL, 3)
+        assert ValueType.BOOL.codec.check(True)
+        assert not ValueType.INT.codec.check(True)
+        assert ValueType.INT.codec.check(3)
+        assert not ValueType.BOOL.codec.check(3)
 
     def test_real_requires_fraction(self):
-        assert value_matches_type(ValueType.REAL, Fraction(1, 2))
-        assert not value_matches_type(ValueType.REAL, 0.5)
-        assert not value_matches_type(ValueType.REAL, 1)
+        assert ValueType.REAL.codec.check(Fraction(1, 2))
+        assert not ValueType.REAL.codec.check(0.5)
+        assert not ValueType.REAL.codec.check(1)
 
     def test_fuzzy_set_validation(self):
         with pytest.raises(ModelInvariantError):
@@ -125,7 +122,7 @@ class TestValues:
         assert forward == backward
         assert hash(forward) == hash(backward)
         assert len({forward, backward}) == 1
-        assert format_value(ValueType.FUZZY, backward) == "{b: 0.5, a: 1}"
+        assert ValueType.FUZZY.codec.text(backward) == "{b: 0.5, a: 1}"
         assert forward != FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 4))))
         assert forward != FuzzySet((("a", Fraction(1)),))
 
@@ -136,15 +133,15 @@ class TestValues:
         assert fuzzy.genuinely_fuzzy
 
     def test_format_value(self):
-        assert format_value(ValueType.BOOL, True) == "true"
-        assert format_value(ValueType.INT, -3) == "-3"
-        assert format_value(ValueType.REAL, Fraction(1, 2)) == "0.5"
-        assert format_value(ValueType.TEXT, 'say "hi"') == '"say \\"hi\\""'
+        assert ValueType.BOOL.codec.text(True) == "true"
+        assert ValueType.INT.codec.text(-3) == "-3"
+        assert ValueType.REAL.codec.text(Fraction(1, 2)) == "0.5"
+        assert ValueType.TEXT.codec.text('say "hi"') == '"say \\"hi\\""'
         fuzzy = FuzzySet((("tall", Fraction(7, 10)), (2, Fraction(1))))
-        assert format_value(ValueType.FUZZY, fuzzy) == "{tall: 0.7, 2: 1}"
+        assert ValueType.FUZZY.codec.text(fuzzy) == "{tall: 0.7, 2: 1}"
         # a whole-number real element keeps its type when read back
         whole = FuzzySet(((Fraction(3), Fraction(1)), ("a b", Fraction(1, 3))))
-        assert format_value(ValueType.FUZZY, whole) == '{3.0: 1, "a b": 1/3}'
+        assert ValueType.FUZZY.codec.text(whole) == '{3.0: 1, "a b": 1/3}'
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +195,19 @@ class TestMembers:
     def test_similarity_ignores_owner(self):
         a = prop("p1", ValueType.INT, 1, "A1")
         b = prop("p1", ValueType.INT, 1, "A2")
-        assert similar(a, b)
+        assert a.similarity_key() == b.similarity_key()
 
     def test_same_name_different_type_is_dissimilar(self):
         a = prop("p1", ValueType.INT, 1, "A1")
         b = prop("p1", ValueType.TEXT, "1", "A1")
-        assert not similar(a, b)
+        assert a.similarity_key() != b.similarity_key()
 
     def test_method_similarity_uses_signature(self):
         f = method("f1", "A1")
         g = method("f1", "A2")
         h = method("f1", "A1", params=[("x", ValueType.INT)])
-        assert similar(f, g)
-        assert not similar(f, h)
+        assert f.similarity_key() == g.similarity_key()
+        assert f.similarity_key() != h.similarity_key()
 
 
 class TestNames:

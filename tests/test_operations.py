@@ -26,8 +26,6 @@ from oodn.model import (
 from oodn.inheritance import InheritancePlan, Selection, inherit
 from oodn.operations import (
     ModificationRejected,
-    default_exploiters,
-    default_modifiers,
     exploit_instance_check,
     exploit_intersection,
     exploit_union,
@@ -406,14 +404,14 @@ class TestStaleness:
 
 class TestRegistry:
     def test_default_names(self):
-        assert set(default_exploiters()) == {
+        assert set(make_network().exploiters) == {
             "union",
             "intersection",
             "instance_check",
             "materialize",
             "decompose",
         }
-        assert set(default_modifiers()) == {
+        assert set(make_network().modifiers) == {
             "add_member",
             "remove_member",
             "set_value",
