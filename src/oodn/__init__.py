@@ -22,8 +22,6 @@ Quick tour::
     materialize(net, "A2", extra=[het])
 """
 
-from __future__ import annotations
-
 from .diagnostics import (
     Diagnostic,
     RequirementError,
@@ -92,62 +90,11 @@ from .operations import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arity",
-    "DEGREE_ONE",
-    "Degree",
-    "DegreedMember",
-    "Diagnostic",
-    "Extent",
-    "FuzzySet",
-    "HetClass",
-    "HomClass",
-    "InheritanceConflictError",
-    "InheritancePlan",
-    "Member",
-    "MemberKind",
-    "MemberSet",
-    "ModelInvariantError",
-    "ModificationRejected",
-    "Network",
-    "ObjectInstance",
-    "Octant",
-    "OodnError",
-    "Policy",
-    "Projection",
-    "Relation",
-    "RelationKind",
-    "RequirementError",
-    "Selection",
-    "SelectionMode",
-    "Strength",
-    "UnknownEntityError",
-    "ValueType",
-    "Violation",
-    "as_degree",
-    "class_is_fuzzy",
-    "classify_plan",
-    "decompose",
-    "dedupe_similar",
-    "detect_ambiguity",
-    "detect_exception",
-    "detect_redundancy",
-    "diagnose_all",
-    "exploit_instance_check",
-    "exploit_intersection",
-    "exploit_union",
-    "inherit",
-    "is_fuzzy",
-    "make_network",
-    "materialize",
-    "member_line",
-    "method",
-    "modify_add_member",
-    "modify_remove_member",
-    "modify_set_value",
-    "prop",
-    "render_report",
-    "validate_edit",
-    "validate_network",
-    "violations_are_fatal",
-]
+# The imports above are the export list: every public name they bind,
+# less the submodules that importing them binds too.
+__all__ = sorted(
+    name
+    for name in globals()
+    if not name.startswith("_")
+    and name not in {"diagnostics", "inheritance", "model", "operations"}
+)

@@ -718,51 +718,42 @@ class HetClass:
 
     def __post_init__(self) -> None:
         check_names(self.name, *self.participants)
-        labels = [p.label for p in self.projections]
-        if len(labels) != len(set(labels)):
+        graph = {p.label: p.depends_on for p in self.projections}
+        if len(graph) != len(self.projections):
             raise ModelInvariantError(f"class {self.name!r}: duplicate projection labels")
-        label_set = set(labels)
         for projection in self.projections:
             for dep in projection.depends_on:
-                if dep not in label_set:
+                if dep not in graph:
                     raise ModelInvariantError(
                         f"class {self.name!r}: projection {projection.label!r} "
                         f"depends on unknown label {dep!r}"
                     )
-        graph = {p.label: p.depends_on for p in self.projections}
         cycle = next(_cycles(graph, graph), None)
         if cycle is not None:
             raise ModelInvariantError(
                 f"class {self.name!r}: projection dependencies form a cycle at {cycle[-1]!r}"
             )
         core_ids = {entry.identity for entry in self.core}
-        # Each identity's first degree, and every degree of one placed again.
-        first: dict[tuple[str, str], Degree] = {}
-        again: dict[tuple[str, str], list[Degree]] = {}
+        placed: set[tuple[tuple[str, str], Degree]] = set()
         for projection in self.projections:
             for entry in projection.members:
-                if entry.identity in core_ids:
+                identity = entry.identity
+                if identity in core_ids:
                     raise ModelInvariantError(
                         f"class {self.name!r}: member {entry.member.display()} "
                         f"appears in both the core and projection {projection.label!r}"
                     )
-                identity = entry.identity
-                placed = first.get(identity)
-                if placed is None:
-                    first[identity] = entry.degree
-                else:
-                    again.setdefault(identity, [placed]).append(entry.degree)
-        for identity in first:
-            degrees = again.get(identity, ())
-            if len(degrees) != len(set(degrees)):
-                owner, name = identity
-                raise ModelInvariantError(
-                    f"class {self.name!r}: member {name!r} of {owner!r} repeats "
-                    f"at the same degree across projections"
-                )
+                placement = (identity, entry.degree)
+                if placement in placed:
+                    owner, name = identity
+                    raise ModelInvariantError(
+                        f"class {self.name!r}: member {name!r} of {owner!r} repeats "
+                        f"at the same degree across projections"
+                    )
+                placed.add(placement)
         for participant, plabels in self.participants.items():
             for label in plabels:
-                if label not in label_set:
+                if label not in graph:
                     raise ModelInvariantError(
                         f"class {self.name!r}: participant {participant!r} maps to "
                         f"unknown projection {label!r}"

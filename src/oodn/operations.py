@@ -16,7 +16,7 @@ classes the class table (:class:`oodn.model.ClassTable`) keeps track of.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .inheritance import decompose
 from .model import (
@@ -42,7 +42,7 @@ from .model import (
 
 class ModificationRejected(OodnError):
     """A modifier was rolled back; carries the findings in the edit's scope
-    (empty when the edited class or member could not even be built)."""
+    (empty when the edited class, object or member could not even be built)."""
 
     def __init__(self, message: str, findings: list) -> None:
         super().__init__(message)
@@ -130,11 +130,16 @@ def exploit_instance_check(
 
 
 def _commit_or_rollback(
-    net: Network, entries: dict, edited: str, replacement: object, action: str
+    net: Network, entries: dict, edited: str, action: str, build: Callable[[], object]
 ) -> None:
-    """Put ``replacement`` in place of ``entries[edited]`` (a class or an
-    object) and keep it only if the edit validates; once kept, mark what
-    was built from it stale."""
+    """Put what ``build`` returns in place of ``entries[edited]`` (a class or
+    an object) and keep it only if the edit validates; once kept, mark what
+    was built from it stale.  A replacement that cannot be built is rolled
+    back with no findings."""
+    try:
+        replacement = build()
+    except OodnError as exc:
+        raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
     old = entries[edited]
     entries[edited] = replacement
     findings = validate_edit(net, edited)
@@ -177,15 +182,14 @@ def modify_add_member(
     """Add one member to a homogeneous class, atomically."""
     entry = member if isinstance(member, DegreedMember) else DegreedMember(member)
     cls = _require_hom(net, class_name)
-    action = f"adding {entry.member.display()} to {class_name!r}"
-    try:
+
+    def build() -> HomClass:
         if entry.member.kind is MemberKind.PROPERTY:
-            replacement = HomClass(cls.name, cls.spec.extended(entry), cls.sig)
-        else:
-            replacement = HomClass(cls.name, cls.spec, cls.sig.extended(entry))
-    except OodnError as exc:
-        raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
-    _commit_or_rollback(net, net.classes, class_name, replacement, action)
+            return HomClass(cls.name, cls.spec.extended(entry), cls.sig)
+        return HomClass(cls.name, cls.spec, cls.sig.extended(entry))
+
+    action = f"adding {entry.member.display()} to {class_name!r}"
+    _commit_or_rollback(net, net.classes, class_name, action, build)
 
 
 def modify_remove_member(
@@ -205,13 +209,10 @@ def modify_remove_member(
         raise UnknownEntityError(
             f"class {class_name!r} has no member {member_name!r} owned by {owner!r}"
         )
-    replacement = HomClass(
-        cls.name,
-        cls.spec.without(owner, member_name),
-        cls.sig.without(owner, member_name),
-    )
     action = f"removing {member_name!r} from {class_name!r}"
-    _commit_or_rollback(net, net.classes, class_name, replacement, action)
+    _commit_or_rollback(net, net.classes, class_name, action, lambda: HomClass(
+        cls.name, cls.spec.without(owner, member_name), cls.sig.without(owner, member_name)
+    ))
 
 
 def modify_set_value(
@@ -241,17 +242,17 @@ def modify_set_value(
             f"class {target!r} has no property {member_name!r}"
         )
     old = entry.member
-    action = f"setting {member_name!r} on {target!r}"
-    try:
+
+    def build() -> HomClass:
         replaced = prop(old.name, old.value_type, value, old.owner)
-    except OodnError as exc:
-        raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
-    new_spec = MemberSet(
-        DegreedMember(replaced, e.degree) if e.identity == entry.identity else e
-        for e in cls.spec
-    )
-    replacement = HomClass(cls.name, new_spec, cls.sig)
-    _commit_or_rollback(net, net.classes, target, replacement, action)
+        new_spec = MemberSet(
+            DegreedMember(replaced, e.degree) if e.identity == entry.identity else e
+            for e in cls.spec
+        )
+        return HomClass(cls.name, new_spec, cls.sig)
+
+    action = f"setting {member_name!r} on {target!r}"
+    _commit_or_rollback(net, net.classes, target, action, build)
 
 
 def _set_object_value(
@@ -263,15 +264,12 @@ def _set_object_value(
         raise UnknownEntityError(
             f"class {obj.class_ref!r} has no property {member_name!r}"
         )
-    overrides = [
-        (name, value if name == member_name else existing)
-        for name, existing in obj.member_values
-    ]
-    if member_name not in {name for name, _ in obj.member_values}:
-        overrides.append((member_name, value))
-    replacement = ObjectInstance(obj.name, obj.class_ref, tuple(overrides))
+    overrides = dict(obj.member_values)  # a new name goes last, a known one keeps its place
+    overrides[member_name] = value
     action = f"setting {member_name!r} on object {object_name!r}"
-    _commit_or_rollback(net, net.objects, object_name, replacement, action)
+    _commit_or_rollback(net, net.objects, object_name, action, lambda: ObjectInstance(
+        obj.name, obj.class_ref, tuple(overrides.items())
+    ))
 
 
 # ---------------------------------------------------------------------------

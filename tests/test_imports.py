@@ -87,3 +87,21 @@ def test_every_private_helper_has_a_use():
                     and (_private(item.name) or _private(node.name))
                 ]
     assert [where for where, name in defined if name not in used] == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    """``oodn.__all__`` is derived from the package's ``from .x import``
+    statements, so the two can never disagree; no submodule and no private
+    name is exported."""
+    import oodn
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert oodn.__all__ == sorted(imported)
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert [name for name in oodn.__all__ if name in submodules or name.startswith("_")] == []

@@ -440,6 +440,37 @@ class TestHetClass:
                 ),
             )
 
+    def test_a_repeat_in_the_second_and_third_projections_is_found(self):
+        entry = prop("p1", ValueType.INT, 1, "A")
+        with pytest.raises(ModelInvariantError) as info:
+            HetClass(
+                "H",
+                projections=(
+                    self._projection("x", DegreedMember(entry, as_degree("1/2"))),
+                    self._projection("y", DegreedMember(entry)),
+                    self._projection("z", DegreedMember(entry)),
+                ),
+            )
+        assert str(info.value) == (
+            "class 'H': member 'p1' of 'A' repeats at the same degree across projections"
+        )
+
+    def test_a_core_member_in_two_projections_names_the_first(self):
+        entry = prop("p1", ValueType.INT, 1, "A")
+        with pytest.raises(ModelInvariantError) as info:
+            HetClass(
+                "H",
+                core=MemberSet([entry]),
+                projections=(
+                    self._projection("x"),
+                    self._projection("y", DegreedMember(entry, as_degree("1/2"))),
+                    self._projection("z", entry),
+                ),
+            )
+        assert str(info.value) == (
+            "class 'H': member p1(A) appears in both the core and projection 'y'"
+        )
+
     def test_participant_label_checked(self):
         with pytest.raises(ModelInvariantError):
             HetClass("H", participants={"A": ("nope",)})

@@ -273,6 +273,17 @@ class TestSetValue:
         with pytest.raises(UnknownEntityError):
             modify_set_value(net, "a1", "zz", 1)
 
+    def test_an_object_edit_that_cannot_be_built_is_rolled_back(self):
+        net = sample_net()
+        obj = net.objects["o"] = ObjectInstance("o", "Undeclared")
+        with pytest.raises(ModificationRejected) as info:
+            modify_set_value(net, "o", "x y", 1)
+        assert str(info.value) == (
+            "setting 'x y' on object 'o' rolled back: 'x y' is not an identifier"
+        )
+        assert info.value.findings == []
+        assert net.objects["o"] is obj
+
     def test_unknown_target(self):
         net = sample_net()
         with pytest.raises(UnknownEntityError):
