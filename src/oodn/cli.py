@@ -64,11 +64,6 @@ class ExitStatus(IntEnum):
     USAGE = 3
 
 
-class _CliFailure(Exception):
-    def __init__(self, status: ExitStatus) -> None:
-        self.status = status
-
-
 class _Parser(argparse.ArgumentParser):
     """Argparse with usage problems mapped to exit status 3."""
 
@@ -81,24 +76,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-
-def _load(path: str) -> Network:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {path!r}: {exc.strerror or exc}", file=sys.stderr)
-        raise _CliFailure(ExitStatus.USAGE) from exc
-    except UnicodeDecodeError as exc:
-        print(f"error: {path!r} is not UTF-8 text (byte {exc.start}: {exc.reason})", file=sys.stderr)
-        raise _CliFailure(ExitStatus.ERROR) from exc
-    net = parse_network(text)
-    findings = validate_network(net)
-    for finding in findings:
-        print(finding.render(), file=sys.stderr)
-    if violations_are_fatal(findings):
-        raise _CliFailure(ExitStatus.ERROR)
-    return net
 
 
 def _write_report(findings: list[Diagnostic]) -> None:
@@ -118,8 +95,7 @@ def _run_plans(net: Network, policy: Policy) -> list[HetClass]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_parse(net: Network, args: argparse.Namespace) -> ExitStatus:
     if args.format == "canonical":
         sys.stdout.write(serialize(net))
         return ExitStatus.OK
@@ -131,8 +107,7 @@ def _cmd_parse(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
-def _cmd_materialize(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_materialize(net: Network, args: argparse.Namespace) -> ExitStatus:
     results = _run_plans(net, Policy(args.policy))
     member_set = materialize(net, args.name, extra=results)
     for entry in member_set:
@@ -140,8 +115,7 @@ def _cmd_materialize(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
-def _cmd_inherit(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_inherit(net: Network, args: argparse.Namespace) -> ExitStatus:
     results = _run_plans(net, Policy(args.policy))
     if args.format == "json":
         document = [encode_hetclass(het) for het in results]
@@ -152,16 +126,14 @@ def _cmd_inherit(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
-def _cmd_classify(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_classify(net: Network, args: argparse.Namespace) -> ExitStatus:
     for plan in net.plans:
         octant = classify_plan(plan, net)
         print(f"{plan.heir}: {octant.render()}")
     return ExitStatus.OK
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_diagnose(net: Network, args: argparse.Namespace) -> ExitStatus:
     required = None
     if args.required is not None:
         required = [name.strip() for name in args.required.split(",") if name.strip()]
@@ -193,8 +165,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
-def _cmd_export(args: argparse.Namespace) -> ExitStatus:
-    net = _load(args.file)
+def _cmd_export(net: Network, args: argparse.Namespace) -> ExitStatus:
     if args.format == "dot":
         text = export_graph(net)
     elif args.format == "canonical":
@@ -223,75 +194,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Knowledge networks: parse, inherit, diagnose, export.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    policies = [policy._value_ for policy in Policy]
-
-    parse_cmd = commands.add_parser("parse", help="check a file and summarize it")
-    parse_cmd.add_argument("file")
-    parse_cmd.add_argument(
-        "--format", choices=("summary", "canonical"), default="summary"
-    )
-    parse_cmd.set_defaults(handler=_cmd_parse)
-
-    mat_cmd = commands.add_parser(
-        "materialize", help="print the effective member set of a class or object"
-    )
-    mat_cmd.add_argument("file")
-    mat_cmd.add_argument("name")
-    mat_cmd.add_argument("--policy", choices=policies, default="reject")
-    mat_cmd.set_defaults(handler=_cmd_materialize)
-
-    inh_cmd = commands.add_parser(
-        "inherit", help="execute the declared plans and print the results"
-    )
-    inh_cmd.add_argument("file")
-    inh_cmd.add_argument("--policy", choices=policies, default="reject")
-    inh_cmd.add_argument(
-        "--format", choices=("canonical", "json"), default="canonical"
-    )
-    inh_cmd.set_defaults(handler=_cmd_inherit)
-
-    cls_cmd = commands.add_parser(
-        "classify", help="print each plan's inheritance axes"
-    )
-    cls_cmd.add_argument("file")
-    cls_cmd.set_defaults(handler=_cmd_classify)
-
-    diag_cmd = commands.add_parser(
-        "diagnose", help="detect exceptions, redundancies, and ambiguities"
-    )
-    diag_cmd.add_argument("file")
-    diag_cmd.add_argument(
-        "--required",
-        help="comma-separated member names the heir actually needs "
-        "(everything else arriving is reported as redundant)",
-    )
-    diag_cmd.add_argument(
-        "--apply-suggestions",
-        action="store_true",
-        help="apply suggested repairs and print the repaired plans",
-    )
-    diag_cmd.set_defaults(handler=_cmd_diagnose)
-
-    exp_cmd = commands.add_parser(
-        "export", help="emit the network as JSON, Graphviz, or canonical text"
-    )
-    exp_cmd.add_argument("file")
-    exp_cmd.add_argument(
-        "--format", choices=("json", "dot", "canonical"), default="json"
-    )
-    exp_cmd.add_argument("--write", help="write to a file instead of stdout")
-    exp_cmd.set_defaults(handler=_cmd_export)
-
+    policy = ("--policy", dict(choices=[member._value_ for member in Policy], default="reject"))
+    # Each subcommand: its name, handler and help, and the arguments that
+    # follow FILE, each a name and the keywords ``add_argument`` takes.
+    for name, handler, help, arguments in (
+        ("parse", _cmd_parse, "check a file and summarize it", [
+            ("--format", dict(choices=("summary", "canonical"), default="summary")),
+        ]),
+        ("materialize", _cmd_materialize,
+         "print the effective member set of a class or object", [("name", {}), policy]),
+        ("inherit", _cmd_inherit, "execute the declared plans and print the results", [
+            policy,
+            ("--format", dict(choices=("canonical", "json"), default="canonical")),
+        ]),
+        ("classify", _cmd_classify, "print each plan's inheritance axes", []),
+        ("diagnose", _cmd_diagnose, "detect exceptions, redundancies, and ambiguities", [
+            ("--required", dict(
+                help="comma-separated member names the heir actually needs "
+                "(everything else arriving is reported as redundant)",
+            )),
+            ("--apply-suggestions", dict(
+                action="store_true",
+                help="apply suggested repairs and print the repaired plans",
+            )),
+        ]),
+        ("export", _cmd_export, "emit the network as JSON, Graphviz, or canonical text", [
+            ("--format", dict(choices=("json", "dot", "canonical"), default="json")),
+            ("--write", dict(help="write to a file instead of stdout")),
+        ]),
+    ):
+        command = commands.add_parser(name, help=help)
+        command.add_argument("file")
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return int(args.handler(args))
-    except _CliFailure as failure:
-        return int(failure.status)
+        text = Path(args.file).read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot read {args.file!r}: {exc.strerror or exc}", file=sys.stderr)
+        return int(ExitStatus.USAGE)
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file!r} is not UTF-8 text (byte {exc.start}: {exc.reason})", file=sys.stderr)
+        return int(ExitStatus.ERROR)
+    try:
+        net = parse_network(text)
+        del text  # so the source is not held while the command runs
+        findings = validate_network(net)
+        for finding in findings:
+            print(finding.render(), file=sys.stderr)
+        if violations_are_fatal(findings):
+            return int(ExitStatus.ERROR)
+        return int(args.handler(net, args))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return int(ExitStatus.ERROR)

@@ -947,22 +947,17 @@ def _decode_network(document: dict) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _dot_name(name: str) -> str:
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
 def export_graph(net: Network) -> str:
     """The network as a Graphviz digraph, declaration order preserved."""
     lines = ["digraph knowledge {", "  rankdir=BT;"]
     for name, cls in net.classes.items():
         shape = "box" if isinstance(cls, HomClass) else "box, peripheries=2"
-        lines.append(f"  {_dot_name(name)} [shape={shape}];")
+        lines.append(f"  {quote_text(name)} [shape={shape}];")
     for name in net.objects:
-        lines.append(f"  {_dot_name(name)} [shape=ellipse];")
+        lines.append(f"  {quote_text(name)} [shape=ellipse];")
     for name, obj in net.objects.items():
         lines.append(
-            f"  {_dot_name(name)} -> {_dot_name(obj.class_ref)} [label=\"of\"];"
+            f"  {quote_text(name)} -> {quote_text(obj.class_ref)} [label=\"of\"];"
         )
     for relation in net.relations:
         label = relation.kind._value_
@@ -972,25 +967,24 @@ def export_graph(net: Network) -> str:
             label += f" /{relation.degree}"
         style = ", style=dashed" if relation.kind is RelationKind.ASSOCIATION else ""
         lines.append(
-            f"  {_dot_name(relation.source)} -> {_dot_name(relation.target)} "
+            f"  {quote_text(relation.source)} -> {quote_text(relation.target)} "
             f'[label="{label}"{style}];'
         )
     for plan in net.plans:
-        octant = classify_plan(plan).render()
+        octant = classify_plan(plan, net).render()
         for name, selection in plan.sources:
             label = octant
             if selection.text:
                 label += f" {selection.text}"
-            label = label.replace('"', '\\"')
             lines.append(
-                f"  {_dot_name(plan.heir)} -> {_dot_name(name)} "
+                f"  {quote_text(plan.heir)} -> {quote_text(name)} "
                 f'[label="{label}", style=bold];'
             )
     for name, cls in net.classes.items():
         if isinstance(cls, HetClass):
             for participant in cls.participants:
                 lines.append(
-                    f"  {_dot_name(name)} -> {_dot_name(participant)} "
+                    f"  {quote_text(name)} -> {quote_text(participant)} "
                     '[label="participant", style=dotted];'
                 )
     lines.append("}")

@@ -202,11 +202,10 @@ class Octant:
         return f"{self.arity._value_}/{self.extent._value_}/{self.strength._value_}"
 
 
-def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
+def classify_plan(plan: InheritancePlan, net: Network) -> Octant:
     """Read a plan's octant off its shape.
 
-    Without a network, any listed selection counts as partial.  With one,
-    a listed selection that happens to name everything its source offers
+    A listed selection that happens to name everything its source offers
     is recognized as full coverage.
     """
     arity = Arity.SINGLE if plan.chain else Arity.MULTIPLE
@@ -222,8 +221,6 @@ def classify_plan(plan: InheritancePlan, net: Network | None = None) -> Octant:
     ]
     if not listed:
         extent = Extent.FULL
-    elif net is None:
-        extent = Extent.PARTIAL
     else:
         # Names only, not the walk: classification must answer for plans
         # that do not execute.

@@ -58,9 +58,7 @@ def _entry_key(entry: DegreedMember) -> tuple:
     return (entry.member.similarity_key(), entry.degree)
 
 
-def exploit_union(
-    net: Network, names: Sequence[str], result_name: str = "union"
-) -> HomClass:
+def exploit_union(net: Network, names: Sequence[str]) -> HomClass:
     """Union of the named entities' member sets, similar members merged.
 
     The first occurrence of each piece of knowledge wins, so the result
@@ -73,12 +71,10 @@ def exploit_union(
         entries.extend(materialize(net, name))
     merged = dedupe_similar(entries)
     spec, sig = merged.by_kind()
-    return HomClass(result_name, spec=spec, sig=sig)
+    return HomClass("union", spec=spec, sig=sig)
 
 
-def exploit_intersection(
-    net: Network, names: Sequence[str], result_name: str = "intersection"
-) -> HomClass:
+def exploit_intersection(net: Network, names: Sequence[str]) -> HomClass:
     """Members that every named entity holds, matched by similarity and degree."""
     if len(names) < 2:
         raise OodnError("intersection needs at least two inputs")
@@ -89,7 +85,7 @@ def exploit_intersection(
         entry for entry in sets[0] if _entry_key(entry) in shared
     )
     spec, sig = kept.by_kind()
-    return HomClass(result_name, spec=spec, sig=sig)
+    return HomClass("intersection", spec=spec, sig=sig)
 
 
 def exploit_instance_check(

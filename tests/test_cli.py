@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from conftest import DATA, run_cli
-from oodn.cli import main
+from oodn.cli import build_parser, main
 from oodn.diagnostics import diagnose_all, render_report
 from oodn.dsl import parse_network
 
@@ -721,6 +721,29 @@ class TestExport:
         assert out.startswith("digraph knowledge {\n")
         assert '"A3" -> "A2" [label="single/full/strong", style=bold];' in out
 
+    def test_dot_reads_a_plan_as_classify_does(self, capsys, tmp_path):
+        # The listed take names all A declares, so the plan is full.
+        path = tmp_path / "covering.oodn"
+        path.write_text("class A { prop p: int = 1; }\nB inherits A (p);\n")
+        code, out, _ = run_cli(["classify", str(path)], capsys)
+        assert (code, out) == (0, "B: single/full/strong\n")
+        code, out, _ = run_cli(["export", str(path), "--format", "dot"], capsys)
+        assert code == 0
+        assert '  "B" -> "A" [label="single/full/strong (p)", style=bold];\n' in out
+
+    def test_dot_of_a_listed_take_from_a_hetclass_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "het_source.oodn"
+        path.write_text(
+            "class A { prop p: int = 1; }\n"
+            "hetclass H { core { prop q: int = 1; } participant A -> core; }\n"
+            "B inherits H (q);\n"
+        )
+        refusal = "error: class 'H' is heterogeneous and cannot join a plan directly\n"
+        for command, *flags in (["classify"], ["export", "--format", "dot"]):
+            code, out, err = run_cli([command, str(path), *flags], capsys)
+            assert (code, out) == (2, "")
+            assert err.endswith(refusal)
+
     def test_write_matches_stdout(self, fixture_path, capsys, tmp_path):
         target = tmp_path / "dump.oodn"
         code, _, _ = run_cli(
@@ -751,6 +774,92 @@ class TestExport:
             ["export", str(fixture_path("crisp.oodn")), "--write", path], capsys
         )
         assert (code, out, err) == (3, "", f"cannot write {path!r}: {reason}\n")
+
+
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+POLICY = "[--policy {reject,min,max}]"
+# Each subcommand: its shortest argument list, the namespace that list
+# parses to (the handler by name), and what its help shows of each flag:
+# the flag with its choices, and its help text.
+COMMANDS = {
+    "parse": (
+        ["f"],
+        {"format": "summary", "handler": "_cmd_parse"},
+        ["[--format {summary,canonical}]"],
+    ),
+    "materialize": (
+        ["f", "A"],
+        {"name": "A", "policy": "reject", "handler": "_cmd_materialize"},
+        [POLICY],
+    ),
+    "inherit": (
+        ["f"],
+        {"policy": "reject", "format": "canonical", "handler": "_cmd_inherit"},
+        [POLICY, "[--format {canonical,json}]"],
+    ),
+    "classify": (["f"], {"handler": "_cmd_classify"}, []),
+    "diagnose": (
+        ["f"],
+        {"required": None, "apply_suggestions": False, "handler": "_cmd_diagnose"},
+        [
+            "[--required REQUIRED]",
+            "--required REQUIRED comma-separated member names the heir actually"
+            " needs (everything else arriving is reported as redundant)",
+            "[--apply-suggestions]",
+            "--apply-suggestions apply suggested repairs and print the repaired plans",
+        ],
+    ),
+    "export": (
+        ["f"],
+        {"format": "json", "write": None, "handler": "_cmd_export"},
+        [
+            "[--format {json,dot,canonical}]",
+            "[--write WRITE]",
+            "--write WRITE write to a file instead of stdout",
+        ],
+    ),
+}
+
+
+def help_text(argv: list[str], capsys) -> str:
+    """The help ``argv`` prints, its lines joined by single spaces, so the
+    terminal width does not matter."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_arguments_and_defaults(self, command):
+        argv, expected, _ = COMMANDS[command]
+        parsed = vars(build_parser().parse_args([command, *argv]))
+        parsed["handler"] = parsed["handler"].__name__
+        assert parsed == {"command": command, "file": "f", **expected}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_in_help(self, command, capsys):
+        text = help_text([command], capsys)
+        assert text.startswith(f"usage: oodn {command} [-h] ")
+        for shown in COMMANDS[command][2]:
+            assert shown in text
+
+    def test_each_command_in_the_top_help(self, capsys):
+        text = help_text([], capsys)
+        assert f"{{{','.join(COMMANDS)}}}" in text
+        for line in (
+            "parse check a file and summarize it",
+            "materialize print the effective member set of a class or object",
+            "inherit execute the declared plans and print the results",
+            "classify print each plan's inheritance axes",
+            "diagnose detect exceptions, redundancies, and ambiguities",
+            "export emit the network as JSON, Graphviz, or canonical text",
+        ):
+            assert line in text
 
 
 # ---------------------------------------------------------------------------

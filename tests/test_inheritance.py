@@ -233,6 +233,17 @@ class TestClassification:
         return Octant(a, e, s)
 
     def test_all_eight_shapes(self):
+        # Each source declares a member no listed take names.
+        declared = [
+            hom(
+                name,
+                prop("p1", ValueType.INT, 1, name),
+                prop("p2", ValueType.INT, 2, name),
+                method("f1", name),
+            )
+            for name in ("S0", "S1")
+        ]
+        net = net_of(*declared)
         full = Selection()
         weak_all = Selection(SelectionMode.ALL, (("p1", as_degree("1/2")),))
         listed = Selection(
@@ -257,7 +268,7 @@ class TestClassification:
                 (f"S{i}", sel) for i, sel in enumerate(selections)
             )
             plan = InheritancePlan(heir="H", sources=sources, chain=chain)
-            octant = classify_plan(plan)
+            octant = classify_plan(plan, net)
             assert octant == Octant(arity, extent, strength)
             seen.add(octant)
         assert len(seen) == 8
@@ -269,12 +280,12 @@ class TestClassification:
             tuple((n, DEGREE_ONE) for n in ("p1", "p2", "f1", "f2")),
         )
         plan = InheritancePlan(heir="A2", sources=(("A1", covering),))
-        assert classify_plan(plan).extent is Extent.PARTIAL
         assert classify_plan(plan, net).extent is Extent.FULL
 
     def test_render(self):
+        net = net_of(hom("A", prop("p", ValueType.INT, 1, "A")))
         plan = InheritancePlan(heir="H", sources=(("A", Selection()),))
-        assert classify_plan(plan).render() == "single/full/strong"
+        assert classify_plan(plan, net).render() == "single/full/strong"
 
 
 # ---------------------------------------------------------------------------

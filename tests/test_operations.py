@@ -9,7 +9,6 @@ from oodn.model import (
     HetClass,
     HomClass,
     MemberSet,
-    ModelInvariantError,
     Network,
     ObjectInstance,
     OodnError,
@@ -74,10 +73,9 @@ def names(ms: MemberSet) -> list[str]:
 class TestUnion:
     def test_merges_and_deduplicates_similar(self):
         net = sample_net()
-        combined = exploit_union(net, ["A", "B"], "AB")
+        combined = exploit_union(net, ["A", "B"])
         # shared appears once (first copy wins); properties precede methods
         assert names(combined.members()) == ["shared", "left", "right", "go"]
-        assert combined.name == "AB"
 
     def test_methods_and_properties_split_correctly(self):
         net = sample_net()
@@ -94,8 +92,6 @@ class TestUnion:
         net = sample_net()
         assert exploit_union(net, ["A", "B"]).name == "union"
         assert exploit_intersection(net, ["A", "B"]).name == "intersection"
-        with pytest.raises(ModelInvariantError, match="^'' is not an identifier$"):
-            exploit_union(net, ["A", "B"], "")
 
     def test_unknown_input(self):
         with pytest.raises(UnknownEntityError):
@@ -105,7 +101,7 @@ class TestUnion:
 class TestIntersection:
     def test_keeps_only_shared_assertions(self):
         net = sample_net()
-        common = exploit_intersection(net, ["A", "B"], "common")
+        common = exploit_intersection(net, ["A", "B"])
         assert names(common.members()) == ["shared"]
         # first input's copy is the representative
         assert common.members().get("A", "shared") is not None

@@ -68,7 +68,6 @@ from oodn.model import (
 from oodn.operations import (
     ModificationRejected,
     _mark_stale,
-    exploit_union,
     make_network,
     modify_add_member,
     modify_remove_member,
@@ -980,7 +979,6 @@ def name_entries(name) -> dict:
         "parameter": lambda net: modify_add_member(net, "A", method("f", "A", [(name, int_)])),
         "override": lambda net: modify_set_value(net, "o", name, 3),
         "class": lambda net: net.classes.update({name: HomClass(name)}),
-        "union": lambda net: net.classes.update({name: exploit_union(net, ["A", "B"], name)}),
         "hetclass": lambda net: net.classes.update({name: HetClass(name)}),
         "participant": lambda net: net.classes.update({"X": HetClass("X", participants={name: ()})}),
         "object": lambda net: net.objects.update({name: ObjectInstance(name, "A")}),
