@@ -33,10 +33,12 @@ reads those axes off a plan.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import count
+from itertools import count, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
@@ -287,9 +289,10 @@ Conflict = tuple[str, DegreedMember, DegreedMember]
 class Link:
     """One step of a plan: what ``parent`` passes on to ``child``.
 
-    ``parent_view`` is everything the parent holds, built at each read;
-    ``taken``, what flows out through the selection, degrees composed, is
-    built on first read and kept.  Layering a chain reads neither (its
+    ``parent_view`` is everything the parent holds, held for a parallel
+    source and built at each read on a chain; ``taken``, what flows out
+    through the selection, degrees composed, is built on first read and
+    kept.  Readers change neither, and layering a chain reads neither (its
     links share its ``runs``).  ``conflicts``, filled by the walk, are the
     crisp arrivals contradicting a child's own property, as (name, own
     entry, arriving entry).
@@ -314,6 +317,8 @@ class Link:
         it left as."""
         factors = dict(self.selection.entries)
         listed = self.selection.mode is _LISTED
+        if not factors and not listed:  # a bare take-all passes everything as is
+            return self.parent_view
         taken: View = {}
         for identity, entry in self.parent_view.items():
             factor = factors.get(entry.member.name)
@@ -570,11 +575,12 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     views = []
     for source, selection in plan.sources:
         view = {e.identity: e for e in _declared_entries(net, source)}
-        _check_offered({e.member.name for e in view.values()}, selection, source)
+        if selection.entries:
+            _check_offered({e.member.name for e in view.values()}, selection, source)
         views.append(view)
     own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
     links = [
-        Link(source, plan.heir, selection, own, view.copy)
+        Link(source, plan.heir, selection, own, partial(next, repeat(view)))
         for (source, selection), view in zip(plan.sources, views)
     ]
     for link in links:
@@ -615,17 +621,21 @@ def audiences(
     plan: InheritancePlan, links: list[Link], policy: Policy
 ) -> dict[DegreedMember, int]:
     """Every entry a participant holds, with its audience: the bitmask of
-    the participants holding it, root first, in order of first holding."""
-    holdings: Iterable[tuple[DegreedMember, int]]
-    if plan.chain:
-        holdings = links[0].runs.holdings()
-    else:
-        views = enumerate(_parallel_views(links, policy))
-        holdings = ((entry, 1 << at) for at, view in views for entry in view.values())
+    the participants holding it, root first, in order of first holding.
+    An entry is hashed once where it is first held, twice after."""
     audience: dict[DegreedMember, int] = {}
-    for entry, mask in holdings:
-        held = audience.get(entry)
-        audience[entry] = mask if held is None else held | mask
+    if plan.chain:
+        for entry, mask in links[0].runs.holdings():
+            held = audience.setdefault(entry, mask)
+            if held != mask:
+                audience[entry] = held | mask
+        return audience
+    for at, view in enumerate(_parallel_views(links, policy)):
+        bit = 1 << at
+        for entry in view.values():
+            held = audience.setdefault(entry, bit)
+            if held != bit:
+                audience[entry] = held | bit
     return audience
 
 
@@ -688,12 +698,16 @@ def inherit(
     audience = audiences(plan, _walked(plan, net, policy), policy)
     everyone = (1 << len(order)) - 1
     core_entries: list[DegreedMember] = []
-    groups: dict[int, list[DegreedMember]] = {}
-    for entry, mask in audience.items():
-        if mask == everyone and not entry.degree.is_weak:
-            core_entries.append(entry)
-        else:
-            groups.setdefault(mask, []).append(entry)
+    groups: defaultdict[int, list[DegreedMember]] = defaultdict(list)
+    # Entries of one audience mostly come in runs, each looked up once: masks of
+    # many participants collide in a dict, as bits 61 apart hash alike.
+    for mask, run in groupby(audience.items(), itemgetter(1)):
+        entries = list(map(itemgetter(0), run))
+        if mask == everyone:
+            core_entries += (entry for entry in entries if not entry.degree.is_weak)
+            entries = [entry for entry in entries if entry.degree.is_weak]
+        if entries:
+            groups[mask].extend(entries)
     heir_mask = 1 << (len(order) - 1)
     groups.setdefault(heir_mask, [])
 
@@ -701,41 +715,44 @@ def inherit(
     for mask in groups:
         if mask & (mask - 1) == 0:
             name = order[mask.bit_length() - 1]
-            labels[mask] = (
-                f"heir({name})" if not plan.chain and mask == heir_mask else name
-            )
+            labels[mask] = f"heir({name})" if not plan.chain and mask == heir_mask else name
     used = set(labels.values())
+    # Each participant's groups, in group order, read off each group's bits.
+    held: list[list[int]] = [[] for _ in order]
     for mask in groups:
+        for index in _bits(mask):
+            held[index].append(mask)
         if mask & (mask - 1):
-            first = order[(mask & -mask).bit_length() - 1]
-            label = (
-                first if first not in used else "&".join(order[i] for i in _bits(mask))
-            )
+            label = order[(mask & -mask).bit_length() - 1]
+            if label in used:
+                label = "&".join(order[i] for i in _bits(mask))
             labels[mask] = label
             used.add(label)
 
-    filled = [mask for mask, members in groups.items() if members]
     projections = []
     for mask, members in groups.items():
-        supersets = [o for o in filled if o != mask and o & mask == mask]
-        # By size, so a superset is minimal unless a smaller minimal one
-        # lies inside it.
-        minimal: list[int] = []
-        for other in sorted(supersets, key=int.bit_count):
-            if not any(inner & other == inner for inner in minimal):
-                minimal.append(other)
-        deps = tuple(labels[other] for other in supersets if other in minimal)
-        projections.append(Projection(labels[mask], MemberSet(members), depends_on=deps))
-    participants = {
-        name: tuple(labels[mask] for mask in groups if mask >> index & 1)
-        for index, name in enumerate(order)
-    }
-    return HetClass(
-        name=plan.heir,
-        core=MemberSet(core_entries),
-        projections=tuple(projections),
-        participants=participants,
-    )
+        # A strict superset holds the group's lowest participant too.
+        lowest = held[(mask & -mask).bit_length() - 1]
+        supersets = [o for o in lowest if o != mask and o & mask == mask and groups[o]]
+        deps = tuple(labels[other] for other in _minimal(supersets))
+        projections.append((labels[mask], members, deps))
+    participants = {name: tuple(map(labels.__getitem__, masks)) for name, masks in zip(order, held)}
+    return HetClass.layered(plan.heir, core_entries, projections, participants)
+
+
+def _minimal(supersets: list[int]) -> list[int]:
+    """The masks among ``supersets`` containing none of the others, in their
+    order.  Masks of one size cannot contain one another, so the smallest
+    left are minimal, and each strikes out the masks containing it."""
+    left = sorted(supersets, key=int.bit_count)
+    minimal: set[int] = set()
+    while left:
+        end = bisect_right(left, left[0].bit_count(), key=int.bit_count)
+        layer, left = left[:end], left[end:]
+        minimal.update(layer)
+        for inner in layer:
+            left = [other for other in left if other & inner != inner]
+    return [other for other in supersets if other in minimal]
 
 
 def decompose(het: HetClass, name: str) -> MemberSet:

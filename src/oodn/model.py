@@ -476,6 +476,10 @@ class _EntryKeys(_Held):
     __slots__ = ("_hash",)
 
 
+_identity_of = attrgetter("member.identity")  # an entry's member's identity
+_kind_of = attrgetter("member.kind")  # an entry's member's kind
+
+
 @dataclass(frozen=True, slots=True)
 class DegreedMember(_EntryKeys):
     """A member together with the degree to which it belongs to its carrier."""
@@ -491,7 +495,7 @@ class DegreedMember(_EntryKeys):
             return self._hash
 
     # The member's identity, one hop away, read without a Python frame.
-    identity = property(attrgetter("member.identity"))
+    identity = property(_identity_of)
 
     def display(self) -> str:
         base = self.member.display()
@@ -626,22 +630,20 @@ def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
     kept: list[DegreedMember] = []
     slot_of: dict[tuple, int] = {}
     for entry in entries:
-        key = entry.member.similarity_key()
-        slot = slot_of.get(key)
-        if slot is None:
-            slot_of[key] = len(kept)
+        slot = slot_of.setdefault(entry.member.similarity_key(), len(kept))
+        if slot == len(kept):
             kept.append(entry)
-        elif entry.degree > kept[slot].degree:
+        elif kept[slot].degree.is_weak and entry.degree > kept[slot].degree:
             kept[slot] = entry
-    return MemberSet(kept)
+    # Only two contents of one identity can still share it.
+    if len(set(map(_identity_of, kept))) < len(kept):
+        return MemberSet(kept)  # refuses, naming the first
+    return MemberSet._subset(kept)
 
 
 # ---------------------------------------------------------------------------
 # Classes
 # ---------------------------------------------------------------------------
-
-
-_kind_of = attrgetter("member.kind")  # an entry's member's kind
 
 
 @dataclass(frozen=True)
@@ -733,24 +735,30 @@ class HetClass:
             raise ModelInvariantError(
                 f"class {self.name!r}: projection dependencies form a cycle at {cycle[-1]!r}"
             )
-        core_ids = {entry.identity for entry in self.core}
-        placed: set[tuple[tuple[str, str], Degree]] = set()
-        for projection in self.projections:
-            for entry in projection.members:
-                identity = entry.identity
-                if identity in core_ids:
-                    raise ModelInvariantError(
-                        f"class {self.name!r}: member {entry.member.display()} "
-                        f"appears in both the core and projection {projection.label!r}"
-                    )
-                placement = (identity, entry.degree)
-                if placement in placed:
-                    owner, name = identity
-                    raise ModelInvariantError(
-                        f"class {self.name!r}: member {name!r} of {owner!r} repeats "
-                        f"at the same degree across projections"
-                    )
-                placed.add(placement)
+        # Only where an identity repeats can a rule fail; then each placement
+        # is checked in order, each member set first, as its construction would.
+        sets = (self.core, *(p.members for p in self.projections))
+        identities = list(map(_identity_of, chain.from_iterable(sets)))
+        if len(set(identities)) < len(identities):
+            for members in sets:
+                MemberSet(members)  # refuses a repeat within one set
+            core_ids = {entry.identity for entry in self.core}
+            placed: set[tuple[tuple[str, str], Degree]] = set()
+            for projection in self.projections:
+                for entry in projection.members:
+                    member = entry.member
+                    if member.identity in core_ids:
+                        raise ModelInvariantError(
+                            f"class {self.name!r}: member {member.display()} "
+                            f"appears in both the core and projection {projection.label!r}"
+                        )
+                    placement = (member.identity, entry.degree)
+                    if placement in placed:
+                        raise ModelInvariantError(
+                            f"class {self.name!r}: member {member.name!r} of {member.owner!r} "
+                            f"repeats at the same degree across projections"
+                        )
+                    placed.add(placement)
         for participant, plabels in self.participants.items():
             for label in plabels:
                 if label not in graph:
@@ -758,6 +766,16 @@ class HetClass:
                         f"class {self.name!r}: participant {participant!r} maps to "
                         f"unknown projection {label!r}"
                     )
+
+    @classmethod
+    def layered(
+        cls, name: str, core: list[DegreedMember], projections: list[tuple], participants: dict
+    ) -> HetClass:
+        """A class from bare entry lists, as layering builds one, each
+        projection given as (label, entries, depends_on).  Its member sets
+        are checked by construction's pass over the placements, not each alone."""
+        shares = (Projection(label, MemberSet._subset(e), deps) for label, e, deps in projections)
+        return cls(name, MemberSet._subset(core), tuple(shares), participants)
 
     def member_view(self, participant: str) -> MemberSet:
         """Effective member set of one participant: core plus its projections.
@@ -940,7 +958,8 @@ def validate_network(net: Network) -> list[Violation]:
 
     Errors mark real rule violations (dangling references, kind-mismatched
     relation endpoints, generalization cycles, override mismatches, an
-    object named like a class); a class with no members is a warning only.
+    object named like a class, a heterogeneous class in a plan); a class
+    with no members is a warning only.
     """
     findings: list[Violation] = []
 
@@ -981,6 +1000,9 @@ def validate_network(net: Network) -> list[Violation]:
 
     for plan in net.plans:
         for class_name in plan.class_names():
+            if class_name in net.classes.heterogeneous:
+                message = f"class {class_name!r} is heterogeneous and cannot join a plan directly"
+                error(plan.describe(), "plan-heterogeneous-class", message)
             if class_name in net.classes:
                 continue
             if class_name == plan.heir:

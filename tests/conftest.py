@@ -41,3 +41,14 @@ def chain_text(depth: int, width: int = 20) -> str:
         classes.append(f"class C{level} {{ {props} method start(); method stop(); }}")
     sources = " inherits ".join(f"C{level}" for level in reversed(range(depth - 1)))
     return "\n".join(classes) + f"\nC{depth - 1} inherits {sources};\n"
+
+
+def parallel_text(count: int, width: int = 20) -> str:
+    """A take-all parallel plan over ``count`` classes, each declaring
+    ``width`` properties of its own."""
+    classes = []
+    for at in range(count):
+        props = " ".join(f"prop s{at}_{j}: int = {j};" for j in range(width))
+        classes.append(f"class S{at} {{ {props} }}")
+    sources = ", ".join(f"S{at}" for at in range(count))
+    return "\n".join(classes) + f"\nH inherits {sources};\n"

@@ -738,11 +738,18 @@ class TestExport:
             "hetclass H { core { prop q: int = 1; } participant A -> core; }\n"
             "B inherits H (q);\n"
         )
-        refusal = "error: class 'H' is heterogeneous and cannot join a plan directly\n"
+        # Validation refuses the plan before either command reads it.
+        refusal = (
+            "error: B inherits H (q): plan-heterogeneous-class: "
+            "class 'H' is heterogeneous and cannot join a plan directly\n"
+        )
         for command, *flags in (["classify"], ["export", "--format", "dot"]):
             code, out, err = run_cli([command, str(path), *flags], capsys)
             assert (code, out) == (2, "")
-            assert err.endswith(refusal)
+            assert err == refusal + (
+                "warning: B inherits H (q): plan-heir-synthesized: heir 'B' is not "
+                "declared; it will be built with no own members\n"
+            )
 
     def test_write_matches_stdout(self, fixture_path, capsys, tmp_path):
         target = tmp_path / "dump.oodn"
@@ -905,6 +912,25 @@ class TestExitCodes:
         code, out, err = run_cli(["parse", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err == "parse error: line 1, column 28: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize("plan", ["C inherits B;", "B inherits A;"], ids=["source", "heir"])
+    def test_a_hetclass_in_a_plan_is_refused_at_load(self, plan, tmp_path, capsys):
+        # B is what `oodn inherit` writes for `B inherits A;`, read back as a
+        # plan's source or as its heir: every command refuses it alike.
+        base = tmp_path / "base.oodn"
+        base.write_text("class A { prop p: int = 1; }\nB inherits A;\n")
+        code, hetclass, _ = run_cli(["inherit", str(base)], capsys)
+        assert code == 0 and hetclass.startswith("hetclass B {")
+        path = tmp_path / "het_plan.oodn"
+        path.write_text(f"class A {{ prop p: int = 1; }}\n{hetclass}{plan}\n")
+        refusal = (
+            f"error: {plan[:-1]}: plan-heterogeneous-class: "
+            "class 'B' is heterogeneous and cannot join a plan directly\n"
+        )
+        for command in ("parse", "classify", "export", "inherit", "diagnose"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert [line for line in err.splitlines(True) if line.startswith("error")] == [refusal]
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         dangling = tmp_path / "dangling.oodn"

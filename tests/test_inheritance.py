@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import gc
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import chain_text, run_cli
+from conftest import chain_text, parallel_text, run_cli
 from oodn.diagnostics import diagnose_all
 from oodn.dsl import parse_network, serialize_hetclass
 from oodn.inheritance import (
@@ -37,6 +38,7 @@ from oodn.model import (
     UnknownEntityError,
     ValueType,
     as_degree,
+    materialize,
     method,
     prop,
 )
@@ -779,6 +781,33 @@ class TestScaling:
     def test_chain_memory_grows_about_linearly_with_depth(self):
         # Copying every ancestor's view at every level made this 4.0.
         assert self.inherit_peak(100) <= 2.5 * self.inherit_peak(50)
+
+    @staticmethod
+    def parallel_seconds(*counts: int) -> list[float]:
+        """Best of five ``inherit`` and ``materialize`` runs on a take-all
+        parallel plan over each count of sources, with the collector off.
+        The plans take turns, so a slow spell of the host slows each."""
+        nets = [parse_network(parallel_text(count)) for count in counts]
+        best = [float("inf")] * len(nets)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                for at, net in enumerate(nets):
+                    start = time.perf_counter()
+                    materialize(net, "H", extra=[inherit(net.plans[0], net, Policy.MIN)])
+                    best[at] = min(best[at], time.perf_counter() - start)
+        finally:
+            if enabled:
+                gc.enable()
+        return best
+
+    def test_parallel_layering_grows_about_linearly_with_sources(self):
+        # Scanning every group against every filled one, and every
+        # participant against every group, made this about 9.
+        small, large = self.parallel_seconds(200, 800)
+        assert large <= 6 * small
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,26 @@ class TestHetClass:
             "class 'H': member p1(A) appears in both the core and projection 'y'"
         )
 
+    def test_a_layered_class_checks_every_identity_once(self):
+        entry = DegreedMember(prop("p1", ValueType.INT, 1, "A"))
+        weak = DegreedMember(entry.member, as_degree("1/2"))
+        refused = (
+            ([entry, weak], [], "duplicate member 'p1' owned by 'A' in one member set"),
+            ([], [("x", [entry, weak], ())], "duplicate member 'p1' owned by 'A' in one member set"),
+            ([entry], [("x", [weak], ())], "p1\\(A\\) appears in both the core and projection 'x'"),
+            ([], [("x", [weak], ()), ("y", [weak], ())], "'p1' of 'A' repeats at the same degree"),
+        )
+        for core, projections, message in refused:
+            with pytest.raises(ModelInvariantError, match=message):
+                HetClass.layered("H", core, projections, {})
+        participants = {"A": ("x",), "B": ("x", "y")}
+        het = HetClass.layered("H", [], [("x", [entry], ()), ("y", [weak], ("x",))], participants)
+        assert het == HetClass(
+            "H",
+            projections=(self._projection("x", entry), self._projection("y", weak, deps=["x"])),
+            participants=participants,
+        )
+
     def test_participant_label_checked(self):
         with pytest.raises(ModelInvariantError):
             HetClass("H", participants={"A": ("nope",)})
@@ -646,6 +666,23 @@ class TestValidation:
             InheritancePlan(heir="H", sources=(("ZZ", Selection()),))
         )
         assert violations_are_fatal(validate_network(net))
+
+    def test_a_plan_naming_a_hetclass_is_an_error(self):
+        from oodn.inheritance import InheritancePlan, Selection
+
+        net = Network()
+        net.classes["A"] = _hom("A", prop("p", ValueType.INT, 1, "A"))
+        net.classes["B"] = HetClass("B", participants={"A": ()})
+        net.plans.append(InheritancePlan(heir="C", sources=(("B", Selection()),)))
+        net.plans.append(InheritancePlan(heir="B", sources=(("A", Selection()),)))
+        findings = [
+            (v.severity, v.entity, v.rule) for v in validate_network(net) if v.entity != "B"
+        ]
+        assert findings == [
+            ("error", "C inherits B", "plan-heterogeneous-class"),
+            ("warning", "C inherits B", "plan-heir-synthesized"),
+            ("error", "B inherits A", "plan-heterogeneous-class"),
+        ]
 
 
 class TestValidateEdit:

@@ -519,10 +519,11 @@ class TestLayering:
     @WHOLE_NETWORK
     @given(data=layered_plans())
     def test_core_and_projections_hold_distinct_identities(self, data):
-        """``inherit`` builds its member sets without checking identities,
-        so each one's identities must be distinct by construction.  A plan
-        may be refused: by a conflict, or by the heterogeneous class when
-        two participants hold one member in different contents."""
+        """``inherit`` builds its member sets unchecked, through
+        ``HetClass.layered``, and the class checks every identity in one
+        pass over its placements; each set's identities must be distinct.
+        A plan may be refused: by a conflict, or by the heterogeneous class
+        when two participants hold one member in different contents."""
         net, plan = data
         for shape in (plan, replace(plan, chain=not plan.chain)):
             try:
@@ -544,6 +545,72 @@ class TestLayering:
         views = build_views(plan, net, Policy.MIN)
         for name, view in views.items():
             assert decompose(het, name).similar_eq(dedupe_similar(view.values()))
+
+
+@st.composite
+def wide_parallel_plans(draw):
+    """A parallel plan over three to twelve sources, each declaring members
+    of its own and some of a shared pool owned by no source, so the
+    audiences of the shared members nest and overlap.  A source may take a
+    shared member weakly, which splits it across the heir's groups."""
+    pool = [prop(f"s{i}", ValueType.INT, i, "Pool") for i in range(draw(st.integers(1, 6)))]
+    net = make_network()
+    sources = []
+    for at in range(draw(st.integers(3, 12))):
+        name = f"W{at}"
+        own = [prop(f"w{j}", ValueType.INT, j, name) for j in range(draw(st.integers(0, 2)))]
+        shared = draw(st.lists(st.sampled_from(pool), unique=True))
+        net.classes[name] = HomClass(name, MemberSet(own + shared))
+        weak = draw(st.lists(st.sampled_from(shared), unique=True, max_size=1)) if shared else []
+        entries = tuple((member.name, Degree(Fraction(1, 2))) for member in weak)
+        sources.append((name, Selection(SelectionMode.ALL, entries)))
+    return net, InheritancePlan(heir="H9", sources=tuple(sources), chain=False)
+
+
+class TestDependencies:
+    """``depends_on`` names the smallest non-empty audiences strictly
+    containing a projection's own, in projection order, and each
+    participant lists its projections in projection order: neither may
+    follow set order or the walk's order."""
+
+    @staticmethod
+    def check(het: HetClass) -> None:
+        labels = [p.label for p in het.projections]
+        audience = {
+            label: frozenset(name for name, held in het.participants.items() if label in held)
+            for label in labels
+        }
+        filled = [p.label for p in het.projections if len(p.members)]
+        for projection in het.projections:
+            own = audience[projection.label]
+            supersets = [label for label in filled if audience[label] > own]
+            minimal = [
+                label
+                for label in supersets
+                if not any(audience[inner] < audience[label] for inner in supersets)
+            ]
+            assert projection.depends_on == tuple(minimal)
+        for held in het.participants.values():
+            assert list(held) == [label for label in labels if label in held]
+
+    @WHOLE_NETWORK
+    @given(data=layered_plans())
+    def test_layered_plans_of_both_shapes(self, data):
+        net, plan = data
+        for shape in (plan, replace(plan, chain=not plan.chain)):
+            try:
+                het = inherit(shape, net, Policy.MIN)
+            except OodnError:
+                continue
+            self.check(het)
+
+    @WHOLE_NETWORK
+    @given(data=wide_parallel_plans())
+    def test_wide_parallel_plans(self, data):
+        net, plan = data
+        het = inherit(plan, net, Policy.MIN)
+        assert len(het.participants) == len(plan.sources) + 1
+        self.check(het)
 
 
 def arrivals_at_heir(plan: InheritancePlan, net: Network) -> dict:
