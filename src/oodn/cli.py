@@ -46,7 +46,6 @@ from .inheritance import (
     inherit,
 )
 from .model import (
-    HetClass,
     Network,
     OodnError,
     is_fuzzy,
@@ -86,10 +85,6 @@ def _write_report(findings: list[Diagnostic]) -> None:
         stream.write(line + "\n")
 
 
-def _run_plans(net: Network, policy: Policy) -> list[HetClass]:
-    return [inherit(plan, net, policy) for plan in net.plans]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -108,7 +103,7 @@ def _cmd_parse(net: Network, args: argparse.Namespace) -> ExitStatus:
 
 
 def _cmd_materialize(net: Network, args: argparse.Namespace) -> ExitStatus:
-    results = _run_plans(net, Policy(args.policy))
+    results = [inherit(plan, net, Policy(args.policy)) for plan in net.plans]
     member_set = materialize(net, args.name, extra=results)
     for entry in member_set:
         print(member_line(entry))
@@ -116,7 +111,7 @@ def _cmd_materialize(net: Network, args: argparse.Namespace) -> ExitStatus:
 
 
 def _cmd_inherit(net: Network, args: argparse.Namespace) -> ExitStatus:
-    results = _run_plans(net, Policy(args.policy))
+    results = [inherit(plan, net, Policy(args.policy)) for plan in net.plans]
     if args.format == "json":
         document = [encode_hetclass(het) for het in results]
         print(json_text(document))

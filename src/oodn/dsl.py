@@ -58,6 +58,7 @@ from .model import (
     HetClass,
     HomClass,
     IDENTIFIER,
+    MemberKind,
     MemberSet,
     Network,
     ObjectInstance,
@@ -200,6 +201,7 @@ def _unescape(raw: str) -> str:
 
 _VALUE_TYPES = {t._value_: t for t in ValueType}
 _RELATION_KINDS = {k._value_: k for k in RelationKind}
+_CLASS_FORMS = {"homogeneous": HomClass, "heterogeneous": HetClass}  # as JSON export writes them
 # The tags a value is read by, as module names (see ``model._PROPERTY``).
 _INT, _REAL, _BOOL, _TEXT = ValueType.INT, ValueType.REAL, ValueType.BOOL, ValueType.TEXT
 # The type a literal names: ``true``, ``false`` and ``{`` by their text,
@@ -736,7 +738,7 @@ def _encode_member(entry: DegreedMember) -> dict:
 
 def _decode_member(raw: dict) -> DegreedMember:
     degree = as_degree(decode_rational(raw["degree"]))
-    if raw["kind"] == "prop":
+    if MemberKind(raw["kind"]) is MemberKind.PROPERTY:
         value_type = _VALUE_TYPES[raw["type"]]
         value = decode_value(value_type, raw["value"])
         member = prop(raw["name"], value_type, value, raw["owner"])
@@ -884,7 +886,7 @@ def _decode_network(document: dict) -> Network:
     for entry in document["classes"]:
         name = entry["name"]
         _check_new_name(net, "class", name)
-        if entry["form"] == "homogeneous":
+        if _CLASS_FORMS[entry["form"]] is HomClass:
             net.classes[name] = HomClass(
                 name,
                 spec=MemberSet(_decode_member(e) for e in entry["spec"]),

@@ -47,13 +47,11 @@ from .model import (
     Degree,
     DegreedMember,
     HetClass,
-    HomClass,
     KEYWORDS,
     MemberKind,
     MemberSet,
     Network,
     OodnError,
-    Projection,
     UnknownEntityError,
     check_names,
 )
@@ -409,7 +407,6 @@ def _declared_entries(net: Network, name: str) -> Sequence[DegreedMember]:
         raise OodnError(
             f"class {name!r} is heterogeneous and cannot join a plan directly"
         )
-    assert isinstance(cls, HomClass)
     return cls.entries
 
 

@@ -710,7 +710,7 @@ class HetClass:
     (owner, name) member may appear in two projections only at different
     degrees, which is how one participant keeps a member crisply while
     another holds it weakly; it never appears in both the core and a
-    projection.
+    projection.  ``entries`` is the core, then each projection's members.
     """
 
     name: str
@@ -738,8 +738,8 @@ class HetClass:
         # Only where an identity repeats can a rule fail; then each placement
         # is checked in order, each member set first, as its construction would.
         sets = (self.core, *(p.members for p in self.projections))
-        identities = list(map(_identity_of, chain.from_iterable(sets)))
-        if len(set(identities)) < len(identities):
+        object.__setattr__(self, "entries", tuple(chain.from_iterable(sets)))
+        if len(set(map(_identity_of, self.entries))) < len(self.entries):
             for members in sets:
                 MemberSet(members)  # refuses a repeat within one set
             core_ids = {entry.identity for entry in self.core}
@@ -794,7 +794,7 @@ class HetClass:
 
     def members(self) -> MemberSet:
         """Core plus every projection, similar members collapsed."""
-        return dedupe_similar(chain(self.core, *(p.members for p in self.projections)))
+        return dedupe_similar(self.entries)
 
 
 KnowledgeClass = Union[HomClass, HetClass]
@@ -802,11 +802,7 @@ KnowledgeClass = Union[HomClass, HetClass]
 
 def class_is_fuzzy(cls: KnowledgeClass) -> bool:
     """A class is fuzzy when it holds a weak member or a genuinely fuzzy value."""
-    if isinstance(cls, HomClass):
-        entries = chain(cls.spec, cls.sig)
-    else:
-        entries = chain(cls.core, *(p.members for p in cls.projections))
-    for entry in entries:
+    for entry in cls.entries:
         if entry.degree.is_weak:
             return True
         if isinstance(entry.member.value, FuzzySet) and entry.member.value.genuinely_fuzzy:
@@ -920,10 +916,10 @@ class Network:
 
     ``exploiters`` and ``modifiers`` are registries of named operations;
     :func:`oodn.operations.make_network` returns a network with the built-in
-    operations installed.  ``stale`` collects names of heterogeneous classes
-    whose inputs were mutated after construction; they are flagged, never
-    rebuilt behind the caller's back.  ``classes`` is always a
-    :class:`ClassTable`: a plain ``dict`` is wrapped when assigned.
+    operations installed.  ``stale`` collects the names of registered
+    heterogeneous classes a modifier edited a participant of; they are
+    flagged, never rebuilt behind the caller's back.  ``classes`` is always
+    a :class:`ClassTable`: a plain ``dict`` is wrapped when assigned.
     """
 
     objects: dict[str, ObjectInstance] = field(default_factory=dict)
@@ -966,31 +962,26 @@ def validate_network(net: Network) -> list[Violation]:
     def error(entity: str, rule: str, message: str) -> None:
         findings.append(Violation("error", entity, rule, message))
 
-    def warning(entity: str, rule: str, message: str) -> None:
-        findings.append(Violation("warning", entity, rule, message))
-
     for name, cls in net.classes.items():
         findings.extend(_class_findings(name, cls))
     for name, obj in net.objects.items():
         findings.extend(_object_findings(net, name, obj))
 
     known = set(net.classes) | set(net.objects)
+    generalizes: dict[str, list[str]] = {}
     for relation in net.relations:
         where = f"{relation.source}->{relation.target}"
         for endpoint in (relation.source, relation.target):
             if endpoint not in known:
                 error(where, "dangling-endpoint", f"relation endpoint {endpoint!r} is not declared")
         if relation.kind is RelationKind.GENERALIZATION:
+            generalizes.setdefault(relation.source, []).append(relation.target)
             if relation.source not in net.classes or relation.target not in net.classes:
                 error(where, "generalization-endpoints", "generalization links class to class")
         if relation.kind is RelationKind.INSTANCE_OF:
             if relation.source not in net.objects or relation.target not in net.classes:
                 error(where, "instance-of-endpoints", "instance_of links object to class")
 
-    generalizes: dict[str, list[str]] = {}
-    for relation in net.relations:
-        if relation.kind is RelationKind.GENERALIZATION:
-            generalizes.setdefault(relation.source, []).append(relation.target)
     for cycle in _cycles(generalizes, sorted(generalizes)):
         error(
             " -> ".join(cycle),
@@ -1006,12 +997,13 @@ def validate_network(net: Network) -> list[Violation]:
             if class_name in net.classes:
                 continue
             if class_name == plan.heir:
-                warning(
+                findings.append(Violation(
+                    "warning",
                     plan.describe(),
                     "plan-heir-synthesized",
                     f"heir {class_name!r} is not declared; it will be built "
                     f"with no own members",
-                )
+                ))
             else:
                 error(
                     plan.describe(),
@@ -1045,16 +1037,11 @@ def _class_findings(name: str, cls: KnowledgeClass) -> Iterator[Violation]:
         yield Violation(
             "error", name, "registry-name", f"registered as {name!r} but named {cls.name!r}"
         )
-    if isinstance(cls, HomClass) and not cls.spec and not cls.sig:
-        yield Violation(
-            "warning", name, "empty-class", "class declares no properties and no methods"
-        )
-    if isinstance(cls, HetClass) and not cls.core and not any(
-        p.members for p in cls.projections
-    ):
-        yield Violation(
-            "warning", name, "empty-class", "class declares no members in core or projections"
-        )
+    if not cls.entries:
+        held = "members in core or projections"
+        if isinstance(cls, HomClass):
+            held = "properties and no methods"
+        yield Violation("warning", name, "empty-class", f"class declares no {held}")
 
 
 def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[Violation]:

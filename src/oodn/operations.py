@@ -147,15 +147,12 @@ def _commit_or_rollback(
 
 
 def _mark_stale(net: Network, changed: str) -> None:
-    """Flag heterogeneous classes whose inputs include the changed entity."""
+    """Flag each registered heterogeneous class that lists the changed entity
+    as a participant, by the name it carries; no valid plan names one."""
     table = net.classes
     for key in table.heterogeneous:
         if changed in table[key].participants:
             net.stale.add(table[key].name)
-    if table.heterogeneous:  # else no plan's heir can be one
-        for plan in net.plans:
-            if plan.heir in table.heterogeneous and changed in plan.class_names():
-                net.stale.add(plan.heir)
 
 
 def _require_hom(net: Network, class_name: str) -> HomClass:

@@ -562,6 +562,24 @@ class TestStructuredImportErrors:
         with pytest.raises(StructuredImportError):
             import_structured("{")
 
+    def test_an_unknown_member_kind(self):
+        # Read as anything but a property, it was built as a method.
+        doc = json.loads(export_structured(parse_network("class A { method f(); }")))
+        doc["classes"][0]["sig"][0]["kind"] = "procedure"
+        assert str(self.rejects(doc)) == (
+            "malformed document: 'procedure' is not a valid MemberKind"
+        )
+
+    def test_an_unknown_class_form(self):
+        # Read as anything but homogeneous, it was built as a hetclass.
+        net = parse_network(
+            "class A { prop p: int = 1; }\n"
+            "hetclass H { core { prop A.p: int = 1; } participant A -> core; }\n"
+        )
+        doc = json.loads(export_structured(net))
+        doc["classes"][1]["form"] = "heterogenous"
+        assert str(self.rejects(doc)) == "missing or unknown key 'heterogenous'"
+
     @pytest.mark.parametrize(
         "kind, element", [("text", 5), ("bogus", "7"), ("int", True), ("int", 2.5)]
     )

@@ -105,3 +105,49 @@ def test_the_package_exports_exactly_what_it_imports():
     assert oodn.__all__ == sorted(imported)
     submodules = {path.stem for path in PACKAGE.glob("*.py")}
     assert [name for name in oodn.__all__ if name in submodules or name.startswith("_")] == []
+
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names a module's annotations read, those written as strings included."""
+    pending = [
+        annotation
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+    ]
+    names: set[str] = set()
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                pending.append(ast.parse(node.value, mode="eval"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"),
+    ids=lambda path: path.name,
+)
+def test_every_imported_name_is_used(path):
+    """Every name a module imports is read in it; a name imported for
+    typing alone (under ``TYPE_CHECKING``) counts as read when a string
+    annotation names it.  ``__init__.py`` is exempt: its imports are the
+    package's export list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    read = _annotation_names(tree) | {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    assert [name for name in imported if name not in read] == []

@@ -24,7 +24,6 @@ from oodn.inheritance import (
     decompose,
     inherit,
     merge,
-    build_views,
     walk,
 )
 from oodn.model import (
@@ -719,13 +718,16 @@ class TestRuns:
             "class C2 { prop C0.p: int = 1; prop z: int = 2 /0.5; }\n"
             "C2 inherits C1 (x/0.5, y) inherits C0 (x);\n"
         )
-        views = build_views(net.plans[0], net)
-        assert {name: ids(view.values()) for name, view in views.items()} == {
-            "C0": [("C0", "p"), ("C0", "x")],
-            "C1": [("C0", "x"), ("C1", "y")],
-            "C2": [("C0", "x"), ("C1", "y"), ("C0", "p"), ("C2", "z")],
-        }
-        assert views["C2"][("C0", "x")].degree.value == Fraction(1, 2)
+        plan = net.plans[0]
+        # The parents' views, root first, as repairs list their names.
+        assert [(link.parent, ids(link.parent_view.values())) for link in walk(plan, net)] == [
+            ("C0", [("C0", "p"), ("C0", "x")]),
+            ("C1", [("C0", "x"), ("C1", "y")]),
+        ]
+        # The heir's view, rebuilt from the core and then its projections.
+        heir = decompose(inherit(plan, net), "C2")
+        assert ids(heir) == [("C0", "p"), ("C1", "y"), ("C0", "x"), ("C2", "z")]
+        assert heir.get("C0", "x").degree.value == Fraction(1, 2)
 
 
 class TestCrossOwnerRedeclaration:

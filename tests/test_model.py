@@ -116,6 +116,11 @@ class TestValues:
             with pytest.raises(ModelInvariantError):
                 FuzzySet(((element, Fraction(1)),))
 
+    def test_a_fuzzy_membership_is_a_fraction(self):
+        for membership in (0.5, 1, "1"):
+            with pytest.raises(ModelInvariantError, match="^fuzzy memberships must be Fractions$"):
+                FuzzySet((("tall", membership),))
+
     def test_fuzzy_set_equality_ignores_order(self):
         forward = FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 2))))
         backward = FuzzySet((("b", Fraction(1, 2)), ("a", Fraction(1))))
@@ -125,6 +130,8 @@ class TestValues:
         assert ValueType.FUZZY.codec.text(backward) == "{b: 0.5, a: 1}"
         assert forward != FuzzySet((("a", Fraction(1)), ("b", Fraction(1, 4))))
         assert forward != FuzzySet((("a", Fraction(1)),))
+        assert forward.__eq__(dict(forward.entries)) is NotImplemented
+        assert forward != dict(forward.entries)
 
     def test_genuinely_fuzzy(self):
         crisp = FuzzySet((("tall", Fraction(1)), ("short", Fraction(0))))
@@ -156,6 +163,13 @@ class TestMembers:
         with pytest.raises(ModelInvariantError):
             Member(MemberKind.PROPERTY, "p", "A")  # no value type
 
+    def test_property_carries_no_signature(self):
+        for signature in (dict(params=(("x", ValueType.INT),)), dict(returns=ValueType.INT)):
+            with pytest.raises(
+                ModelInvariantError, match="^property 'p' cannot carry a method signature$"
+            ):
+                Member(MemberKind.PROPERTY, "p", "A", ValueType.INT, 1, **signature)
+
     def test_method_carries_no_value(self):
         with pytest.raises(ModelInvariantError):
             Member(
@@ -172,6 +186,7 @@ class TestMembers:
         entry = prop("p1", ValueType.INT, 1, "A1")
         assert entry.identity == ("A1", "p1")
         assert entry.display() == "p1(A1)"
+        assert DegreedMember(entry).display() == "p1(A1)"
         weak = DegreedMember(entry, as_degree("1/2"))
         assert weak.display() == "p1(A1)/0.5"
 
@@ -276,6 +291,8 @@ class TestMemberSet:
         b = prop("p2", ValueType.INT, 2, "A1")
         assert MemberSet([a, b]) == MemberSet([b, a])
         assert MemberSet([a]) != MemberSet([b])
+        assert MemberSet([a]).__eq__([a]) is NotImplemented
+        assert MemberSet([a]) != [a]
 
     def test_similar_eq_ignores_owner(self):
         left = MemberSet([prop("p1", ValueType.INT, 1, "A1")])
@@ -306,6 +323,14 @@ class TestMemberSet:
         assert [e.member.owner for e in merged] == ["A1", "A2"]
         assert len(merged) == 2
 
+    def test_dedupe_similar_refuses_two_contents_of_one_identity(self):
+        one = DegreedMember(prop("p1", ValueType.INT, 1, "A1"))
+        two = DegreedMember(prop("p1", ValueType.INT, 2, "A1"))
+        with pytest.raises(
+            ModelInvariantError, match="^duplicate member 'p1' owned by 'A1' in one member set$"
+        ):
+            dedupe_similar([one, two])
+
     def test_dedupe_similar_keeps_the_strongest_copy_in_place(self):
         weak = DegreedMember(prop("p1", ValueType.INT, 1, "A1"), Degree(Fraction(1, 2)))
         other = DegreedMember(prop("p2", ValueType.INT, 2, "A1"))
@@ -330,6 +355,14 @@ class TestHomClass:
             HomClass("A", spec=MemberSet([method("f", "A")]))
         with pytest.raises(ModelInvariantError):
             HomClass("A", sig=MemberSet([prop("p", ValueType.INT, 1, "A")]))
+
+    def test_a_property_and_a_method_share_no_identity(self):
+        with pytest.raises(ModelInvariantError, match="^class 'A': duplicate member 'p'$"):
+            HomClass(
+                "A",
+                spec=MemberSet([prop("p", ValueType.INT, 1, "A")]),
+                sig=MemberSet([method("p", "A")]),
+            )
 
     def test_members_order(self):
         cls = _hom(
@@ -565,6 +598,16 @@ class TestValidation:
         rules = [v.rule for v in validate_network(net)]
         assert "registry-name" in rules
 
+    def test_an_object_registered_under_another_name(self):
+        net = Network()
+        net.classes["C"] = _hom("C", prop("p", ValueType.INT, 1, "C"))
+        net.objects["b"] = ObjectInstance("a", "C")
+        findings = validate_network(net)
+        assert [v.render() for v in findings] == [
+            "error: b: registry-name: registered as 'b' but named 'a'"
+        ]
+        assert validate_edit(net, "b") == findings
+
     def test_a_class_and_an_object_share_no_name(self):
         # The text of such a network does not parse back.
         net = Network()
@@ -582,6 +625,13 @@ class TestValidation:
         findings = validate_network(net)
         assert [v.severity for v in findings] == ["warning"]
         assert not violations_are_fatal(findings)
+        net.classes["H"] = HetClass("H", participants={"A": ()})
+        shared = Projection("L", MemberSet([prop("p", ValueType.INT, 1, "A")]))
+        net.classes["K"] = HetClass("K", projections=(shared,), participants={"A": ("L",)})
+        assert [v.render() for v in validate_network(net)] == [
+            "warning: A: empty-class: class declares no properties and no methods",
+            "warning: H: empty-class: class declares no members in core or projections",
+        ]
 
     def test_object_rules(self):
         net = Network()
@@ -746,6 +796,25 @@ class TestFuzziness:
         crisp = FuzzySet((("tall", Fraction(1)),))
         cls = _hom("A", prop("p", ValueType.FUZZY, crisp, "A"))
         assert not class_is_fuzzy(cls)
+
+    def test_a_heterogeneous_class_is_fuzzy_by_its_core_or_projections(self):
+        crisp = DegreedMember(prop("p", ValueType.INT, 1, "A"))
+        weak = DegreedMember(prop("p", ValueType.INT, 1, "A"), as_degree("1/2"))
+        fuzzy = DegreedMember(
+            prop("q", ValueType.FUZZY, FuzzySet((("tall", Fraction(7, 10)),)), "A")
+        )
+
+        def het(core, *shares):
+            projections = tuple(
+                Projection(f"L{at}", MemberSet(share)) for at, share in enumerate(shares)
+            )
+            return HetClass("H", MemberSet(core), projections)
+
+        assert not class_is_fuzzy(het([]))
+        assert not class_is_fuzzy(het([crisp], [method("f", "A")]))
+        assert class_is_fuzzy(het([], [crisp], [weak]))
+        assert class_is_fuzzy(het([fuzzy]))
+        assert class_is_fuzzy(het([crisp], [fuzzy]))
 
     def test_degreed_relation_makes_network_fuzzy(self):
         net = Network()

@@ -29,7 +29,6 @@ from oodn.inheritance import (
     Policy,
     Selection,
     SelectionMode,
-    build_views,
     decompose,
     inherit,
     merge,
@@ -508,7 +507,7 @@ class TestLayering:
             het = inherit(plan, net, Policy.MIN)
         except OodnError:
             assume(False)
-        views = build_views(plan, net, Policy.MIN)
+        views, _ = naive_views(plan, net, Policy.MIN)
         projections = {p.label: p.members for p in het.projections}
         for name, view in views.items():
             rebuilt = [*het.core]
@@ -542,7 +541,7 @@ class TestLayering:
             het = inherit(plan, net, Policy.MIN)
         except OodnError:
             assume(False)
-        views = build_views(plan, net, Policy.MIN)
+        views, _ = naive_views(plan, net, Policy.MIN)
         for name, view in views.items():
             assert decompose(het, name).similar_eq(dedupe_similar(view.values()))
 
@@ -622,12 +621,11 @@ def blocking(findings: list, policy: Policy) -> list:
     return [finding for finding in findings if policy in finding.blocks]
 
 
-def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
-    """What ``inherit`` may refuse a plan for under ``policy``, read off the
-    declarations without the walk: the names of crisp contradictions at a
-    link; under ``Policy.REJECT``, the names of members arriving at two
-    degrees; and, shown as ``p(A)``, each member that two participants hold
-    in two contents at one degree."""
+def naive_views(plan: InheritancePlan, net: Network, policy: Policy) -> tuple[dict, list]:
+    """Every participant's view, root first, folded from the declarations
+    without the walk, and each link's (child's own members, arrivals) pair.
+    A parallel heir's arrivals merge under ``policy``, the first winning
+    ties and every clash under ``Policy.REJECT``; its own members go on top."""
     order = plan.participants_root_first()
     declared = {
         name: {e.identity: e for e in net.classes[name].members()} if name in net.classes else {}
@@ -644,13 +642,46 @@ def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
             if entry.member.name in factors
         }
 
-    refused: set[str] = set()
+    links = []
+    if plan.chain:
+        views = [declared[order[0]]]
+        for (_, selection), child in zip(reversed(plan.sources), order[1:]):
+            arrivals = take(views[-1], selection)
+            links.append((declared[child], arrivals))
+            views.append({**arrivals, **declared[child]})
+    else:
+        views = [declared[name] for name, _ in plan.sources]
+        merged: dict = {}
+        for (_, selection), view in zip(plan.sources, views):
+            arrivals = take(view, selection)
+            links.append((declared[plan.heir], arrivals))
+            for identity, entry in arrivals.items():
+                present = merged.setdefault(identity, entry)
+                if (policy is Policy.MIN and entry.degree < present.degree) or (
+                    policy is Policy.MAX and entry.degree > present.degree
+                ):
+                    merged[identity] = entry
+        views.append({**merged, **declared[plan.heir]})
+    return dict(zip(order, views)), links
 
-    def arrive(own: dict, arrivals: dict) -> None:
+
+def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
+    """What ``inherit`` may refuse a plan for under ``policy``, read off the
+    declarations without the walk: the names of crisp contradictions at a
+    link; under ``Policy.REJECT``, the names of members arriving at two
+    degrees; and, shown as ``p(A)``, each member that two participants hold
+    in two contents at one degree."""
+    views, links = naive_views(plan, net, policy)
+    refused: set[str] = set()
+    first: dict = {}  # each member's first arrival at a parallel heir
+    for own, arrivals in links:
         # Every own property of the arrival's name is compared with it.
         props = [e.member for e in own.values() if e.member.kind is MemberKind.PROPERTY]
         for entry in arrivals.values():
             member = entry.member
+            if not plan.chain and policy is Policy.REJECT:
+                if first.setdefault(entry.identity, entry).degree != entry.degree:
+                    refused.add(member.name)
             if entry.degree.is_weak or member.kind is not MemberKind.PROPERTY:
                 continue
             if any(
@@ -660,30 +691,8 @@ def refusable(plan: InheritancePlan, net: Network, policy: Policy) -> set[str]:
                 for local in props
             ):
                 refused.add(member.name)
-
-    if plan.chain:
-        views = [declared[order[0]]]
-        for (_, selection), child in zip(reversed(plan.sources), order[1:]):
-            arrivals = take(views[-1], selection)
-            arrive(declared[child], arrivals)
-            views.append({**arrivals, **declared[child]})
-    else:
-        views = [declared[name] for name, _ in plan.sources]
-        merged: dict = {}
-        for (_, selection), view in zip(plan.sources, views):
-            arrivals = take(view, selection)
-            arrive(declared[plan.heir], arrivals)
-            for identity, entry in arrivals.items():
-                present = merged.setdefault(identity, entry)
-                if present.degree != entry.degree and policy is Policy.REJECT:
-                    refused.add(entry.member.name)
-                if (policy is Policy.MIN and entry.degree < present.degree) or (
-                    policy is Policy.MAX and entry.degree > present.degree
-                ):
-                    merged[identity] = entry
-        views.append({**merged, **declared[plan.heir]})
     contents: dict = {}
-    for view in views:
+    for view in views.values():
         for entry in view.values():
             contents.setdefault((entry.identity, entry.degree), set()).add(entry.member)
     refused.update(next(iter(held)).display() for held in contents.values() if len(held) > 1)
@@ -1309,18 +1318,14 @@ def materialize_by_scan(net: Network, name: str, extra=()) -> MemberSet:
 
 
 def stale_by_scan(net: Network, changed: str) -> set[str]:
-    """The names ``_mark_stale`` flagged before the index, by its two
-    scans: every registered class, then every plan."""
-    stale = set()
-    for cls in net.classes.values():
-        if isinstance(cls, HetClass) and changed in cls.participants:
-            stale.add(cls.name)
-    for plan in net.plans:
-        if isinstance(net.classes.get(plan.heir), HetClass) and (
-            changed in plan.class_names()
-        ):
-            stale.add(plan.heir)
-    return stale
+    """The names ``_mark_stale`` must flag, by one scan of every registered
+    class: each heterogeneous class listing the changed entity as a
+    participant, by the name it carries."""
+    return {
+        cls.name
+        for cls in net.classes.values()
+        if isinstance(cls, HetClass) and changed in cls.participants
+    }
 
 
 def outcome(call):
