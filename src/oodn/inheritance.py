@@ -214,44 +214,29 @@ def classify_plan(plan: InheritancePlan, net: Network) -> Octant:
         if any(selection.is_weak for _, selection in plan.sources)
         else Strength.STRONG
     )
-    listed = [
-        (name, selection)
-        for name, selection in plan.sources
-        if selection.mode is _LISTED
-    ]
-    if not listed:
-        extent = Extent.FULL
-    else:
-        # Names only, not the walk: classification must answer for plans
-        # that do not execute.
-        offered = _offered_names(plan, net)
-        extent = Extent.FULL
-        for name, selection in listed:
-            chosen = {entry_name for entry_name, _ in selection.entries}
-            if offered.get(name, set()) - chosen:
-                extent = Extent.PARTIAL
-                break
+    extent = Extent.PARTIAL if _leaves_out_offered(plan, net) else Extent.FULL
     return Octant(arity, extent, strength)
 
 
-def _offered_names(plan: InheritancePlan, net: Network) -> dict[str, set[str]]:
-    """Bare names each source offers at its link, chains folded bottom-up.
-    Of a chain, only the sources with a listed selection are given: only
-    those are read."""
-    offered: dict[str, set[str]] = {}
-    if plan.chain:
-        current: set[str] = set()
-        for name, selection in reversed(plan.sources):
-            current.update(entry.member.name for entry in _declared_entries(net, name))
-            if selection.mode is _LISTED:
-                offered[name] = current  # no longer grown: a listing starts anew
-                current = {n for n, _ in selection.entries}
-    else:
-        for name, _ in plan.sources:
-            offered[name] = {
-                entry.member.name for entry in _declared_entries(net, name)
-            }
-    return offered
+def _leaves_out_offered(plan: InheritancePlan, net: Network) -> bool:
+    """Whether a listed selection leaves out a bare name its source offers
+    at its link.  Names only, not the walk: classification must answer for
+    plans that do not execute.  Once one source lists, each is read once, in
+    walk order, so an undeclared one raises; a chain grows one set of names,
+    which a listing starts anew."""
+    if all(selection.mode is _ALL for _, selection in plan.sources):
+        return False
+    leaves_out = False
+    offered: set[str] = set()
+    for name, selection in reversed(plan.sources) if plan.chain else plan.sources:
+        if not plan.chain:
+            offered = set()  # a sibling offers its own names only
+        offered.update(entry.member.name for entry in _declared_entries(net, name))
+        if selection.mode is _LISTED:
+            chosen = {entry_name for entry_name, _ in selection.entries}
+            leaves_out = leaves_out or not offered <= chosen
+            offered = chosen
+    return leaves_out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from collections.abc import MutableMapping
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Iterator, Union
 
@@ -612,12 +612,6 @@ class MemberSet:
                 methods.append(entry)
         return self._subset(properties), self._subset(methods)
 
-    def extended(self, item: Member | DegreedMember) -> "MemberSet":
-        return MemberSet([*self._items, item])
-
-    def without(self, owner: str, name: str) -> "MemberSet":
-        return self._subset(e for e in self._items if e.identity != (owner, name))
-
 
 def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
     """Collapse similar members, keeping the copy held at the highest degree.
@@ -723,6 +717,8 @@ class HetClass:
         graph = {p.label: p.depends_on for p in self.projections}
         if len(graph) != len(self.projections):
             raise ModelInvariantError(f"class {self.name!r}: duplicate projection labels")
+        # Each label's place, so that a view reads only its participant's labels.
+        object.__setattr__(self, "_position", dict(zip(graph, count())))
         for projection in self.projections:
             for dep in projection.depends_on:
                 if dep not in graph:
@@ -788,8 +784,8 @@ class HetClass:
             raise UnknownEntityError(
                 f"{participant!r} does not participate in class {self.name!r}"
             )
-        wanted = set(self.participants[participant])
-        shares = (p.members for p in self.projections if p.label in wanted)
+        positions = sorted(map(self._position.__getitem__, self.participants[participant]))
+        shares = (self.projections[i].members for i in positions)
         return dedupe_similar(chain(self.core, *shares))
 
     def members(self) -> MemberSet:
@@ -1077,9 +1073,10 @@ def _object_findings(net: Network, name: str, obj: ObjectInstance) -> Iterator[V
 
 
 def declared_properties(cls: KnowledgeClass) -> dict[str, ValueType]:
-    """Value type of every property an object of ``cls`` may set."""
+    """Value type of every property an object of ``cls`` may set, read off
+    its declarations, so a class too wide to flatten still answers."""
     mapping: dict[str, ValueType] = {}
-    for entry in cls.members():
+    for entry in cls.entries:
         if entry.member.value_type is not None:
             mapping[entry.member.name] = entry.member.value_type
     return mapping

@@ -16,7 +16,8 @@ classes the class table (:class:`oodn.model.ClassTable`) keeps track of.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .inheritance import decompose
 from .model import (
@@ -58,34 +59,29 @@ def _entry_key(entry: DegreedMember) -> tuple:
     return (entry.member.similarity_key(), entry.degree)
 
 
+def _materialized(net: Network, names: Sequence[str], operation: str) -> list[MemberSet]:
+    if len(names) < 2:
+        raise OodnError(f"{operation} needs at least two inputs")
+    return [materialize(net, name) for name in names]
+
+
 def exploit_union(net: Network, names: Sequence[str]) -> HomClass:
     """Union of the named entities' member sets, similar members merged.
 
     The first occurrence of each piece of knowledge wins, so the result
     lists members in input order with later similar copies dropped.
     """
-    if len(names) < 2:
-        raise OodnError("union needs at least two inputs")
-    entries: list[DegreedMember] = []
-    for name in names:
-        entries.extend(materialize(net, name))
-    merged = dedupe_similar(entries)
-    spec, sig = merged.by_kind()
-    return HomClass("union", spec=spec, sig=sig)
+    sets = _materialized(net, names, "union")
+    return HomClass("union", *dedupe_similar(chain.from_iterable(sets)).by_kind())
 
 
 def exploit_intersection(net: Network, names: Sequence[str]) -> HomClass:
     """Members that every named entity holds, matched by similarity and degree."""
-    if len(names) < 2:
-        raise OodnError("intersection needs at least two inputs")
-    sets = [materialize(net, name) for name in names]
+    sets = _materialized(net, names, "intersection")
     keysets = [{_entry_key(entry) for entry in member_set} for member_set in sets]
     shared = set.intersection(*keysets)
-    kept = dedupe_similar(
-        entry for entry in sets[0] if _entry_key(entry) in shared
-    )
-    spec, sig = kept.by_kind()
-    return HomClass("intersection", spec=spec, sig=sig)
+    kept = (entry for entry in sets[0] if _entry_key(entry) in shared)
+    return HomClass("intersection", *dedupe_similar(kept).by_kind())
 
 
 def exploit_instance_check(
@@ -167,6 +163,15 @@ def _require_hom(net: Network, class_name: str) -> HomClass:
     return cls
 
 
+def _rebuild(net: Network, class_name: str, action: str, entries: Iterable[DegreedMember]) -> None:
+    """Rebuild class ``class_name`` from ``entries``, split by kind as the parser
+    splits a class body; an entry that cannot be built rolls the edit back."""
+    name = net.classes[class_name].name
+    _commit_or_rollback(net, net.classes, class_name, action, lambda: HomClass(
+        name, *MemberSet(entries).by_kind()
+    ))
+
+
 def modify_add_member(
     net: Network,
     class_name: str,
@@ -175,14 +180,8 @@ def modify_add_member(
     """Add one member to a homogeneous class, atomically."""
     entry = member if isinstance(member, DegreedMember) else DegreedMember(member)
     cls = _require_hom(net, class_name)
-
-    def build() -> HomClass:
-        if entry.member.kind is MemberKind.PROPERTY:
-            return HomClass(cls.name, cls.spec.extended(entry), cls.sig)
-        return HomClass(cls.name, cls.spec, cls.sig.extended(entry))
-
     action = f"adding {entry.member.display()} to {class_name!r}"
-    _commit_or_rollback(net, net.classes, class_name, action, build)
+    _rebuild(net, class_name, action, [*cls.entries, entry])
 
 
 def modify_remove_member(
@@ -198,14 +197,13 @@ def modify_remove_member(
     """
     cls = _require_hom(net, class_name)
     owner = owner if owner is not None else class_name
-    if cls.members().get(owner, member_name) is None:
+    kept = [e for e in cls.entries if e.identity != (owner, member_name)]
+    if len(kept) == len(cls.entries):
         raise UnknownEntityError(
             f"class {class_name!r} has no member {member_name!r} owned by {owner!r}"
         )
     action = f"removing {member_name!r} from {class_name!r}"
-    _commit_or_rollback(net, net.classes, class_name, action, lambda: HomClass(
-        cls.name, cls.spec.without(owner, member_name), cls.sig.without(owner, member_name)
-    ))
+    _rebuild(net, class_name, action, kept)
 
 
 def modify_set_value(
@@ -235,17 +233,12 @@ def modify_set_value(
             f"class {target!r} has no property {member_name!r}"
         )
     old = entry.member
-
-    def build() -> HomClass:
-        replaced = prop(old.name, old.value_type, value, old.owner)
-        new_spec = MemberSet(
-            DegreedMember(replaced, e.degree) if e.identity == entry.identity else e
-            for e in cls.spec
-        )
-        return HomClass(cls.name, new_spec, cls.sig)
-
     action = f"setting {member_name!r} on {target!r}"
-    _commit_or_rollback(net, net.classes, target, action, build)
+    _rebuild(net, target, action, (
+        DegreedMember(prop(old.name, old.value_type, value, old.owner), e.degree)
+        if e.identity == entry.identity else e
+        for e in cls.entries
+    ))
 
 
 def _set_object_value(

@@ -105,6 +105,23 @@ class TestMaterialize:
         assert "conflict (exception)" in err
         assert "suggestion: Penguin inherits Bird (feathers);" in err
 
+    def test_a_class_too_wide_to_flatten_still_validates(self, capsys, tmp_path):
+        # A.p sits in two projections at two degrees with two values: the
+        # class is valid and each participant's view flattens, the whole
+        # class does not.
+        source = tmp_path / "wide.oodn"
+        source.write_text(
+            'class A { prop p: int = 1; } hetclass H { projection "L1" '
+            '{ prop A.p: int = 1 /0.5; } projection "L2" { prop A.p: int = 2; } '
+            'participant A -> "L1"; participant B -> "L2"; } object o : H { }\n'
+        )
+        assert run_cli(["parse", str(source)], capsys)[0] == 0
+        code, out, _ = run_cli(["materialize", str(source), "B"], capsys)
+        assert (code, out) == (0, "prop p(A): int = 2\n")
+        code, out, err = run_cli(["materialize", str(source), "H"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate member 'p' owned by 'A' in one member set\n"
+
 
 # ---------------------------------------------------------------------------
 # inherit

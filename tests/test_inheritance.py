@@ -28,6 +28,7 @@ from oodn.inheritance import (
 )
 from oodn.model import (
     DEGREE_ONE,
+    ClassTable,
     DegreedMember,
     HetClass,
     HomClass,
@@ -287,6 +288,79 @@ class TestClassification:
         net = net_of(hom("A", prop("p", ValueType.INT, 1, "A")))
         plan = InheritancePlan(heir="H", sources=(("A", Selection()),))
         assert classify_plan(plan, net).render() == "single/full/strong"
+
+    LEVELS = "class A { prop a1: int = 1; prop a2: int = 2; } class B { prop b: int = 3; } "
+
+    @pytest.mark.parametrize(
+        "plan, extent",
+        [
+            # a listing above a take-all level must name what that level adds
+            ("H inherits B (b) inherits A;", Extent.PARTIAL),
+            ("H inherits B (a1, a2, b) inherits A;", Extent.FULL),
+            ("H inherits C (a1, a2, c) inherits B inherits A (a1, a2);", Extent.PARTIAL),
+            ("H inherits C (a1, a2, b, c) inherits B inherits A (a1, a2);", Extent.FULL),
+            # a sibling's listing answers for its own source only
+            ("H inherits A (a1, a2), B;", Extent.FULL),
+            ("H inherits A, B (b);", Extent.FULL),
+            ("H inherits A (a1), B;", Extent.PARTIAL),
+        ],
+    )
+    def test_a_listing_is_measured_against_what_its_link_offers(self, plan, extent):
+        net = parse_network(self.LEVELS + "class C { prop c: int = 4; } " + plan)
+        assert classify_plan(net.plans[0], net).extent is extent
+
+    class CountingTable(ClassTable):
+        """A class table that records each name looked up."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            self.reads: list[str] = []
+            super().__init__(*args, **kwargs)
+
+        def get(self, key, default=None):
+            self.reads.append(key)
+            return super().get(key, default)
+
+    @pytest.mark.parametrize("chain", [True, False])
+    def test_a_plan_that_lists_nothing_reads_no_declarations(self, chain):
+        net = Network()
+        net.classes = self.CountingTable()
+        weak_all = Selection(SelectionMode.ALL, (("p", as_degree("1/2")),))
+        plan = InheritancePlan("H", (("ZZ", Selection()), ("YY", weak_all)), chain=chain)
+        assert classify_plan(plan, net).extent is Extent.FULL
+        assert net.classes.reads == []
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            "H inherits B (b) inherits A;",
+            "H inherits C (a1, a2, b, c) inherits B inherits A (a1, a2);",
+            "H inherits A (a1), B;",
+        ],
+    )
+    def test_each_source_is_read_at_most_once(self, plan):
+        net = parse_network(self.LEVELS + "class C { prop c: int = 4; } " + plan)
+        net.classes = self.CountingTable(net.classes)
+        classify_plan(net.plans[0], net)
+        assert sorted(net.classes.reads) == sorted(net.plans[0].class_names()[:-1])
+
+    @pytest.mark.parametrize(
+        "sources, chain",
+        [
+            ((("ZZ", "p"),), True),
+            ((("A", "a1"), ("ZZ", None)), True),
+            ((("ZZ", None), ("A", "a1")), True),
+            ((("A", "a1"), ("ZZ", None)), False),
+        ],
+    )
+    def test_a_listing_over_an_undeclared_source_raises(self, sources, chain):
+        net = parse_network(self.LEVELS)
+        plan = InheritancePlan("H", tuple(
+            (name, Selection(SelectionMode.LISTED, ((listed, DEGREE_ONE),)) if listed
+             else Selection())
+            for name, listed in sources
+        ), chain=chain)
+        with pytest.raises(UnknownEntityError, match="'ZZ'"):
+            classify_plan(plan, net)
 
 
 # ---------------------------------------------------------------------------

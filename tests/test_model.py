@@ -310,8 +310,6 @@ class TestMemberSet:
         properties, methods = ms.by_kind()
         assert [e.member for e in properties] == [p]
         assert [e.member for e in methods] == [f]
-        assert len(ms.extended(prop("p2", ValueType.INT, 2, "A1"))) == 3
-        assert len(ms.without("A1", "p1")) == 1
 
     def test_dedupe_similar_first_wins(self):
         first = prop("p1", ValueType.INT, 1, "A1")

@@ -22,6 +22,7 @@ from oodn.model import (
     prop,
     validate_network,
 )
+from oodn.dsl import ParseError, parse_network
 from oodn.inheritance import InheritancePlan, Selection, inherit
 from oodn.operations import (
     ModificationRejected,
@@ -193,6 +194,31 @@ class TestAddRemove:
         with pytest.raises(ModificationRejected):
             modify_add_member(net, "A", prop("left", ValueType.INT, 9, "A"))
         assert net.classes["A"].members() == before
+
+    @pytest.mark.parametrize(
+        "declared, added, added_text",
+        [
+            ("prop p: int = 1;", method("p", "A"), "method p();"),
+            ("method p();", prop("p", ValueType.INT, 1, "A"), "prop p: int = 1;"),
+        ],
+        ids=["method-after-property", "property-after-method"],
+    )
+    def test_a_member_of_the_other_kind_is_refused_as_the_parser_refuses_it(
+        self, declared, added, added_text
+    ):
+        # The class body the edit would leave is refused by the parser with
+        # the same text the rollback gives.
+        net = parse_network(f"class A {{ {declared} }}")
+        with pytest.raises(ParseError) as parsed:
+            parse_network(f"class A {{ {declared} {added_text} }}")
+        reason = str(parsed.value).split(": ", 1)[1]
+        assert reason == "duplicate member 'p' owned by 'A' in one member set"
+        before = net.classes["A"]
+        with pytest.raises(ModificationRejected) as info:
+            modify_add_member(net, "A", added)
+        assert str(info.value) == f"adding p(A) to 'A' rolled back: {reason}"
+        assert info.value.findings == []
+        assert net.classes["A"] is before
 
     def test_remove_member(self):
         net = sample_net()

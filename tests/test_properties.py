@@ -1223,9 +1223,9 @@ class TestModifierScope:
                 cls = net.classes[cname]
                 run = lambda: modify_add_member(net, cname, entry)  # noqa: E731
                 if entry.member.kind is MemberKind.PROPERTY:
-                    after.classes[cname] = HomClass(cname, cls.spec.extended(entry), cls.sig)
+                    after.classes[cname] = HomClass(cname, MemberSet([*cls.spec, entry]), cls.sig)
                 else:
-                    after.classes[cname] = HomClass(cname, cls.spec, cls.sig.extended(entry))
+                    after.classes[cname] = HomClass(cname, cls.spec, MemberSet([*cls.sig, entry]))
             elif edit == "remove":
                 owned = [(c, e) for c, cls in sorted(net.classes.items()) for e in cls.members()]
                 overridden = [
@@ -1239,10 +1239,11 @@ class TestModifierScope:
                 cname, entry = data.draw(st.sampled_from(pool))
                 cls = net.classes[cname]
                 run = lambda: modify_remove_member(net, cname, entry.member.name)  # noqa: E731
+                removed = (cname, entry.member.name)
                 after.classes[cname] = HomClass(
                     cname,
-                    cls.spec.without(cname, entry.member.name),
-                    cls.sig.without(cname, entry.member.name),
+                    MemberSet(e for e in cls.spec if e.identity != removed),
+                    MemberSet(e for e in cls.sig if e.identity != removed),
                 )
             elif edit == "set class":
                 props = [(c, e) for c, cls in sorted(net.classes.items()) for e in cls.spec]
