@@ -42,6 +42,7 @@ from .inheritance import (
     Repair,
     View,
     audiences,
+    borrows,
     merge,
     walk,
 )
@@ -149,15 +150,8 @@ def detect_ambiguity(plan: InheritancePlan, net: Network) -> list[Diagnostic]:
     keeps the first whole and each alternative another, so the finding
     holds one repair whatever the number of alternatives.
     """
-    links, borrows = walk(plan, net), _borrows(plan, net)
-    return _ambiguity_findings(plan, links, borrows) + _clash_findings(plan, links, borrows)
-
-
-def _borrows(plan: InheritancePlan, net: Network) -> bool:
-    """Whether a participant declares a member another class owns, which
-    alone lets one member arrive at two degrees or be held in two contents."""
-    classes = (net.classes.get(name) for name in plan.class_names())
-    return any(e.member.owner != cls.name for cls in classes if cls for e in cls.entries)
+    links, borrowing = walk(plan, net), borrows(plan, net)
+    return _ambiguity_findings(plan, links, borrowing) + _clash_findings(plan, links, borrowing)
 
 
 def _ambiguity_findings(
@@ -376,11 +370,11 @@ def diagnose_all(
         )
     findings: list[Diagnostic] = []
     for plan in net.plans:
-        links, borrows = walk(plan, net), _borrows(plan, net)
+        links, borrowing = walk(plan, net), borrows(plan, net)
         findings.extend(_exception_findings(plan, links))
         findings.extend(_redundancy_findings(plan, links, required))
-        findings.extend(_ambiguity_findings(plan, links, borrows))
-        findings.extend(_clash_findings(plan, links, borrows))
+        findings.extend(_ambiguity_findings(plan, links, borrowing))
+        findings.extend(_clash_findings(plan, links, borrowing))
     return findings
 
 
@@ -390,7 +384,7 @@ def refusal(
     """The first finding ``diagnose_all`` lists for a walked plan that blocks
     it under ``policy``, or None.  Only the finders that can block run."""
     findings = _exception_findings(plan, links)
-    if not findings and _borrows(plan, net):
+    if not findings and borrows(plan, net):
         if policy is Policy.REJECT:
             findings = _ambiguity_findings(plan, links, True)
         findings += _clash_findings(plan, links, True)

@@ -21,10 +21,10 @@ source) into a heterogeneous class.  The construction works in four steps:
 
 A chain is walked member by member rather than view by view: a member's
 degree changes only where a selection or a re-declaration names it, so it
-is held over a run of consecutive levels, and that run is its audience.
-Audiences are bitmasks of participant indices, so grouping and the subset
-tests cost a few integer operations each, and layering grows about
-linearly with the number of declared members.
+is held over a run of consecutive levels, its audience.  A parallel plan in
+which no class borrows is grouped source by source.  Audiences are bitmasks
+of participant indices, so grouping and the subset tests cost a few integer
+operations each, and layering grows about linearly with declared members.
 
 Plans come in eight kinds along three axes: single vs multiple sources,
 full vs partial selections, strong vs weak degrees.  ``classify_plan``
@@ -34,7 +34,6 @@ reads those axes off a plan.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -214,29 +213,37 @@ def classify_plan(plan: InheritancePlan, net: Network) -> Octant:
         if any(selection.is_weak for _, selection in plan.sources)
         else Strength.STRONG
     )
-    extent = Extent.PARTIAL if _leaves_out_offered(plan, net) else Extent.FULL
-    return Octant(arity, extent, strength)
+    # Once one source lists, every source is read (see ``_offered_names``).
+    leaves_out = any(selection.mode is _LISTED for _, selection in plan.sources) and any([
+        selection.mode is _LISTED and not offered.issubset(dict(selection.entries))
+        for _, selection, offered in _offered_names(plan, net)
+    ])
+    return Octant(arity, Extent.PARTIAL if leaves_out else Extent.FULL, strength)
 
 
-def _leaves_out_offered(plan: InheritancePlan, net: Network) -> bool:
-    """Whether a listed selection leaves out a bare name its source offers
-    at its link.  Names only, not the walk: classification must answer for
-    plans that do not execute.  Once one source lists, each is read once, in
-    walk order, so an undeclared one raises; a chain grows one set of names,
-    which a listing starts anew."""
-    if all(selection.mode is _ALL for _, selection in plan.sources):
-        return False
-    leaves_out = False
+def _offered_names(plan: InheritancePlan, net: Network) -> Iterator[tuple[str, Selection, set]]:
+    """Each source, its selection and the bare names it offers at its link,
+    in walk order: names only, so that plans that do not walk are answered.
+    Each source is read once, so an undeclared one raises; a chain grows one
+    set, which a listing starts anew, so a set is valid until the next."""
     offered: set[str] = set()
     for name, selection in reversed(plan.sources) if plan.chain else plan.sources:
         if not plan.chain:
             offered = set()  # a sibling offers its own names only
         offered.update(entry.member.name for entry in _declared_entries(net, name))
+        yield name, selection, offered
         if selection.mode is _LISTED:
-            chosen = {entry_name for entry_name, _ in selection.entries}
-            leaves_out = leaves_out or not offered <= chosen
-            offered = chosen
-    return leaves_out
+            offered = {entry_name for entry_name, _ in selection.entries}
+
+
+def not_offered(plan: InheritancePlan, net: Network) -> Iterator[str]:
+    """A message for each name a selection lists that its source does not
+    offer at its link: validation reports each, the walk raises the first."""
+    if any(selection.entries for _, selection in plan.sources):
+        for source, selection, offered in _offered_names(plan, net):
+            for name, _ in selection.entries:
+                if name not in offered:
+                    yield f"selection names {name!r}, which {source!r} does not offer"
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +402,19 @@ def _declared_entries(net: Network, name: str) -> Sequence[DegreedMember]:
     return cls.entries
 
 
+def borrows(plan: InheritancePlan, net: Network) -> bool:
+    """Whether a class of the plan declares a member another class owns
+    (``HomClass.borrows``): only then can one member arrive at two degrees,
+    be held in two contents, or one entry be held by two sources."""
+    classes = map(net.classes.get, plan.class_names())
+    return any(cls.borrows for cls in classes if cls is not None)
+
+
 def _heir_entries(net: Network, name: str) -> Sequence[DegreedMember]:
     """An heir may be a declared class or a brand-new name with no members."""
     if name in net.classes:
         return _declared_entries(net, name)
     return ()
-
-
-def _check_offered(offered: Container[str], selection: Selection, source: str) -> None:
-    for name, _ in selection.entries:
-        if name not in offered:
-            raise UnknownEntityError(
-                f"selection names {name!r}, which {source!r} does not offer"
-            )
 
 
 def _exception_conflicts(
@@ -496,7 +503,6 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> list[Link]:
     for level, ((parent, selection), child) in enumerate(
         zip(reversed(plan.sources), order[1:])
     ):
-        _check_offered(named, selection, parent)
         if selection.mode is _LISTED:
             chosen = dict(selection.entries)
             kept = {}
@@ -552,14 +558,11 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
     contradicted chain level still passes its members upward, so that
     every link can be inspected.
     """
+    for message in not_offered(plan, net):
+        raise UnknownEntityError(message)
     if plan.chain:
         return _walk_chain(plan, net)
-    views = []
-    for source, selection in plan.sources:
-        view = {e.identity: e for e in _declared_entries(net, source)}
-        if selection.entries:
-            _check_offered({e.member.name for e in view.values()}, selection, source)
-        views.append(view)
+    views = [{e.identity: e for e in _declared_entries(net, name)} for name, _ in plan.sources]
     own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
     links = [
         Link(source, plan.heir, selection, own, partial(next, repeat(view)))
@@ -669,7 +672,8 @@ def inherit(
     a bitmask of participant indices, root first; on a chain it is a run's
     range of levels.  The core is the entries whose audience is every
     participant, at degree 1, and every other entry goes to its audience's
-    group: one rule for chains and parallel plans alike.  A projection
+    group: one rule for chains and parallel plans alike, read source by
+    source on a parallel plan in which no class borrows.  A projection
     depends on the smallest audiences strictly containing its own, the
     transitive reduction of the subset order over the non-empty groups.
     A participant holds one entry per identity, so no group holds two.
@@ -677,63 +681,93 @@ def inherit(
     two groups (see ``diagnostics.refusal``).
     """
     order = plan.participants_root_first()
-    audience = audiences(plan, _walked(plan, net, policy), policy)
-    everyone = (1 << len(order)) - 1
-    core_entries: list[DegreedMember] = []
-    groups: defaultdict[int, list[DegreedMember]] = defaultdict(list)
-    # Entries of one audience mostly come in runs, each looked up once: masks of
-    # many participants collide in a dict, as bits 61 apart hash alike.
-    for mask, run in groupby(audience.items(), itemgetter(1)):
-        entries = list(map(itemgetter(0), run))
-        if mask == everyone:
-            core_entries += (entry for entry in entries if not entry.degree.is_weak)
-            entries = [entry for entry in entries if entry.degree.is_weak]
-        if entries:
-            groups[mask].extend(entries)
+    links = _walked(plan, net, policy)
     heir_mask = 1 << (len(order) - 1)
-    groups.setdefault(heir_mask, [])
-
-    labels: dict[int, str] = {}
-    for mask in groups:
-        if mask & (mask - 1) == 0:
-            name = order[mask.bit_length() - 1]
-            labels[mask] = f"heir({name})" if not plan.chain and mask == heir_mask else name
-    used = set(labels.values())
-    # Each participant's groups, in group order, read off each group's bits.
+    core_entries: list[DegreedMember] = []
+    if not plan.chain and not borrows(plan, net):
+        groups = _source_groups(links, heir_mask)
+    else:
+        by_mask: dict[int, list[DegreedMember]] = {}
+        # Entries of one audience mostly come in runs, each looked up once.
+        for mask, run in groupby(audiences(plan, links, policy).items(), itemgetter(1)):
+            entries = list(map(itemgetter(0), run))
+            if mask == heir_mask * 2 - 1:  # everyone
+                core_entries += (entry for entry in entries if not entry.degree.is_weak)
+                entries = [entry for entry in entries if entry.degree.is_weak]
+            if entries:
+                by_mask.setdefault(mask, []).extend(entries)
+        by_mask.setdefault(heir_mask, [])
+        groups = list(by_mask.items())
+    # Groups go by index: in a dict, masks whose bits lie 61 apart hash alike.
+    masks = [mask for mask, _ in groups]
+    bits = [list(_bits(mask)) for mask in masks]  # each mask's, read once
+    labels = [""] * len(groups)
+    for at, ones in enumerate(bits):
+        if len(ones) == 1:
+            name = order[ones[0]]
+            labels[at] = f"heir({name})" if not plan.chain and name == plan.heir else name
+    used = set(labels)
+    # Each participant's groups, in group order.
     held: list[list[int]] = [[] for _ in order]
-    for mask in groups:
-        for index in _bits(mask):
-            held[index].append(mask)
-        if mask & (mask - 1):
-            label = order[(mask & -mask).bit_length() - 1]
+    for at, ones in enumerate(bits):
+        for index in ones:
+            held[index].append(at)
+        if len(ones) > 1:
+            label = order[ones[0]]
             if label in used:
-                label = "&".join(order[i] for i in _bits(mask))
-            labels[mask] = label
+                label = "&".join(order[i] for i in ones)
+            labels[at] = label
             used.add(label)
 
     projections = []
-    for mask, members in groups.items():
+    for at, (mask, members) in enumerate(groups):
         # A strict superset holds the group's lowest participant too.
-        lowest = held[(mask & -mask).bit_length() - 1]
-        supersets = [o for o in lowest if o != mask and o & mask == mask and groups[o]]
-        deps = tuple(labels[other] for other in _minimal(supersets))
-        projections.append((labels[mask], members, deps))
-    participants = {name: tuple(map(labels.__getitem__, masks)) for name, masks in zip(order, held)}
+        lowest = held[bits[at][0]]
+        supersets = [o for o in lowest if o != at and masks[o] & mask == mask and groups[o][1]]
+        deps = tuple(labels[o] for o in _minimal(supersets, masks))
+        projections.append((labels[at], members, deps))
+    participants = {name: tuple(labels[o] for o in ats) for name, ats in zip(order, held)}
     return HetClass.layered(plan.heir, core_entries, projections, participants)
 
 
-def _minimal(supersets: list[int]) -> list[int]:
-    """The masks among ``supersets`` containing none of the others, in their
-    order.  Masks of one size cannot contain one another, so the smallest
-    left are minimal, and each strikes out the masks containing it."""
-    left = sorted(supersets, key=int.bit_count)
+def _source_groups(links: Sequence[Link], heir_mask: int) -> list[tuple[int, list]]:
+    """The (mask, entries) groups of a parallel plan in which no class borrows.
+    A source's entry is then held by it and, if it reaches the heir unchanged,
+    by the heir; its two groups come in the order of their first entries in
+    its view, as audiences order them.  The heir's own group, last, holds the
+    weakened copies in source order, then its own members."""
+    groups: list[tuple[int, list]] = []
+    weakened: list[DegreedMember] = []
+    for at, link in enumerate(links):
+        parent_view, taken = link.parent_view, link.taken
+        view = list(parent_view.values())
+        kept = view if taken is parent_view else [e for e in view if taken.get(e.identity) is e]
+        left = [e for e in view if taken.get(e.identity) is not e] if len(kept) < len(view) else []
+        weakened += (taken[e.identity] for e in left if e.identity in taken)
+        pair = [((1 << at) | heir_mask, kept), (1 << at, left)]
+        if left and left[0] is view[0]:
+            pair.reverse()
+        groups += (group for group in pair if group[1])
+    groups.append((heir_mask, weakened + list(links[0].own)))
+    return groups
+
+
+def _minimal(supersets: list[int], masks: list[int]) -> list[int]:
+    """The groups among ``supersets`` whose masks contain none of the
+    others', in their order.  Masks of one size cannot contain one another,
+    so the smallest left are minimal, and each strikes out those containing it."""
+    def size(group: int) -> int:
+        return masks[group].bit_count()
+
+    left = sorted(supersets, key=size)
     minimal: set[int] = set()
     while left:
-        end = bisect_right(left, left[0].bit_count(), key=int.bit_count)
+        end = bisect_right(left, size(left[0]), key=size)
         layer, left = left[:end], left[end:]
         minimal.update(layer)
         for inner in layer:
-            left = [other for other in left if other & inner != inner]
+            mask = masks[inner]
+            left = [other for other in left if masks[other] & mask != mask]
     return [other for other in supersets if other in minimal]
 
 

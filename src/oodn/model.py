@@ -645,7 +645,8 @@ class HomClass:
     """Homogeneous class: a specification of properties and a signature of methods.
 
     Construction also keeps ``entries``, the members in declaration order,
-    for every plan walk to read.
+    for every plan walk to read, and ``borrows``, whether one of them is
+    owned by another class.
     """
 
     name: str
@@ -673,6 +674,7 @@ class HomClass:
                         f"class {self.name!r}: duplicate member {entry.member.name!r}"
                     )
         object.__setattr__(self, "entries", (*self.spec, *self.sig))
+        object.__setattr__(self, "borrows", any(e.member.owner != self.name for e in self.entries))
 
     def members(self) -> MemberSet:
         """Specification and signature in declaration order (their
@@ -950,8 +952,8 @@ def validate_network(net: Network) -> list[Violation]:
 
     Errors mark real rule violations (dangling references, kind-mismatched
     relation endpoints, generalization cycles, override mismatches, an
-    object named like a class, a heterogeneous class in a plan); a class
-    with no members is a warning only.
+    object named like a class, a heterogeneous class in a plan, a listing
+    of what a source does not offer); a class with no members is a warning.
     """
     findings: list[Violation] = []
 
@@ -986,10 +988,12 @@ def validate_network(net: Network) -> list[Violation]:
         )
 
     for plan in net.plans:
+        walkable = True
         for class_name in plan.class_names():
             if class_name in net.classes.heterogeneous:
                 message = f"class {class_name!r} is heterogeneous and cannot join a plan directly"
                 error(plan.describe(), "plan-heterogeneous-class", message)
+                walkable = False
             if class_name in net.classes:
                 continue
             if class_name == plan.heir:
@@ -1006,6 +1010,10 @@ def validate_network(net: Network) -> list[Violation]:
                     "plan-dangling-class",
                     f"inheritance plan names undeclared class {class_name!r}",
                 )
+                walkable = False
+        if walkable:
+            for message in inheritance.not_offered(plan, net):
+                error(plan.describe(), "plan-unoffered-member", message)
 
     return findings
 
@@ -1013,12 +1021,13 @@ def validate_network(net: Network) -> list[Violation]:
 def validate_edit(net: Network, name: str) -> list[Violation]:
     """The findings an edit to the named class or object can change.
 
-    Relations, generalization cycles and plans name entities only, so a
-    member edit cannot change them.  An edit to a class can change its own
-    findings and those of the objects whose class it is; an edit to an
-    object, only the object's.  The rules are :func:`validate_network`'s,
-    applied in its order, so after a member edit to a network that
-    validated clean, the errors here are the whole network's errors.
+    Relations, generalization cycles and plans are not checked again: the
+    first two name entities only, and a plan listing a removed member is
+    refused by its walk.  An edit to a class can change its own findings and
+    those of the objects whose class it is; an edit to an object, only the
+    object's.  The rules are :func:`validate_network`'s, applied in its
+    order, so after a member edit to a network that validated clean, the
+    errors here are the whole network's errors, but for such a plan.
     """
     cls = net.classes.get(name)
     findings = [] if cls is None else list(_class_findings(name, cls))
@@ -1189,3 +1198,6 @@ def _object_members(net: Network, obj: ObjectInstance) -> MemberSet:
         else:
             rebuilt.append(entry)
     return MemberSet(rebuilt)
+
+
+from . import inheritance  # noqa: E402  # built on this module, so imported last

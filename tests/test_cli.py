@@ -393,14 +393,15 @@ def test_diagnose_output_matches_golden(case, capsys):
 
 
 # A file with both a conflict and a lookup fault: every command reports the
-# lookup fault, since the plan walk raises it before any conflict is judged.
+# lookup fault, since validation reports it at load, before any conflict is judged.
 DOUBLE_FAULTS = {
     "chain": (
         "class A { prop p: int = 1; prop q: int = 2; }\n"
         "class B { prop p: int = 5; }\n"
         "class C { prop c: int = 3; }\n"
         "C inherits B (nosuch) inherits A;\n",
-        "error: selection names 'nosuch', which 'B' does not offer",
+        "error: C inherits B (nosuch) inherits A: plan-unoffered-member: "
+        "selection names 'nosuch', which 'B' does not offer",
     ),
     "parallel": (
         "class A { prop p: int = 1; prop a: int = 2; }\n"
@@ -408,7 +409,8 @@ DOUBLE_FAULTS = {
         "class C { prop c: int = 4; }\n"
         "class H { prop h: int = 5; }\n"
         "H inherits A (p/1/2, a), B, C (nosuch);\n",
-        "error: selection names 'nosuch', which 'C' does not offer",
+        "error: H inherits A (p/0.5, a), B, C (nosuch): plan-unoffered-member: "
+        "selection names 'nosuch', which 'C' does not offer",
     ),
 }
 
@@ -948,6 +950,20 @@ class TestExitCodes:
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out) == (2, "")
             assert [line for line in err.splitlines(True) if line.startswith("error")] == [refusal]
+
+    def test_a_listing_of_what_its_source_lacks_is_refused_at_load(self, tmp_path, capsys):
+        path = tmp_path / "unoffered.oodn"
+        path.write_text("class A { prop p: int = 1; }\nB inherits A (q);\n")
+        expected = (
+            "warning: B inherits A (q): plan-heir-synthesized: heir 'B' is not "
+            "declared; it will be built with no own members\n"
+            "error: B inherits A (q): plan-unoffered-member: "
+            "selection names 'q', which 'A' does not offer\n"
+        )
+        for command, *flags in (
+            ["parse"], ["classify"], ["inherit"], ["diagnose"], ["export", "--format", "dot"]
+        ):
+            assert run_cli([command, str(path), *flags], capsys) == (2, "", expected)
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         dangling = tmp_path / "dangling.oodn"

@@ -732,6 +732,27 @@ class TestValidation:
             ("error", "B inherits A", "plan-heterogeneous-class"),
         ]
 
+    def test_a_selection_naming_what_its_source_lacks_is_an_error(self):
+        from oodn.inheritance import InheritancePlan, Selection, SelectionMode
+
+        net = Network()
+        net.classes["A"] = _hom("A", prop("p", ValueType.INT, 1, "A"))
+        net.classes["B"] = _hom("B", prop("b", ValueType.INT, 1, "B"))
+        listed = Selection(SelectionMode.LISTED, (("q", DEGREE_ONE),))
+        weakened = Selection(SelectionMode.ALL, (("p", Degree(Fraction(1, 2))), ("r", DEGREE_ONE)))
+        # On a chain a level offers what it takes and declares; the sibling
+        # of a parallel plan, only what it declares.
+        net.plans.append(InheritancePlan(heir="B", sources=(("A", weakened),)))
+        net.plans.append(InheritancePlan(heir="C", sources=(("B", Selection(
+            SelectionMode.LISTED, (("p", DEGREE_ONE), ("b", DEGREE_ONE))
+        )), ("A", Selection()))))
+        net.plans.append(InheritancePlan(heir="C", sources=(("A", Selection()), ("B", listed)), chain=False))
+        findings = [(v.entity, v.rule, v.message) for v in validate_network(net) if v.severity == "error"]
+        assert findings == [
+            ("B inherits A (p/0.5, r/1)", "plan-unoffered-member", "selection names 'r', which 'A' does not offer"),
+            ("C inherits A, B (q)", "plan-unoffered-member", "selection names 'q', which 'B' does not offer"),
+        ]
+
 
 class TestValidateEdit:
     def _net(self) -> Network:

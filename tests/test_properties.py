@@ -612,6 +612,47 @@ class TestDependencies:
         self.check(het)
 
 
+class TestLayout:
+    """The core and each projection, read as (the participants holding it,
+    its members) in projection order, are the naive views' entries grouped
+    by the participants holding them, in order of first holding: the core
+    is the entries every participant holds at degree 1, and the heir's own
+    group, if nothing fills it, comes last and empty.  A parallel plan in
+    which no participant borrows is laid out source by source, every other
+    plan through its audiences; both must read alike."""
+
+    @staticmethod
+    def grouped(plan: InheritancePlan, net: Network, policy: Policy) -> tuple[list, list]:
+        views, _ = naive_views(plan, net, policy)
+        holders: dict = {}  # entry -> its holders, in order of first holding
+        for name, view in views.items():
+            for entry in view.values():
+                holders.setdefault(entry, []).append(name)
+        core = [e for e, names in holders.items() if len(names) == len(views) and not e.degree.is_weak]
+        groups: dict = {}
+        for entry, names in holders.items():
+            if len(names) < len(views) or entry.degree.is_weak:
+                groups.setdefault(frozenset(names), []).append(entry)
+        groups.setdefault(frozenset({plan.heir}), [])
+        return core, list(groups.items())
+
+    @WHOLE_NETWORK
+    @given(data=st.one_of(layered_plans(), layered_plans(borrowing=False)))
+    def test_groups_follow_first_holding(self, data):
+        net, plan = data
+        for shape in (plan, replace(plan, chain=not plan.chain)):
+            for policy in Policy:
+                try:
+                    het = inherit(shape, net, policy)
+                except OodnError:
+                    continue
+                laid_out = [
+                    (frozenset(n for n, held in het.participants.items() if p.label in held), list(p.members))
+                    for p in het.projections
+                ]
+                assert (list(het.core), laid_out) == self.grouped(shape, net, policy)
+
+
 def arrivals_at_heir(plan: InheritancePlan, net: Network) -> dict:
     links = walk(plan, net)
     return links[-1].taken if plan.chain else merge(links, Policy.MIN)
