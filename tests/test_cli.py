@@ -651,7 +651,11 @@ def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
 # input after trailing whitespace, and a numeral read twice (a ratio as a
 # value and then as a degree, a zero denominator twice) were recorded before
 # the lexer consumed whitespace and comments inside each token's match and
-# the parser converted each numeral once per parse.
+# the parser converted each numeral once per parse.  The "member forms"
+# entries -- one class body holding every member form, then each single-token
+# deletion, duplication and adjacent swap within one of its statements -- were
+# recorded before the member reader stopped calling a method per token and
+# members were built by hand-written constructors.
 PARSE_ERRORS = json.loads(
     (DATA / "expected" / "parse_errors.json").read_text(encoding="utf-8")
 )
