@@ -58,6 +58,7 @@ from .model import (
     HetClass,
     HomClass,
     IDENTIFIER,
+    Member,
     MemberKind,
     MemberSet,
     Network,
@@ -209,6 +210,7 @@ _INT, _REAL, _BOOL, _TEXT = ValueType.INT, ValueType.REAL, ValueType.BOOL, Value
 # identifier spelled like a kind, such as ``INT``, names no type.
 _LITERAL_TEXTS = {"true": _BOOL, "false": _BOOL, "{": ValueType.FUZZY}
 _LITERAL_KINDS = {"INT": _INT, "DECIMAL": _REAL, "RATIO": _REAL, "STRING": _TEXT}
+_MEMBER_KINDS = {"prop": MemberKind.PROPERTY, "method": MemberKind.METHOD}
 
 
 def _check_new_name(net: Network, kind: str, name: str) -> None:
@@ -249,11 +251,18 @@ class _Parser:
         """A parse error at token number ``at``, by default the next one."""
         return ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def _expected(self, wanted: str) -> ParseError:
-        """A parse error at the next token: ``wanted`` was expected, and the
-        token is shown as found, the end of input by name."""
-        shown = self.tokens[self.pos] or "end of input"
-        return self.fail(f"expected {wanted}, found {shown!r}")
+    def _expected(self, wanted: str, at: int | None = None) -> ParseError:
+        """A parse error at token number ``at``, by default the next one: ``wanted``
+        was expected, and the token is shown as found, the end of input by name."""
+        shown = self.tokens[self.pos if at is None else at] or "end of input"
+        return self.fail(f"expected {wanted}, found {shown!r}", at)
+
+    def _not_a_type(self, at: int) -> ParseError:
+        """The parse error for token number ``at``, which names no type."""
+        token = self.tokens[at]
+        if token[:1] not in _IDENT_START:
+            return self._expected("'ident'", at)
+        return self.fail(f"unknown type {token!r}", at)
 
     def expect(self, text: str, name: str | None = None) -> None:
         """Consume the punctuation mark, arrow or keyword ``text``; an error
@@ -349,56 +358,70 @@ class _Parser:
         )
 
     def _parse_members(self, default_owner: str) -> list[DegreedMember]:
-        """A braced block of members."""
+        """A braced block of properties and methods, each owned by ``default_owner``
+        unless it names its owner.  Each statement is read off the tokens through a
+        local index, handed over in ``self.pos`` only to the value and degree readers;
+        a token is read only once the one before it is known not to end the input.
+        A syntax error comes first: a member is built after its degree and ``;``."""
         self.expect("{")
-        members = []
-        while not self.accept("}"):
-            members.append(self._parse_member(default_owner))
+        tokens, members, pos = self.tokens, [], self.pos
+        while (keyword := tokens[pos]) != "}":
+            if (kind := _MEMBER_KINDS.get(keyword)) is None:
+                raise self._expected("'prop' or 'method'", pos)
+            at = pos = pos + 1
+            owner, name = default_owner, tokens[pos]
+            if name[:1] in _IDENT_START and tokens[pos + 1] == ".":
+                owner, name, pos = name, tokens[pos + 2], pos + 2
+            if name[:1] not in _IDENT_START:
+                raise self._expected("'ident'", pos)
+            pos += 1
+            params, value_type, value, returns = [], None, None, None
+            if keyword == "prop":
+                if tokens[pos] != ":":
+                    raise self._expected("':'", pos)
+                if (value_type := _VALUE_TYPES.get(tokens[pos + 1])) is None:
+                    raise self._not_a_type(pos + 1)
+                if tokens[pos + 2] != "=":
+                    raise self._expected("'='", pos + 2)
+                self.pos = pos + 3
+                value = self._parse_value(value_type)
+                pos = self.pos
+            elif tokens[pos] != "(":
+                raise self._expected("'('", pos)
+            else:
+                if tokens[pos + 1] == ")":
+                    pos += 1
+                while tokens[pos] != ")":  # at the "(" or "," before a parameter
+                    if params and tokens[pos] != ",":
+                        raise self._expected("')'", pos)
+                    if (pname := tokens[pos + 1])[:1] not in _IDENT_START:
+                        raise self._expected("'ident'", pos + 1)
+                    if tokens[pos + 2] != ":":
+                        raise self._expected("':'", pos + 2)
+                    if (ptype := _VALUE_TYPES.get(tokens[pos + 3])) is None:
+                        raise self._not_a_type(pos + 3)
+                    params.append((pname, ptype))
+                    pos += 4
+                pos += 1
+                if tokens[pos] == "->":
+                    if (returns := _VALUE_TYPES.get(tokens[pos + 1])) is None:
+                        raise self._not_a_type(pos + 1)
+                    pos += 2
+            degree = DEGREE_ONE
+            if tokens[pos] == "/":
+                self.pos = pos
+                degree = self._parse_degree()
+                pos = self.pos
+            if tokens[pos] != ";":
+                raise self._expected("';'", pos)
+            pos += 1
+            try:
+                member = Member(kind, name, owner, value_type, value, tuple(params), returns)
+            except OodnError as exc:
+                raise self.fail(str(exc), at) from exc
+            members.append(DegreedMember(member, degree))
+        self.pos = pos + 1
         return members
-
-    def _parse_member(self, default_owner: str) -> DegreedMember:
-        """A property or method, its owner ``default_owner`` unless named.
-        Its degree and ``;`` are read before the member is built, so a
-        syntax error is reported before a broken invariant."""
-        keyword = self.tokens[self.pos]
-        if keyword != "prop" and keyword != "method":
-            raise self._expected("'prop' or 'method'")
-        self.pos += 1
-        at = self.pos
-        owner, name = default_owner, self.ident()
-        if self.accept("."):
-            owner, name = name, self.ident()
-        if keyword == "prop":
-            self.expect(":")
-            value_type = self._parse_type()
-            self.expect("=")
-            value = self._parse_value(value_type)
-            degree = self._parse_degree() or DEGREE_ONE
-            self.expect(";")
-            member = self.build(at, prop, name, value_type, value, owner)
-        else:
-            self.expect("(")
-            params: list[tuple[str, ValueType]] = []
-            if not self.accept(")"):
-                params = self.separated(self._parse_param)
-                self.expect(")")
-            returns = self._parse_type() if self.accept("->") else None
-            degree = self._parse_degree() or DEGREE_ONE
-            self.expect(";")
-            member = self.build(at, method, name, owner, params, returns)
-        return DegreedMember(member, degree)
-
-    def _parse_param(self) -> tuple[str, ValueType]:
-        pname = self.ident()
-        self.expect(":")
-        return pname, self._parse_type()
-
-    def _parse_type(self) -> ValueType:
-        at = self.pos
-        value_type = _VALUE_TYPES.get(self.ident())
-        if value_type is None:
-            raise self.fail(f"unknown type {self.tokens[at]!r}", at)
-        return value_type
 
     def _parse_degree(self) -> Degree | None:
         """The degree after a ``/``, or None when no ``/`` is next."""
@@ -418,10 +441,12 @@ class _Parser:
         """A value of ``value_type``, declared or named by its literal (``_LITERAL_KINDS``)."""
         token = self.tokens[self.pos]
         if value_type is _INT:
-            if _kind(token) != "INT":
-                raise self._expected("an integer")
+            try:  # of all token texts, an integer's alone reads as an int
+                value = int(token)
+            except ValueError:
+                raise self._expected("an integer") from None
             self.pos += 1
-            return int(token)
+            return value
         if value_type is _REAL:
             return self.number("a number")
         if value_type is _BOOL:

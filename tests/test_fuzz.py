@@ -89,6 +89,43 @@ def test_token_soup_keeps_the_cli_contract(text):
     check_error_position(text)
 
 
+# Whole member statements in one class body, one of each form, then up to
+# three tokens a member can hold replaced, inserted or deleted anywhere among
+# them, so the soup reaches every token of a statement.
+MEMBER_STATEMENTS = (
+    "prop p : int = -1 ;", "prop A . q : real = 1/2 / 0.5 ;", "prop b : bool = true / 1/3 ;",
+    'prop t : text = "a\\"b" ;', "prop f : fuzzy = { x : 0.5 , 1 : 1 , \"s\" : 0 } ;",
+    "method m ( x : int , y : real ) -> bool / 0.5 ;", "method A . n ( ) ;",
+)
+MEMBER_TOKENS = (
+    "prop", "method", "p", "A", "x", "int", "real", "bool", "fuzzy", "true",
+    ":", "=", "/", ".", "(", ")", "->", ";", ",", "{", "}",
+    "1", "-2", "0", "1/2", "3/0", "0.5", '"s"', "class",
+)
+
+
+@st.composite
+def member_soup(draw) -> str:
+    tokens = " ".join(draw(st.lists(st.sampled_from(MEMBER_STATEMENTS), max_size=5))).split()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        token, edit = draw(st.sampled_from(MEMBER_TOKENS)), draw(st.sampled_from("rid"))
+        if edit == "i" or at == len(tokens):
+            tokens.insert(at, token)
+        elif edit == "r":
+            tokens[at] = token
+        else:
+            del tokens[at]
+    return "class A { " + " ".join(tokens) + " }"
+
+
+@FUZZ
+@given(text=member_soup())
+def test_member_soup_keeps_the_cli_contract(text):
+    check_contract(text)
+    check_error_position(text)
+
+
 @FUZZ
 @given(data=st.binary(max_size=200))
 def test_arbitrary_bytes_keep_the_cli_contract(data):

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -179,8 +179,8 @@ class TestMembers:
                 value_type=ValueType.INT,
                 value=1,
             )
-        with pytest.raises(ModelInvariantError):
-            method("f", "A", params=[("x", ValueType.INT), ("x", ValueType.INT)])
+        with pytest.raises(ModelInvariantError, match="^method 'f' has duplicate parameter 'y'$"):
+            method("f", "A", params=[(name, ValueType.INT) for name in "xyzyx"])
 
     def test_identity_and_display(self):
         entry = prop("p1", ValueType.INT, 1, "A1")
@@ -206,6 +206,41 @@ class TestMembers:
                     write()
         assert entry.identity == ("A1", "p1") and entry.degree.is_weak
         assert entry.identity is entry.member.identity
+
+    def test_construction_by_keywords(self):
+        member = Member(
+            kind=MemberKind.METHOD, name="m", owner="A",
+            params=(("x", ValueType.INT),), returns=ValueType.BOOL,
+        )
+        assert member == method("m", "A", [("x", ValueType.INT)], ValueType.BOOL)
+        assert member.identity == ("A", "m") and member.value is None
+        entry = DegreedMember(degree=as_degree("1/2"), member=member)
+        assert (entry.member, entry.degree) == (member, as_degree("1/2"))
+        assert DegreedMember(member=member).degree is DEGREE_ONE
+
+    def test_a_missing_argument_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Member(MemberKind.PROPERTY, "p")
+        with pytest.raises(TypeError):
+            DegreedMember()
+
+    def test_a_str_subclass_names_a_member(self):
+        class Name(str):
+            pass
+
+        member = prop(Name("p"), ValueType.INT, 1, Name("A"))
+        assert member.identity == ("A", "p") and member == prop("p", ValueType.INT, 1, "A")
+
+    def test_a_non_string_owner_is_refused_by_value(self):
+        with pytest.raises(ModelInvariantError, match="^3 is not an identifier$"):
+            prop("p", ValueType.INT, 1, 3)
+
+    def test_replace_checks_the_new_value(self):
+        member = prop("p", ValueType.INT, 1, "A")
+        with pytest.raises(
+            ModelInvariantError, match="^property 'p': value 'x' does not match type int$"
+        ):
+            replace(member, value="x")
 
     def test_similarity_ignores_owner(self):
         a = prop("p1", ValueType.INT, 1, "A1")
@@ -273,6 +308,12 @@ class TestNames:
             check_names("A", "x y")
         with pytest.raises(ModelInvariantError, match="^3 is not an identifier$"):
             check_names(3)
+        with pytest.raises(ModelInvariantError, match="^b'A' is not an identifier$"):
+            check_names("A", b"A", "x y")
+        with pytest.raises(ModelInvariantError, match="^'été' is not an identifier$"):
+            check_names("A", "été")
+        with pytest.raises(ModelInvariantError, match="^'class' cannot name a class$"):
+            check_names("class", "x y", keywords=KEYWORDS)
 
 
 # ---------------------------------------------------------------------------

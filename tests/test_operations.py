@@ -246,6 +246,26 @@ class TestAddRemove:
         assert net.classes["A"].members() == before
         assert info.value.findings  # the violation report rides along
 
+    def test_removing_a_listed_member_rolls_back(self):
+        # B's plan lists A's 'p', so without it the network would not load.
+        net = parse_network(
+            "class A { prop p: int = 1; prop q: int = 2; } "
+            "class B { prop b: int = 1; } B inherits A (p);"
+        )
+        before = net.classes["A"]
+        with pytest.raises(ModificationRejected) as info:
+            modify_remove_member(net, "A", "p")
+        assert [(v.entity, v.rule) for v in info.value.findings] == [
+            ("B inherits A (p)", "plan-unoffered-member")
+        ]
+        assert str(info.value) == (
+            "removing 'p' from 'A' rolled back: error: B inherits A (p): "
+            "plan-unoffered-member: selection names 'p', which 'A' does not offer"
+        )
+        assert net.classes["A"] is before and validate_network(net) == []
+        modify_remove_member(net, "A", "q")  # a name no listing names can go
+        assert validate_network(net) == []
+
     def test_modifying_heterogeneous_class_rejected(self):
         net = sample_net()
         net.classes["H"] = inherit(
