@@ -441,12 +441,10 @@ class _Parser:
         """A value of ``value_type``, declared or named by its literal (``_LITERAL_KINDS``)."""
         token = self.tokens[self.pos]
         if value_type is _INT:
-            try:  # of all token texts, an integer's alone reads as an int
-                value = int(token)
-            except ValueError:
-                raise self._expected("an integer") from None
+            if not token.lstrip("-").isdecimal():  # the lexer's integers: -?[0-9]+
+                raise self._expected("an integer")
             self.pos += 1
-            return value
+            return int(token)
         if value_type is _REAL:
             return self.number("a number")
         if value_type is _BOOL:
