@@ -259,10 +259,9 @@ class _Parser:
 
     def _not_a_type(self, at: int) -> ParseError:
         """The parse error for token number ``at``, which names no type."""
-        token = self.tokens[at]
-        if token[:1] not in _IDENT_START:
+        if self.tokens[at][:1] not in _IDENT_START:
             return self._expected("'ident'", at)
-        return self.fail(f"unknown type {token!r}", at)
+        return self.fail(f"unknown type {self.tokens[at]!r}", at)
 
     def expect(self, text: str, name: str | None = None) -> None:
         """Consume the punctuation mark, arrow or keyword ``text``; an error
@@ -358,11 +357,9 @@ class _Parser:
         )
 
     def _parse_members(self, default_owner: str) -> list[DegreedMember]:
-        """A braced block of properties and methods, each owned by ``default_owner``
-        unless it names its owner.  Each statement is read off the tokens through a
-        local index, handed over in ``self.pos`` only to the value and degree readers;
-        a token is read only once the one before it is known not to end the input.
-        A syntax error comes first: a member is built after its degree and ``;``."""
+        """A braced block of members, owned by ``default_owner`` unless named, read
+        off the tokens through a local index (``self.pos`` only for values and degrees),
+        a token only once the one before it cannot end the input; each built at its ``;``."""
         self.expect("{")
         tokens, members, pos = self.tokens, [], self.pos
         while (keyword := tokens[pos]) != "}":
@@ -384,8 +381,7 @@ class _Parser:
                 if tokens[pos + 2] != "=":
                     raise self._expected("'='", pos + 2)
                 self.pos = pos + 3
-                value = self._parse_value(value_type)
-                pos = self.pos
+                value, pos = self._parse_value(value_type), self.pos
             elif tokens[pos] != "(":
                 raise self._expected("'('", pos)
             else:
@@ -410,8 +406,7 @@ class _Parser:
             degree = DEGREE_ONE
             if tokens[pos] == "/":
                 self.pos = pos
-                degree = self._parse_degree()
-                pos = self.pos
+                degree, pos = self._parse_degree(), self.pos
             if tokens[pos] != ";":
                 raise self._expected("';'", pos)
             pos += 1

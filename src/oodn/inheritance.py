@@ -221,26 +221,31 @@ def classify_plan(plan: InheritancePlan, net: Network) -> Octant:
     return Octant(arity, Extent.PARTIAL if leaves_out else Extent.FULL, strength)
 
 
-def _offered_names(plan: InheritancePlan, net: Network) -> Iterator[tuple[str, Selection, set]]:
+def _offered_names(plan: InheritancePlan, net: Network,
+                   lost: tuple = ()) -> Iterator[tuple[str, Selection, set]]:
     """Each source, its selection and the bare names it offers at its link,
     in walk order: names only, so that plans that do not walk are answered.
     Each source is read once, so an undeclared one raises; a chain grows one
-    set, which a listing starts anew, so a set is valid until the next."""
+    set, which a listing starts anew, so a set is valid until the next.  A
+    class that has ``lost`` a name, given as (class, name), still offers it."""
     offered: set[str] = set()
     for name, selection in reversed(plan.sources) if plan.chain else plan.sources:
         if not plan.chain:
             offered = set()  # a sibling offers its own names only
         offered.update(entry.member.name for entry in _declared_entries(net, name))
+        if lost and name == lost[0]:
+            offered.add(lost[1])
         yield name, selection, offered
         if selection.mode is _LISTED:
             offered = {entry_name for entry_name, _ in selection.entries}
 
 
-def not_offered(plan: InheritancePlan, net: Network) -> Iterator[str]:
+def not_offered(plan: InheritancePlan, net: Network, lost: tuple = ()) -> Iterator[str]:
     """A message for each name a selection lists that its source does not
-    offer at its link: validation reports each, the walk raises the first."""
+    offer at its link (as it was before ``lost``, see ``_offered_names``):
+    validation reports each, the walk raises the first."""
     if any(selection.entries for _, selection in plan.sources):
-        for source, selection, offered in _offered_names(plan, net):
+        for source, selection, offered in _offered_names(plan, net, lost):
             for name, _ in selection.entries:
                 if name not in offered:
                     yield f"selection names {name!r}, which {source!r} does not offer"

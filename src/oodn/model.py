@@ -404,9 +404,8 @@ class Member(_MemberKeys):
     params: tuple[tuple[str, ValueType], ...] = ()
     returns: ValueType | None = None
 
-    # By hand, as DegreedMember's: checking first, then setting each slot once
-    # through its descriptor, takes half the time of the generated ``__init__``
-    # and ``__post_init__``, and every member of a parsed file is built here.
+    # By hand, as DegreedMember's: checking, then setting each slot once through its
+    # descriptor, takes half the generated ``__init__``'s time; every parsed member is built here.
     def __init__(self, kind: MemberKind, name: str, owner: str, value_type: ValueType | None = None,
                  value: Value | None = None, params: tuple[tuple[str, ValueType], ...] = (),
                  returns: ValueType | None = None) -> None:
@@ -1004,30 +1003,32 @@ def validate_network(net: Network) -> list[Violation]:
     return findings
 
 
-def validate_edit(net: Network, name: str, removal: bool = False) -> list[Violation]:
+def validate_edit(net: Network, name: str, removed: str | None = None) -> list[Violation]:
     """The findings an edit to the named class or object can change.
 
-    Relations and generalization cycles are not checked again: they name
-    entities only.  A plan's selections name members too, but only the
-    ``removal`` of a member can take away a name one lists, so only then is
-    each plan that names the class checked.  An edit to a class can change
-    its own findings and those of the objects whose class it is; an edit to
-    an object, only the object's.  The rules are :func:`validate_network`'s,
-    applied in its order, so after a member edit to a network that validated
-    clean, the errors here are the whole network's errors.
+    Relations and generalization cycles name entities only.  A plan's
+    listings name members, but only the member ``removed`` can break one:
+    each plan naming the class reports the listings that removal breaks.
+    An edit to a class can change its own findings and those of the objects
+    whose class it is; an edit to an object, only the object's.  The rules
+    are :func:`validate_network`'s, applied in its order, so after a member
+    edit to a clean network, the errors here are the whole network's.
     """
     cls = net.classes.get(name)
     findings = [] if cls is None else list(_class_findings(name, cls))
     for object_name, obj in net.objects.items():
         if object_name == name or (cls is not None and obj.class_ref == name):
             findings.extend(_object_findings(net, object_name, obj))
-    for plan in net.plans if removal else ():
+    for plan in net.plans if removed is not None else ():
         if name in plan.class_names():
-            findings.extend(_plan_findings(net, plan))
+            lost = _plan_findings(net, plan, (name, removed))
+            findings.extend(v for v in lost if v.rule == "plan-unoffered-member")
     return findings
 
 
-def _plan_findings(net: Network, plan: InheritancePlan) -> Iterator[Violation]:
+def _plan_findings(net: Network, plan: InheritancePlan, lost: tuple = ()) -> Iterator[Violation]:
+    """A plan's findings; of its listings, only those broken since a class
+    ``lost`` a name (see ``inheritance.not_offered``)."""
     where = plan.describe()
     walkable = True
     for class_name in plan.class_names():
@@ -1045,8 +1046,10 @@ def _plan_findings(net: Network, plan: InheritancePlan) -> Iterator[Violation]:
             yield Violation("error", where, "plan-dangling-class", message)
             walkable = False
     if walkable:
+        had = set(inheritance.not_offered(plan, net, lost)) if lost else ()
         for message in inheritance.not_offered(plan, net):
-            yield Violation("error", where, "plan-unoffered-member", message)
+            if message not in had:
+                yield Violation("error", where, "plan-unoffered-member", message)
 
 
 def _class_findings(name: str, cls: KnowledgeClass) -> Iterator[Violation]:

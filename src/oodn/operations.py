@@ -123,11 +123,11 @@ def exploit_instance_check(
 
 def _commit_or_rollback(
     net: Network, entries: dict, edited: str, action: str, build: Callable[[], object],
-    removal: bool = False,
+    removed: str | None = None,
 ) -> None:
     """Put what ``build`` returns in place of ``entries[edited]`` (a class or
-    an object) and keep it only if the edit, a member's ``removal`` or not,
-    validates; once kept, mark what was built from it stale.  A replacement
+    an object) and keep it only if the edit, and the member it ``removed``,
+    validate; once kept, mark what was built from it stale.  A replacement
     that cannot be built is rolled back with no findings."""
     try:
         replacement = build()
@@ -135,7 +135,7 @@ def _commit_or_rollback(
         raise ModificationRejected(f"{action} rolled back: {exc}", []) from exc
     old = entries[edited]
     entries[edited] = replacement
-    findings = validate_edit(net, edited, removal)
+    findings = validate_edit(net, edited, removed)
     if violations_are_fatal(findings):
         entries[edited] = old
         rendered = "; ".join(f.render() for f in findings if f.severity == "error")
@@ -165,13 +165,13 @@ def _require_hom(net: Network, class_name: str) -> HomClass:
 
 
 def _rebuild(net: Network, class_name: str, action: str, entries: Iterable[DegreedMember],
-             removal: bool = False) -> None:
+             removed: str | None = None) -> None:
     """Rebuild class ``class_name`` from ``entries``, split by kind as the parser
     splits a class body; an entry that cannot be built rolls the edit back."""
     name = net.classes[class_name].name
     _commit_or_rollback(net, net.classes, class_name, action, lambda: HomClass(
         name, *MemberSet(entries).by_kind()
-    ), removal)
+    ), removed)
 
 
 def modify_add_member(
@@ -205,7 +205,7 @@ def modify_remove_member(
             f"class {class_name!r} has no member {member_name!r} owned by {owner!r}"
         )
     action = f"removing {member_name!r} from {class_name!r}"
-    _rebuild(net, class_name, action, kept, removal=True)
+    _rebuild(net, class_name, action, kept, member_name)
 
 
 def modify_set_value(

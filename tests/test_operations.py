@@ -21,6 +21,7 @@ from oodn.model import (
     method,
     prop,
     validate_network,
+    violations_are_fatal,
 )
 from oodn.dsl import ParseError, parse_network
 from oodn.inheritance import InheritancePlan, Selection, inherit
@@ -394,6 +395,42 @@ class TestScope:
             "removing 'left' from 'A' rolled back: error: a1: unknown-override: "
             "object sets 'left' which class 'A' lacks"
         )
+
+    def test_a_broken_plan_does_not_block_an_unrelated_removal(self):
+        # Each plan names A and is broken already: one names an undeclared
+        # class, one lists a name its other source does not offer.
+        net = parse_network(
+            "class A { prop p: int = 1; prop q: int = 2; } class C { prop c: int = 1; } "
+            "H inherits A, ZZ (p); H inherits A, C (zz);"
+        )
+        before = validate_network(net)
+        modify_remove_member(net, "A", "q")
+        assert net.classes["A"].members().get("A", "q") is None
+        assert validate_network(net) == before
+
+    def test_a_removal_is_refused_only_for_a_listing_it_breaks(self):
+        # C lists 'p' already without offering it; A's 'p' is A's own.
+        net = parse_network(
+            "class A { prop p: int = 1; } class C { prop c: int = 1; } H inherits A, C (p);"
+        )
+        modify_remove_member(net, "A", "p")
+        assert [v.message for v in validate_network(net) if v.severity == "error"] == [
+            "selection names 'p', which 'C' does not offer"
+        ]
+
+    def test_a_chain_link_that_lists_an_ancestors_member_blocks_its_removal(self):
+        # B offers what A declares, so B's listing names A's 'p'.
+        net = parse_network(
+            "class A { prop p: int = 1; prop q: int = 2; } class B { prop b: int = 1; } "
+            "C inherits B (p, b) inherits A;"
+        )
+        with pytest.raises(ModificationRejected) as info:
+            modify_remove_member(net, "A", "p")
+        assert [v.message for v in info.value.findings] == [
+            "selection names 'p', which 'B' does not offer"
+        ]
+        modify_remove_member(net, "A", "q")  # no link lists it
+        assert not violations_are_fatal(validate_network(net))
 
     def test_an_edit_to_a_class_rechecks_its_objects(self):
         net = sample_net()
