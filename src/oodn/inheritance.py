@@ -36,8 +36,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
-from itertools import count, groupby, repeat
+from functools import cached_property
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
@@ -284,26 +284,34 @@ Conflict = tuple[str, DegreedMember, DegreedMember]
 class Link:
     """One step of a plan: what ``parent`` passes on to ``child``.
 
-    ``parent_view`` is everything the parent holds, held for a parallel
-    source and built at each read on a chain; ``taken``, what flows out
-    through the selection, degrees composed, is built on first read and
-    kept.  Readers change neither, and layering a chain reads neither (its
-    links share its ``runs``).  ``conflicts``, filled by the walk, are the
-    crisp arrivals contradicting a child's own property, as (name, own
-    entry, arriving entry).
+    ``parent_view`` is everything the parent holds: a parallel source's
+    view is built from ``held``, its declared entries, on first read and
+    kept, and a chain level's is built from the chain's ``runs`` at each
+    read.  ``taken``, what flows out through the selection, degrees
+    composed, is built on first read and kept.  Readers change neither, and
+    layering reads neither where it can read ``held`` or ``runs``.
+    ``conflicts``, filled by the walk, are the crisp arrivals contradicting
+    a child's own property, as (name, own entry, arriving entry).
     """
 
     parent: str
     child: str
     selection: Selection
     own: Sequence[DegreedMember]
-    _parent_view: Callable[[], View]
+    held: Sequence[DegreedMember] = ()
     conflicts: list[Conflict] = field(default_factory=list)
     runs: _Runs | None = None
+    level: int = 0
 
     @property
     def parent_view(self) -> View:
-        return self._parent_view()
+        if self.runs is not None:
+            return self.runs.view(self.level)
+        return self._held_view
+
+    @cached_property
+    def _held_view(self) -> View:
+        return {entry.identity: entry for entry in self.held}
 
     @cached_property
     def taken(self) -> View:
@@ -546,8 +554,7 @@ def _walk_chain(plan: InheritancePlan, net: Network) -> list[Link]:
                 run[2] = level  # empty when the run began at this link
                 slot = run[3]
             current[identity] = runs.open(entry, level + 1, slot)
-        view = partial(runs.view, level)
-        links.append(Link(parent, child, selection, own, view, conflicts, runs=runs))
+        links.append(Link(parent, child, selection, own, (), conflicts, runs, level))
     for run in current.values():
         run[2] = len(order) - 1
     return links
@@ -567,13 +574,13 @@ def walk(plan: InheritancePlan, net: Network) -> list[Link]:
         raise UnknownEntityError(message)
     if plan.chain:
         return _walk_chain(plan, net)
-    views = [{e.identity: e for e in _declared_entries(net, name)} for name, _ in plan.sources]
+    held = [_declared_entries(net, name) for name, _ in plan.sources]
     own = _heir_entries(net, plan.heir)  # after the sources: theirs are reported first
     links = [
-        Link(source, plan.heir, selection, own, partial(next, repeat(view)))
-        for (source, selection), view in zip(plan.sources, views)
+        Link(source, plan.heir, selection, own, entries)
+        for (source, selection), entries in zip(plan.sources, held)
     ]
-    for link in links:
+    for link in links if own else ():  # an heir of no members contradicts nothing
         link.conflicts = _exception_conflicts(own, link.taken.values())
     return links
 
@@ -735,20 +742,23 @@ def inherit(
     return HetClass.layered(plan.heir, core_entries, projections, participants)
 
 
-def _source_groups(links: Sequence[Link], heir_mask: int) -> list[tuple[int, list]]:
+def _source_groups(links: Sequence[Link], heir_mask: int) -> list[tuple[int, Sequence]]:
     """The (mask, entries) groups of a parallel plan in which no class borrows.
     A source's entry is then held by it and, if it reaches the heir unchanged,
     by the heir; its two groups come in the order of their first entries in
     its view, as audiences order them.  The heir's own group, last, holds the
     weakened copies in source order, then its own members."""
-    groups: list[tuple[int, list]] = []
+    groups: list[tuple[int, Sequence]] = []
     weakened: list[DegreedMember] = []
     for at, link in enumerate(links):
-        parent_view, taken = link.parent_view, link.taken
-        view = list(parent_view.values())
-        kept = view if taken is parent_view else [e for e in view if taken.get(e.identity) is e]
-        left = [e for e in view if taken.get(e.identity) is not e] if len(kept) < len(view) else []
-        weakened += (taken[e.identity] for e in left if e.identity in taken)
+        view = kept = link.held  # a source's view, read without its identity map
+        left: list[DegreedMember] = []
+        if link.selection.entries:  # not a bare take-all: a listing names some member
+            taken = link.taken
+            kept = [e for e in view if taken.get(e.identity) is e]
+            if len(kept) < len(view):
+                left = [e for e in view if taken.get(e.identity) is not e]
+                weakened += (taken[e.identity] for e in left if e.identity in taken)
         pair = [((1 << at) | heir_mask, kept), (1 << at, left)]
         if left and left[0] is view[0]:
             pair.reverse()

@@ -630,17 +630,31 @@ def dedupe_similar(entries: Iterable[DegreedMember]) -> MemberSet:
     set: similar copies assert the same knowledge, regardless of owner, so
     one is kept -- the strongest, the first on a tie (fuzzy union as a
     maximum) -- at the place where the knowledge first occurs.
+
+    Similar members share a name, so entries are keyed by name first; a
+    similarity key is built only for a name that comes up again, for its
+    first copy and each later one.
     """
     kept: list[DegreedMember] = []
-    slot_of: dict[tuple, int] = {}
+    first: dict[str, int] = {}  # name -> slot of its first copy
+    repeated: dict[str, dict[tuple, int]] = {}  # name -> similarity key -> slot
     for entry in entries:
-        slot = slot_of.setdefault(entry.member.similarity_key(), len(kept))
+        name = entry.member.name
+        slot = first.setdefault(name, len(kept))
+        if slot == len(kept):
+            kept.append(entry)
+            continue
+        slots = repeated.get(name)
+        if slots is None:
+            slots = repeated[name] = {kept[slot].member.similarity_key(): slot}
+        slot = slots.setdefault(entry.member.similarity_key(), len(kept))
         if slot == len(kept):
             kept.append(entry)
         elif kept[slot].degree.is_weak and entry.degree > kept[slot].degree:
             kept[slot] = entry
-    # Only two contents of one identity can still share it.
-    if len(set(map(_identity_of, kept))) < len(kept):
+    # Only two contents of one identity can still share it, and they share a name.
+    shared = [kept[slot].identity for slots in repeated.values() for slot in slots.values()]
+    if len(set(shared)) < len(shared):
         return MemberSet(kept)  # refuses, naming the first
     return MemberSet._subset(kept)
 

@@ -617,6 +617,37 @@ def test_inherit_golden_covers_every_fixture():
     assert len(INHERIT_GOLDEN) == 6 * len(fixtures)
 
 
+# Streams and exit codes of `oodn materialize FILE NAME --policy P` on every
+# fixture, for every class a plan names and every policy, recorded before
+# flattening keyed members by name first and a parallel source's view was
+# built on first read; neither may change a byte.  shared_names.oodn was
+# added then, recorded with the rest, and recorded in every other golden.
+MATERIALIZE_GOLDEN = json.loads(
+    (DATA / "expected" / "materialize.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(MATERIALIZE_GOLDEN))
+def test_materialize_output_matches_golden(case, capsys):
+    fixture, name, *flags = case.split()
+    code, out, err = run_cli(["materialize", str(DATA / fixture), name, *flags], capsys)
+    expected = MATERIALIZE_GOLDEN[case]
+    assert (code, out, err) == (
+        expected["exit"],
+        expected["stdout"],
+        expected["stderr"],
+    )
+
+
+def test_materialize_golden_covers_every_planned_class():
+    cases = set()
+    for path in DATA.glob("*.oodn"):
+        plans = parse_network(path.read_text(encoding="utf-8")).plans
+        for name in {name for plan in plans for name in plan.class_names()}:
+            cases.update(f"{path.name} {name} --policy {p}" for p in ("reject", "min", "max"))
+    assert set(MATERIALIZE_GOLDEN) == cases
+
+
 def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):
     # B re-declares A's weak 'p' crisply: B holds the knowledge crisply.
     path = tmp_path / "weak_first.oodn"

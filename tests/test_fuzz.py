@@ -1,8 +1,9 @@
 """The command line's contract under fuzzing: whatever the file holds,
 text or bytes, ``parse``, ``inherit``, ``diagnose`` and ``export --format
 json`` exit with 0, 1, 2 or 3, raise nothing, and print the same stdout
-when run again; every parse error points into the text; and the lexer
-splits any text as the reference token definition does."""
+when run again; every parse error points into the text; a file that loads
+is refused later only by a conflict; and the lexer splits any text as the
+reference token definition does."""
 
 from __future__ import annotations
 
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 from oodn import dsl
 from oodn.cli import main
-from oodn.dsl import ParseError, parse_network
+from oodn.dsl import ParseError, parse_network, serialize
+from oodn.inheritance import InheritancePlan, Policy, Selection, SelectionMode, inherit
+from oodn.model import DEGREE_ONE
+from test_properties import MEMBER_NAMES, layered_plans
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 COMMANDS = (("parse",), ("inherit",), ("diagnose",), ("export", "--format", "json"))
@@ -130,6 +134,53 @@ def test_member_soup_keeps_the_cli_contract(text):
 @given(data=st.binary(max_size=200))
 def test_arbitrary_bytes_keep_the_cli_contract(data):
     check_contract(data)
+
+
+# A network and plan from ``layered_plans``, with one source changed to what
+# that strategy never draws: a listing of a name its source may not offer at
+# its link, a class that is not declared, or a heterogeneous class.
+@st.composite
+def mutated_networks(draw) -> str:
+    net, plan = draw(layered_plans())
+    sources = list(plan.sources)
+    at = draw(st.integers(0, len(sources) - 1))
+    name, selection = sources[at]
+    mutation = draw(st.sampled_from(("unoffered", "undeclared", "heterogeneous")))
+    if mutation == "unoffered":
+        listed = draw(st.sampled_from([n for n in MEMBER_NAMES if n not in dict(selection.entries)]))
+        sources[at] = (name, Selection(SelectionMode.LISTED, (*selection.entries, (listed, DEGREE_ONE))))
+    elif mutation == "undeclared":
+        sources[at] = ("U9", selection)
+    else:
+        # A one-source chain with a new heir is never refused.
+        net.classes["X9"] = inherit(InheritancePlan("X9", sources[at:at + 1]), net, Policy.MIN)
+        sources[at] = ("X9", selection)
+    net.plans = [InheritancePlan(plan.heir, tuple(sources), plan.chain)]
+    return serialize(net)
+
+
+VERDICT_COMMANDS = (
+    ("classify",), ("inherit",), ("diagnose",), ("export", "--format", "dot"),
+    ("export", "--format", "json"),
+)
+# What a command may print on stderr when it exits 2 on a file that loads:
+# warnings from validation, and a plan refused for a conflict with its repair.
+REFUSAL_LINE = re.compile(r"warning: |conflict \(|suggestion: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=mutated_networks())
+def test_a_file_that_loads_is_refused_later_only_by_a_conflict(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.oodn"
+        path.write_text(text, encoding="utf-8")
+        if run(["parse", str(path)])[0] != 0:
+            return
+        for command, *flags in VERDICT_COMMANDS:
+            code, _, err = run([command, str(path), *flags])
+            if code == 2:
+                # Split at line feeds only: a text value may hold U+2028.
+                assert all(map(REFUSAL_LINE.match, err.rstrip("\n").split("\n"))), (command, err)
 
 
 # The reference lexer: the token definition as it stood while whitespace and

@@ -334,28 +334,48 @@ class TestDegreeAlgebra:
 
 
 @st.composite
-def entry_lists(draw):
-    # identities stay unique (as any flattened structure guarantees);
-    # similarity collisions across owners remain common on purpose
+def entry_lists(draw, clashing: bool = False):
+    """Entries over three owners and six names, so that similar copies
+    across owners are common and some names occur once.  An entry may be a
+    method, sharing its name with properties, and either kind comes in two
+    contents.  Identities stay unique (as any flattened structure
+    guarantees) unless ``clashing``, which lets one identity hold two
+    entries, in one content or in two."""
     identities = draw(
         st.lists(
             st.tuples(
                 st.sampled_from(("O1", "O2", "O3")),
-                st.sampled_from(PROP_NAMES[:4]),
+                st.sampled_from(PROP_NAMES[:6]),
             ),
-            unique=True,
+            unique=not clashing,
             min_size=1,
-            max_size=6,
+            max_size=8,
         )
     )
     entries = []
     for owner, name in identities:
-        value = draw(st.integers(0, 2))
-        degree = draw(st.sampled_from((DEGREE_ONE, Degree(Fraction(1, 2)))))
-        entries.append(
-            DegreedMember(prop(name, ValueType.INT, value, owner), degree)
-        )
+        content = draw(st.integers(0, 2))
+        if draw(st.integers(0, 3)) == 0:
+            member = method(name, owner, [("x", ValueType.INT)] * (content % 2))
+        else:
+            member = prop(name, ValueType.INT, content, owner)
+        degree = draw(st.sampled_from((DEGREE_ONE, Degree(Fraction(1, 2)), Degree(Fraction(1, 3)))))
+        entries.append(DegreedMember(member, degree))
     return entries
+
+
+def naive_flattening(entries: list[DegreedMember]) -> list[DegreedMember]:
+    """Each piece of knowledge where it first occurs, held by its
+    highest-degree copy, the first such copy on a tie, by similarity key
+    over every entry."""
+    keys = [e.member.similarity_key() for e in entries]
+    kept = []
+    for at, key in enumerate(keys):
+        if key not in keys[:at]:
+            copies = [e for e, other in zip(entries, keys) if other == key]
+            top = max(e.degree for e in copies)
+            kept.append(next(e for e in copies if e.degree == top))
+    return kept
 
 
 class TestDedupeSimilar:
@@ -369,17 +389,25 @@ class TestDedupeSimilar:
     @COMMON
     @given(entries=entry_lists())
     def test_strongest_copy_wins_in_place_and_nothing_is_invented(self, entries):
-        # Each piece of knowledge sits where it first occurs, held by its
-        # highest-degree copy, the first such copy on a tie.
         kept = list(dedupe_similar(entries))
-        expected = []
-        for entry in entries:
-            key = entry.member.similarity_key()
-            if key not in [e.member.similarity_key() for e in expected]:
-                copies = [e for e in entries if e.member.similarity_key() == key]
-                top = max(e.degree for e in copies)
-                expected.append(next(e for e in copies if e.degree == top))
-        assert kept == expected
+        expected = naive_flattening(entries)
+        assert len(kept) == len(expected)
+        assert all(got is want for got, want in zip(kept, expected))
+
+    @COMMON
+    @given(entries=entry_lists(clashing=True))
+    def test_two_contents_of_one_identity_are_refused_as_a_member_set_refuses(self, entries):
+        expected = naive_flattening(entries)
+        try:
+            MemberSet(expected)
+        except ModelInvariantError as refusal:
+            with pytest.raises(ModelInvariantError) as caught:
+                dedupe_similar(entries)
+            assert str(caught.value) == str(refusal)
+        else:
+            kept = list(dedupe_similar(entries))
+            assert len(kept) == len(expected)
+            assert all(got is want for got, want in zip(kept, expected))
 
     @COMMON
     @given(entries=entry_lists())
@@ -651,6 +679,24 @@ class TestLayout:
                     for p in het.projections
                 ]
                 assert (list(het.core), laid_out) == self.grouped(shape, net, policy)
+
+
+class TestParallelViews:
+    """A parallel source's view, its declared entries by identity in
+    declaration order, is built on first read and kept: each later read
+    returns the same map."""
+
+    @WHOLE_NETWORK
+    @given(data=st.one_of(layered_plans(), layered_plans(borrowing=False)))
+    def test_a_source_view_is_its_entries_built_once(self, data):
+        net, plan = data
+        links = walk(replace(plan, chain=False), net)
+        for link in links if len(plan.sources) > 1 else ():
+            entries = list(net.classes[link.parent].entries)
+            view = link.parent_view
+            assert list(view.items()) == [(e.identity, e) for e in entries]
+            assert all(got is want for got, want in zip(view.values(), entries))
+            assert link.parent_view is view
 
 
 def arrivals_at_heir(plan: InheritancePlan, net: Network) -> dict:
