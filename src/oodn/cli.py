@@ -4,7 +4,7 @@ Six subcommands over knowledge files:
 
 * ``parse`` — check a file and print a summary (or its canonical form);
 * ``materialize`` — print the effective member set of one class or object,
-  with all declared plans executed first;
+  with the declared plans that name it executed first;
 * ``inherit`` — execute the declared plans and print the resulting
   heterogeneous classes;
 * ``classify`` — print each plan's position on the three inheritance axes;
@@ -103,7 +103,8 @@ def _cmd_parse(net: Network, args: argparse.Namespace) -> ExitStatus:
 
 
 def _cmd_materialize(net: Network, args: argparse.Namespace) -> ExitStatus:
-    results = [inherit(plan, net, Policy(args.policy)) for plan in net.plans]
+    plans = [plan for plan in net.plans if args.name in plan.class_names()]
+    results = [inherit(plan, net, Policy(args.policy)) for plan in plans]
     member_set = materialize(net, args.name, extra=results)
     for entry in member_set:
         print(member_line(entry))

@@ -99,20 +99,23 @@ class Selection:
 
     @cached_property
     def text(self) -> str:
-        """The selection as written after its source in a file, such as
-        ``(only p/0.5)``, or "" for a bare take-all; rendered once, however
-        many plans share it."""
-        listed = self.mode is _LISTED
-        if not listed and not self.entries:
-            return ""
-        weak = [degree.is_weak for _, degree in self.entries]
-        items = ", ".join(
-            f"{name}/{degree}" if is_weak or not listed else name
-            for (name, degree), is_weak in zip(self.entries, weak)
-        )
-        if listed and all(weak):
-            return f"(only {items})"
-        return f"({items})"
+        """``selection_text``'s text, rendered once however many plans share it."""
+        return selection_text(self.mode is _LISTED, self.entries)
+
+
+def selection_text(listed: bool, entries: Sequence[tuple[str, Degree]]) -> str:
+    """A selection as written after its source in a file, such as
+    ``(only p/0.5)``, or "" for a bare take-all."""
+    if not listed and not entries:
+        return ""
+    weak = [degree.is_weak for _, degree in entries]
+    items = ", ".join(
+        f"{name}/{degree}" if is_weak or not listed else name
+        for (name, degree), is_weak in zip(entries, weak)
+    )
+    if listed and all(weak):
+        return f"(only {items})"
+    return f"({items})"
 
 
 @dataclass(frozen=True)
@@ -334,19 +337,24 @@ class Link:
                 taken[identity] = entry
         return taken
 
-    def narrowed(self, excluded: Container[str]) -> Selection | None:
-        """This link's selection without the given bare names, over what
-        the parent holds; None when nothing is left.  Every repair narrows
+    @cached_property
+    def _parent_names(self) -> tuple[str, ...]:
+        """The bare names the parent holds, in view order, read once per link."""
+        return tuple(dict.fromkeys(e.member.name for e in self.parent_view.values()))
+
+    def kept(self, excluded: Container[str]) -> tuple[tuple[str, Degree], ...]:
+        """The (name, degree) items this link's selection lists without the
+        given bare names, over what the parent holds: every repair narrows
         through here, so a repaired take never exceeds the original one."""
         degrees = dict(self.selection.entries)
-        candidates: Iterable[str] = degrees
-        if self.selection.mode is _ALL:
-            candidates = dict.fromkeys(e.member.name for e in self.parent_view.values())
-        kept = tuple(
-            (name, degrees.get(name, DEGREE_ONE))
-            for name in candidates
-            if name not in excluded
+        candidates = self._parent_names if self.selection.mode is _ALL else degrees
+        return tuple(
+            (name, degrees.get(name, DEGREE_ONE)) for name in candidates if name not in excluded
         )
+
+    def narrowed(self, excluded: Container[str]) -> Selection | None:
+        """``kept`` as a listed selection; None when nothing is left."""
+        kept = self.kept(excluded)
         return Selection(_LISTED, kept) if kept else None
 
 
@@ -355,31 +363,37 @@ class Repair:
     """A repair held as what it removes: each narrowed source's link with
     the bare names it stops passing on, and per plan on offer, the source
     that plan keeps whole (or None).  Sources are narrowed as the plans or
-    their texts are made; only ``plans`` is kept.  A source narrowed to
-    nothing drops out of a parallel plan; a chain cannot lose a level, so
-    its plan is then None, as is a plan left without sources.  Equal plans
-    make equal repairs."""
+    their texts are made; only ``plans`` and each link's parent names are
+    kept.  A source narrowed to nothing drops out of a parallel plan; a
+    chain cannot lose a level, so its plan is then None, as is a plan left
+    without sources.  Equal plans make equal repairs."""
 
     plan: InheritancePlan
     excluded: tuple[tuple[Link, frozenset[str]], ...]
     kept: tuple[str | None, ...] = (None,)
 
-    def _offered(self, item: Callable[[str, Selection], object]) -> list[list | None]:
-        """Each plan on offer as ``item(source, selection)`` per source it
-        keeps, in source order, or None when it has no plan."""
+    def _offered(self, text: bool) -> list[list | None]:
+        """Each plan on offer as its (source, selection) pairs or, with
+        ``text``, their texts, in source order, or None when it has no plan.
+        A narrowed source's text is written from the items its link keeps."""
         position = {name: at for at, (name, _) in enumerate(self.plan.sources)}
+        item: Callable[[str, Selection], object] = _source_text if text else lambda *source: source
         whole = [item(*source) for source in self.plan.sources]
         cut = whole.copy()
         for link, names in self.excluded:
-            selection = link.narrowed(names)
-            cut[position[link.parent]] = selection and item(link.parent, selection)
+            if text:
+                listing = link.kept(names)
+                cut[position[link.parent]] = listing and f"{link.parent} {selection_text(True, listing)}"
+            else:
+                selection = link.narrowed(names)
+                cut[position[link.parent]] = selection and (link.parent, selection)
         offered = []
         for kept in self.kept:
             items = cut
             if kept is not None:
                 at = position[kept]
                 items = [*cut[:at], whole[at], *cut[at + 1 :]]
-            left = list(filter(None, items))  # drops None: an item is never empty
+            left = list(filter(None, items))  # drops the sources narrowed to nothing
             whole_chain = not self.plan.chain or len(left) == len(items)
             offered.append(left if left and whole_chain else None)
         return offered
@@ -388,14 +402,13 @@ class Repair:
     def plans(self) -> tuple[InheritancePlan | None, ...]:
         return tuple(
             sources and replace(self.plan, sources=tuple(sources))
-            for sources in self._offered(lambda *source: source)
+            for sources in self._offered(False)
         )
 
     def texts(self) -> Iterator[str | None]:
-        """Each plan on offer as ``describe`` writes it, without building it,
-        each text made as it is reached."""
-        offered = self._offered(_source_text)
-        return (parts and self.plan.written(parts) for parts in offered)
+        """Each plan on offer as ``describe`` writes it, each text made as it
+        is reached, building no plan or selection and checking no name."""
+        return (parts and self.plan.written(parts) for parts in self._offered(True))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Repair) and self.plans == other.plans

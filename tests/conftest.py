@@ -43,12 +43,14 @@ def chain_text(depth: int, width: int = 20) -> str:
     return "\n".join(classes) + f"\nC{depth - 1} inherits {sources};\n"
 
 
-def parallel_text(count: int, width: int = 20) -> str:
+def parallel_text(count: int, width: int = 20, clash: bool = False) -> str:
     """A take-all parallel plan over ``count`` classes, each declaring
-    ``width`` properties of its own."""
+    ``width`` properties of its own and, with ``clash``, a ``common`` one
+    whose value differs between neighbours."""
     classes = []
     for at in range(count):
         props = " ".join(f"prop s{at}_{j}: int = {j};" for j in range(width))
+        props += f" prop common: int = {at % 2};" if clash else ""
         classes.append(f"class S{at} {{ {props} }}")
     sources = ", ".join(f"S{at}" for at in range(count))
     return "\n".join(classes) + f"\nH inherits {sources};\n"

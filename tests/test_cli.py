@@ -622,6 +622,9 @@ def test_inherit_golden_covers_every_fixture():
 # flattening keyed members by name first and a parallel source's view was
 # built on first read; neither may change a byte.  shared_names.oodn was
 # added then, recorded with the rest, and recorded in every other golden.
+# The nine pathology_both.oodn entries for Nixon, Quaker and Republican were
+# recorded again once materialize inherited only the plans naming the class:
+# they match pathology_nixon.oodn's, not the Penguin plan's refusal.
 MATERIALIZE_GOLDEN = json.loads(
     (DATA / "expected" / "materialize.json").read_text(encoding="utf-8")
 )
@@ -646,6 +649,22 @@ def test_materialize_golden_covers_every_planned_class():
         for name in {name for plan in plans for name in plan.class_names()}:
             cases.update(f"{path.name} {name} --policy {p}" for p in ("reject", "min", "max"))
     assert set(MATERIALIZE_GOLDEN) == cases
+
+
+def test_materialize_runs_only_the_plans_naming_the_class(capsys, tmp_path):
+    # Penguin's plan is refused; Nixon's and the object's classes are not in it.
+    both = run_cli(["materialize", str(DATA / "pathology_both.oodn"), "Nixon"], capsys)
+    alone = run_cli(["materialize", str(DATA / "pathology_nixon.oodn"), "Nixon"], capsys)
+    assert both == alone and both[0] == 0 and "prop elected(Nixon)" in both[1]
+    assert run_cli(["materialize", str(DATA / "pathology_both.oodn"), "Bird"], capsys)[0] == 2
+    path = tmp_path / "refused.oodn"
+    path.write_text(
+        "class A { prop p: int = 1; } class B { prop p: int = 2; } class C { prop q: int = 3; } "
+        "object o : C { q = 4; } B inherits A;\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["materialize", str(path), "o"], capsys) == (0, "prop q(o): int = 4\n", "")
+    assert run_cli(["materialize", str(path), "C"], capsys) == (0, "prop q(C): int = 3\n", "")
 
 
 def test_flattening_keeps_the_strongest_similar_copy(capsys, tmp_path):

@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import chain_text
+import oodn
+from conftest import chain_text, parallel_text
 from oodn.diagnostics import (
     Diagnostic,
     RequirementError,
@@ -481,6 +482,74 @@ class TestScaling:
         finally:
             tracemalloc.stop()
         assert findings and held < length
+
+
+class TestRenderedRepairs:
+    """A rendered suggestion and its alternatives are the texts of the plans
+    ``suggestion`` and ``alternatives`` build, though rendering builds none."""
+
+    @staticmethod
+    def rendered_then_built(finding: Diagnostic) -> tuple[list[str], list[str]]:
+        rendered = [
+            line.split(": ", 1)[1]
+            for line in finding.lines()
+            if line.startswith(("  suggestion: ", "  alternative: "))
+        ]
+        built = [plan.describe() for plan in (finding.suggestion, *finding.alternatives)]
+        return rendered, built
+
+    def check(self, text: str, required: list[str] | None, *expected: str) -> None:
+        [finding] = diagnose_all(parse_network(text), required=required)
+        rendered, built = self.rendered_then_built(finding)
+        assert rendered == built == list(expected)
+
+    A = "class A { prop p: int = 1; prop q: int = 2; prop r: int = 3; }\nclass H { }\n"
+
+    def test_rendered_weak_override_under_a_take_all(self):
+        self.check(self.A + "H inherits A (p/0.5);\n", ["p", "r"], "H inherits A (p/0.5, r)")
+
+    def test_rendered_listing_of_weak_items_only(self):
+        self.check(
+            self.A + "H inherits A (p/0.5, q/1/4);\n", ["p", "q"], "H inherits A (only p/0.5, q/0.25)"
+        )
+
+    def test_rendered_listing_keeps_its_listed_order(self):
+        self.check(self.A + "H inherits A (r, q/0.5, p);\n", ["p", "q"], "H inherits A (q/0.5, p)")
+
+    def test_rendered_parallel_source_narrowed_to_nothing_drops_out(self):
+        self.check(
+            "class L { prop p: int = 1; prop q: int = 5; }\nclass M { prop p: int = 2; }\n"
+            "class R { prop p: int = 3; prop r: int = 6; }\nclass H { prop h: bool = true; }\n"
+            "H inherits L, M, R (r/0.5);\n",
+            None,
+            "H inherits L, R (only r/0.5)",
+            "H inherits L (q), M, R (only r/0.5)",
+            "H inherits L (q), R (r/0.5)",
+        )
+
+    def test_rendering_builds_no_selection_and_checks_no_name(self, monkeypatch):
+        findings = []
+        for text, required in ((parallel_text(30, clash=True), "s0_0"), (chain_text(30), "c0_0")):
+            net = parse_network(text)
+            findings += diagnose_all(net) + diagnose_all(net, required=[required])
+        assert {f.kind for f in findings} == {"ambiguity", "redundancy"}
+        calls = {"selections": 0, "names": 0}
+        built = Selection.__post_init__
+
+        def counted_selection(selection):
+            calls["selections"] += 1
+            built(selection)
+
+        def counted_names(*names, **keywords):
+            calls["names"] += 1
+
+        monkeypatch.setattr(Selection, "__post_init__", counted_selection)
+        for module in (oodn.model, oodn.inheritance, oodn.dsl, oodn.diagnostics):
+            if hasattr(module, "check_names"):
+                monkeypatch.setattr(module, "check_names", counted_names)
+        lines = list(report_lines(findings))
+        assert len(lines) > 5 * len(findings)
+        assert calls == {"selections": 0, "names": 0}
 
 
 class TestReportRendering:
